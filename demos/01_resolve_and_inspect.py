@@ -6,8 +6,8 @@ the combinatorial shadow of the resolution: divisors plus dual graph.
 """
 
 from contactloci import (
-    build_dual_complex,
     euler_open_stratum,
+    pair_multiplicities,
     resolve_plane_curve,
     validate_configuration,
     zeta_factorization,
@@ -23,8 +23,8 @@ for text in ("x^2 + y^3", "x*y", "x^3 + y^4", "x^2 + y^2"):
         chi = euler_open_stratum(cfg, d.id)
         print(f"   {d.label}: m={d.mult}, nu={d.disc}, self={d.self_int}, "
               f"chi(open stratum)={chi} ({kind})")
-    delta = build_dual_complex(cfg)
-    edges = [(cell.ids, cell.pair_mult, cell.count) for cell in delta.one_cells]
+    # curve-case cells are pairs, so pair_multiplicities lists one per cell
+    edges = [((i, j), pm, cell.count) for (i, j, pm), cell in zip(pair_multiplicities(cfg), cfg.cells)]
     print(f"   dual graph edges (pair multiplicity, points): {edges}")
     print(f"   monodromy zeta: {zeta_factorization(cfg).render()}")
     assert validate_configuration(cfg) == []

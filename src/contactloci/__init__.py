@@ -50,11 +50,9 @@ from .lefschetz import (
 )
 from .model import (
     Divisor,
-    DualComplex,
     IntersectionCell,
     SncConfiguration,
     ValidationIssue,
-    build_dual_complex,
     euler_open_stratum,
     validate_configuration,
 )
@@ -62,7 +60,7 @@ from .polys import SparsePolynomial, parse_polynomial
 from .separation import (
     SubdivisionRecord,
     is_m_separating,
-    min_pair_multiplicity,
+    pair_multiplicities,
     separate,
 )
 from .spectral import (

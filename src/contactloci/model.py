@@ -173,22 +173,6 @@ class SncConfiguration:
 
 
 @dataclass(frozen=True)
-class OneCell:
-    """An edge of the dual complex with its total multiplicity m_sigma."""
-
-    ids: tuple[int, int]
-    pair_mult: int
-    count: int
-    over_sigma: bool
-
-
-@dataclass(frozen=True)
-class DualComplex:
-    vertices: tuple[tuple[int, int], ...]  # (divisor id, multiplicity)
-    one_cells: tuple[OneCell, ...]
-
-
-@dataclass(frozen=True)
 class ValidationIssue:
     subject: str  # "divisor" | "cell" | "configuration"
     subject_id: int | None
@@ -260,25 +244,6 @@ def require_valid(cfg: SncConfiguration) -> None:
     issues = validate_configuration(cfg)
     if issues:
         raise ValidationFailedError(issues)
-
-
-def build_dual_complex(cfg: SncConfiguration) -> DualComplex:
-    """Vertices with multiplicities, plus one 1-cell per intersection cell.
-
-    For cells of more than two divisors (d >= 3) every pair inside the cell
-    contributes a 1-cell; the pair multiplicity is always m_i + m_j.
-    """
-    require_valid(cfg)
-    vertices = tuple((d.id, d.mult) for d in cfg.divisors)
-    one_cells = []
-    for cell in cfg.cells:
-        ids = sorted(cell.ids)
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                pair_mult = cfg.divisor(i).mult + cfg.divisor(j).mult
-                one_cells.append(OneCell((i, j), pair_mult, cell.count, cell.over_sigma))
-    return DualComplex(vertices, tuple(one_cells))
 
 
 def euler_open_stratum(cfg: SncConfiguration, i: int) -> int:

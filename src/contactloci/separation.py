@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ResourceLimitError, UnsupportedDimensionError
-from .model import (
-    Divisor,
-    DualComplex,
-    IntersectionCell,
-    SncConfiguration,
-    require_valid,
-)
+from .model import Divisor, IntersectionCell, SncConfiguration, require_valid
 
 
 @dataclass(frozen=True)
@@ -54,22 +48,18 @@ class SubdivisionRecord:
         )
 
 
-def min_pair_multiplicity(delta: DualComplex) -> int | None:
-    """M(Delta): least m_sigma over the 1-cells, None when there are none."""
-    if not delta.one_cells:
-        return None
-    return min(cell.pair_mult for cell in delta.one_cells)
-
-
 def pair_multiplicities(cfg: SncConfiguration) -> list[tuple[int, int, int]]:
-    """(i, j, m_i + m_j) for every pair of meeting divisors."""
+    """The 1-cells of the dual complex: (i, j, m_i + m_j) for every pair of
+    meeting divisors, one per intersection cell (every pair inside a cell
+    when d >= 3).  M(Delta) is the least m_i + m_j here."""
+    mult = {d.id: d.mult for d in cfg.divisors}
     out = []
     for cell in cfg.cells:
         ids = sorted(cell.ids)
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 i, j = ids[a], ids[b]
-                out.append((i, j, cfg.divisor(i).mult + cfg.divisor(j).mult))
+                out.append((i, j, mult[i] + mult[j]))
     return out
 
 

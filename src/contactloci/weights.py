@@ -11,16 +11,13 @@ substitution.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import (
-    DomainError,
-    NotNegativeDefiniteError,
-    ResourceLimitError,
-    UnsupportedDimensionError,
-)
+from .errors import DomainError, NotNegativeDefiniteError, UnsupportedDimensionError
 from .model import SncConfiguration, require_valid
 
 AMPLE_NOTE = (
@@ -58,7 +55,12 @@ class WeightVector:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "WeightVector":
-        return cls.from_dict({int(i): int(w) for i, w in data.items()})
+        if not isinstance(data, Mapping):
+            raise DomainError(f"weights must be a JSON object, not {type(data).__name__}")
+        for key, value in data.items():
+            if not str(key).removeprefix("-").isdecimal() or type(value) is not int:
+                raise DomainError(f"bad weight entry {key!r}: {value!r} (need divisor id: integer)")
+        return cls.from_dict(data)
 
 
 def intersection_matrix(cfg: SncConfiguration) -> list[list[int | None]]:
@@ -85,95 +87,100 @@ def intersection_matrix(cfg: SncConfiguration) -> list[list[int | None]]:
     return matrix
 
 
-def _exceptional_submatrix(cfg: SncConfiguration) -> tuple[list[int], list[list[int]]]:
-    matrix = intersection_matrix(cfg)
-    ids = [d.id for d in cfg.divisors]
-    keep = [n for n, d in enumerate(cfg.divisors) if d.exceptional]
-    sub = [[int(matrix[a][b]) for b in keep] for a in keep]
-    return [ids[n] for n in keep], sub
+def _exceptional_rows(cfg: SncConfiguration) -> dict[int, dict[int, int]]:
+    """-M on the exceptional divisors as sparse rows {i: {j: -(E_i . E_j)}}."""
+    rows = {d.id: {d.id: -d.self_int} for d in cfg.divisors if d.exceptional}
+    for cell in cfg.cells:
+        i, j = cell.ids
+        if i in rows and j in rows:
+            rows[i][j] = rows[i].get(j, 0) - cell.count
+            rows[j][i] = rows[j].get(i, 0) - cell.count
+    return rows
 
 
-def _leading_minors(matrix: list[list[int]]) -> list[Fraction]:
-    """Determinants of the leading principal minors, by exact elimination."""
-    minors = []
-    n = len(matrix)
-    for k in range(n):
-        # restart elimination per minor for clarity; the matrices are tiny
-        block = [[Fraction(matrix[a][b]) for b in range(k + 1)] for a in range(k + 1)]
-        det = Fraction(1)
-        for col in range(k + 1):
-            pivot_row = next((r for r in range(col, k + 1) if block[r][col]), None)
-            if pivot_row is None:
-                det = Fraction(0)
-                break
-            if pivot_row != col:
-                block[col], block[pivot_row] = block[pivot_row], block[col]
-                det = -det
-            det *= block[col][col]
-            for r in range(col + 1, k + 1):
-                factor = block[r][col] / block[col][col]
-                if factor:
-                    block[r] = [x - factor * y for x, y in zip(block[r], block[col])]
-        minors.append(det)
-    return minors
+def _solve_positive_definite(rows: Mapping[int, Mapping[int, int]]) -> dict[int, Fraction] | None:
+    """x = A^-1 . 1 for a symmetric A given as sparse rows with their
+    diagonal, or None when A is not positive definite (some pivot <= 0).
+
+    Exact elimination in minimum-degree order, ties broken by id: on a tree
+    this removes leaves first with no fill-in."""
+    rest = {i: {j: Fraction(v) for j, v in row.items()} for i, row in rows.items()}
+    rhs = {i: Fraction(1) for i in rest}
+    heap = sorted((len(row) - 1, i) for i, row in rest.items())
+    eliminated = []
+    while heap:
+        degree, k = heapq.heappop(heap)
+        if k not in rest or len(rest[k]) - 1 != degree:
+            continue  # stale entry: k is gone or its degree changed since
+        row = rest.pop(k)
+        pivot = row.pop(k)
+        if pivot <= 0:
+            return None
+        for i, a_ik in row.items():
+            del rest[i][k]
+            factor = a_ik / pivot
+            rhs[i] -= factor * rhs[k]
+            for j, a_kj in row.items():
+                rest[i][j] = rest[i].get(j, 0) - factor * a_kj
+            heapq.heappush(heap, (len(rest[i]) - 1, i))
+        eliminated.append((k, pivot, row))
+    x: dict[int, Fraction] = {}
+    for k, pivot, row in reversed(eliminated):
+        x[k] = (rhs[k] - sum(a_kj * x[j] for j, a_kj in row.items())) / pivot
+    return x
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:
-    """Sylvester's criterion: (-1)^k det_k > 0 for every leading minor."""
-    for k, det in enumerate(_leading_minors(matrix), start=1):
-        if (-1) ** k * det <= 0:
-            return False
-    return True
+    """Whether a symmetric matrix is negative definite (every pivot of -matrix > 0)."""
+    rows = {a: {b: -v for b, v in enumerate(row) if v or a == b} for a, row in enumerate(matrix)}
+    return _solve_positive_definite(rows) is not None
 
 
 def ample_deficits(cfg: SncConfiguration, w: WeightVector) -> dict[int, int]:
-    """For each exceptional j, the pairing -sum_i w_i (E_i . E_j).
+    """For each exceptional j, the pairing -sum_i w_i (E_i . E_j), that is
+    -s_j w_j minus count * w_i over each cell joining E_j to some E_i.
 
-    All values must be strictly positive for w to be ample.
-    """
-    matrix = intersection_matrix(cfg)
-    ids = [d.id for d in cfg.divisors]
-    pos = {i: n for n, i in enumerate(ids)}
-    out = {}
-    for d in cfg.divisors:
-        if not d.exceptional:
-            continue
-        total = 0
-        for e in cfg.divisors:
-            entry = matrix[pos[e.id]][pos[d.id]]
-            if entry is None:
-                continue
-            total += w.get(e.id) * entry
-        out[d.id] = -total
+    All values must be strictly positive for w to be ample.  Needs a curve
+    configuration and a weight on every divisor."""
+    require_valid(cfg)
+    values = w.as_dict()
+    out = {d.id: -d.self_int * values[d.id] for d in cfg.divisors if d.exceptional}
+    for cell in cfg.cells:
+        i, j = cell.ids
+        if i in out:
+            out[i] -= cell.count * values[j]
+        if j in out:
+            out[j] -= cell.count * values[i]
     return out
 
 
 def validate_weights(cfg: SncConfiguration, w: WeightVector) -> bool:
     """Nonnegative, zero on non-exceptional divisors, and (curve case)
     strictly positive against every exceptional curve."""
-    try:
-        values = {d.id: w.get(d.id) for d in cfg.divisors}
-    except DomainError:
-        return False
-    if any(v < 0 for v in values.values()):
+    values = w.as_dict()
+    if any(values.get(d.id, -1) < 0 for d in cfg.divisors):
         return False
     if any(values[d.id] != 0 for d in cfg.divisors if not d.exceptional):
         return False
-    if cfg.ambient_dim != 2:
-        return True
-    if not cfg.exceptional_ids():
+    if cfg.ambient_dim != 2 or not cfg.exceptional_ids():
         return True
     return all(v > 0 for v in ample_deficits(cfg, w).values())
 
 
-def solve_weights(cfg: SncConfiguration, *, max_steps: int = 100_000) -> WeightVector:
-    """Deterministic fixed-point solution of the ampleness constraints.
+def solve_weights(cfg: SncConfiguration) -> WeightVector:
+    """The least integers w >= 1 on the exceptional divisors with
+    -sum_i w_i (E_i . E_j) > 0 for every exceptional j, and 0 elsewhere.
 
-    Start with w_i = 1 on exceptional divisors, then repeatedly raise the
-    weight of the lowest-id violated constraint to the least value making
-    it strictly positive.  Requires the exceptional intersection matrix to
-    be negative definite, which characterizes resolutions over a point
-    cluster.
+    One sparse elimination of A = -M, M the exceptional intersection
+    matrix, decides that M is negative definite (as over a point cluster)
+    and gives x = A^-1 . 1.  A is then a nonsingular M-matrix, so
+    A^-1 >= 0 (Berman-Plemmons, Nonnegative Matrices) and every solution
+    of A w >= 1 has w = A^-1 (A w) >= x.  Solutions are closed under
+    entrywise minimum, so the least one, w*, is >= L = max(1, ceil(x)).
+    From L a worklist raises each violated w_j to the least value meeting
+    its constraint and requeues its neighbours.  The raises are monotone
+    and never pass w*, so they stop at w*, which is also the least fixed
+    point of raising violated constraints in any order from w = 1.
     """
     require_valid(cfg)
     if cfg.ambient_dim == 1 or not cfg.exceptional_ids():
@@ -181,27 +188,19 @@ def solve_weights(cfg: SncConfiguration, *, max_steps: int = 100_000) -> WeightV
     if cfg.ambient_dim != 2:
         raise UnsupportedDimensionError("weight solving is curve-case; supply weights for ambient_dim >= 3")
 
-    exc_ids, sub = _exceptional_submatrix(cfg)
-    if not is_negative_definite(sub):
+    rows = _exceptional_rows(cfg)
+    x = _solve_positive_definite(rows)
+    if x is None:
         raise NotNegativeDefiniteError(
             "exceptional intersection matrix is not negative definite; "
             "not a resolution over a point cluster"
         )
-
-    w = {d.id: (1 if d.exceptional else 0) for d in cfg.divisors}
-    pos = {i: n for n, i in enumerate(exc_ids)}
-    for _ in range(max_steps):
-        violated = None
-        for j in exc_ids:
-            pairing = -sum(sub[pos[i]][pos[j]] * w[i] for i in exc_ids)
-            if pairing <= 0:
-                violated = j
-                break
-        if violated is None:
-            return WeightVector(tuple(sorted(w.items())))
-        j = violated
-        self_int = sub[pos[j]][pos[j]]
-        off = sum(sub[pos[i]][pos[j]] * w[i] for i in exc_ids if i != j)
-        # need w_j * (-self_int) > off, with self_int < 0 and off >= 0
-        w[j] = off // (-self_int) + 1
-    raise ResourceLimitError("weight solver did not converge within the step cap")
+    w = {i: max(1, math.ceil(v)) for i, v in x.items()}
+    work = set(w)
+    while work:
+        j = work.pop()
+        pairing = sum(a_ji * w[i] for i, a_ji in rows[j].items())
+        if pairing <= 0:
+            w[j] += -pairing // rows[j][j] + 1
+            work.update(i for i in rows[j] if i != j)
+    return WeightVector(tuple((d.id, w.get(d.id, 0)) for d in cfg.divisors))

@@ -108,6 +108,23 @@ def test_invalid_weight_override_is_a_usage_error(capsys):
     assert "ampleness" in err
 
 
+@pytest.mark.parametrize(
+    "weights,named", [('{"0":"a"}', "'a'"), ("[1]", "list"), ('{"x":4}', "'x'"), ('{"0":1.5}', "1.5")]
+)
+def test_malformed_weights_are_usage_errors(tmp_path, capsys, weights, named):
+    code, out, err = run(capsys, "e1", "--poly", "x^2+y^3", "--m", "6", "--weights", weights)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+    data = hand_built_cusp().to_json_dict()
+    data["weights"] = json.loads(weights)
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "e1", "--config", str(path), "--m", "6")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_weights_cli_with_separation(capsys):
     code, out, _ = run(
         capsys, "weights", "--poly", "x^2+y^3", "--m", "7", "--format", "json"

@@ -1,14 +1,14 @@
 import pytest
 
-from contactloci.errors import UnsupportedDimensionError, ValidationFailedError
+from contactloci.errors import UnsupportedDimensionError
 from contactloci.model import (
     Divisor,
     IntersectionCell,
     SncConfiguration,
-    build_dual_complex,
     euler_open_stratum,
     validate_configuration,
 )
+from contactloci.separation import pair_multiplicities
 
 from conftest import hand_built_cusp, hand_built_node
 
@@ -70,47 +70,36 @@ def test_point_case_rejects_cells():
 
 
 def test_dual_complex_cusp():
-    delta = build_dual_complex(hand_built_cusp())
-    assert dict(delta.vertices) == {0: 2, 1: 3, 2: 6, 3: 1}
-    sums = sorted(c.pair_mult for c in delta.one_cells)
-    assert sums == [7, 8, 9]
-    for cell in delta.one_cells:
-        i, j = cell.ids
-        assert cell.pair_mult == dict(delta.vertices)[i] + dict(delta.vertices)[j]
+    cfg = hand_built_cusp()
+    mults = {d.id: d.mult for d in cfg.divisors}
+    assert mults == {0: 2, 1: 3, 2: 6, 3: 1}
+    one_cells = pair_multiplicities(cfg)
+    assert sorted(pm for _, _, pm in one_cells) == [7, 8, 9]
+    for i, j, pm in one_cells:
+        assert pm == mults[i] + mults[j]
 
 
 def test_dual_complex_node():
-    delta = build_dual_complex(hand_built_node())
-    assert sorted(c.pair_mult for c in delta.one_cells) == [3, 3]
+    assert sorted(pm for _, _, pm in pair_multiplicities(hand_built_node())) == [3, 3]
 
 
 def test_pair_multiplicity_exceeds_endpoints():
     for cfg in (hand_built_cusp(), hand_built_node()):
-        delta = build_dual_complex(cfg)
-        mults = dict(delta.vertices)
-        for cell in delta.one_cells:
-            assert cell.pair_mult > max(mults[i] for i in cell.ids)
+        mults = {d.id: d.mult for d in cfg.divisors}
+        for i, j, pm in pair_multiplicities(cfg):
+            assert pm > max(mults[i], mults[j])
 
 
 def test_dual_complex_point_case():
     cfg = SncConfiguration(
         ambient_dim=1, divisors=(Divisor(0, "o", 4, 1, False, True),)
     )
-    delta = build_dual_complex(cfg)
-    assert delta.one_cells == ()
-
-
-def test_dual_complex_requires_valid_input():
-    cfg = SncConfiguration(
-        ambient_dim=2, divisors=(Divisor(0, "E", 1, 0, True, True, 0, -1),)
-    )
-    with pytest.raises(ValidationFailedError):
-        build_dual_complex(cfg)
+    assert pair_multiplicities(cfg) == []
 
 
 def test_dual_complex_rebuild_is_identical():
     cfg = hand_built_cusp()
-    assert build_dual_complex(cfg) == build_dual_complex(cfg)
+    assert pair_multiplicities(cfg) == pair_multiplicities(cfg)
 
 
 def test_euler_open_stratum_examples():

@@ -2,34 +2,41 @@ import pytest
 
 from contactloci.covers import cover_betti
 from contactloci.curves import resolve_plane_curve
-from contactloci.errors import UnsupportedDimensionError
+from contactloci.errors import UnsupportedDimensionError, ValidationFailedError
 from contactloci.lefschetz import lefschetz_number, zeta_factorization
 from contactloci.model import (
     Divisor,
     IntersectionCell,
     SncConfiguration,
-    build_dual_complex,
     validate_configuration,
 )
-from contactloci.separation import (
-    is_m_separating,
-    min_pair_multiplicity,
-    pair_multiplicities,
-    separate,
-)
+from contactloci.separation import is_m_separating, pair_multiplicities, separate
 
 from conftest import hand_built_cusp, hand_built_node
 
 SUITE = ("x^2+y^3", "x*y", "x^3+y^4", "x^2+y^5")
 
 
+def min_pair_multiplicity(cfg: SncConfiguration) -> int | None:
+    """M(Delta): least m_i + m_j over the 1-cells, None when there are none."""
+    return min((pm for _, _, pm in pair_multiplicities(cfg)), default=None)
+
+
 def test_min_pair_multiplicity_examples():
-    assert min_pair_multiplicity(build_dual_complex(hand_built_cusp())) == 7
-    assert min_pair_multiplicity(build_dual_complex(hand_built_node())) == 3
+    assert min_pair_multiplicity(hand_built_cusp()) == 7
+    assert min_pair_multiplicity(hand_built_node()) == 3
     point = SncConfiguration(
         ambient_dim=1, divisors=(Divisor(0, "o", 3, 1, False, True),)
     )
-    assert min_pair_multiplicity(build_dual_complex(point)) is None
+    assert min_pair_multiplicity(point) is None
+
+
+def test_separate_requires_valid_input():
+    cfg = SncConfiguration(
+        ambient_dim=2, divisors=(Divisor(0, "E", 1, 0, True, True, 0, -1),)
+    )
+    with pytest.raises(ValidationFailedError):
+        separate(cfg, 1)
 
 
 def test_is_m_separating_examples():
@@ -48,7 +55,7 @@ def test_cusp_m7_single_subdivision():
     sums = sorted(pm for _, _, pm in pair_multiplicities(sep))
     assert sums == [8, 8, 9, 13]  # (D,S) 8, (E1,E3) 8, (E2,E3) 9, (E3,S) 13
     assert is_m_separating(sep, 7)
-    assert min_pair_multiplicity(build_dual_complex(sep)) == 8
+    assert min_pair_multiplicity(sep) == 8
 
 
 def test_cusp_m6_is_identity():
@@ -61,7 +68,7 @@ def test_node_m3_two_subdivisions():
     sep, records = separate(hand_built_node(), 3)
     assert len(records) == 2
     assert all((r.mult, r.disc) == (3, 3) for r in records)
-    assert min_pair_multiplicity(build_dual_complex(sep)) == 4
+    assert min_pair_multiplicity(sep) == 4
 
 
 def test_multigraph_cells_subdivide_point_by_point():

@@ -1,7 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from contactloci.curves import resolve_plane_curve
-from contactloci.errors import NotNegativeDefiniteError
+from contactloci.errors import DomainError, NotNegativeDefiniteError, ResourceLimitError
 from contactloci.model import Divisor, IntersectionCell, SncConfiguration
 from contactloci.separation import separate
 from contactloci.weights import (
@@ -112,3 +115,144 @@ def test_solver_output_validates_on_separated_configurations(text, m):
 def test_weight_json_roundtrip():
     w = WeightVector.from_dict({0: 4, 1: 6, 2: 11, 3: 0})
     assert WeightVector.from_json_dict(w.to_json_dict()) == w
+
+
+def test_weight_json_rejects_malformed_entries():
+    for data in ([1], "4", {"0": "a"}, {"a": 1}, {"--1": 1}, {"0": 1.5}, {"0": True}):
+        with pytest.raises(DomainError):
+            WeightVector.from_json_dict(data)
+
+
+def test_cusp_m48_solves_without_a_step_cap():
+    cfg, _ = resolve_plane_curve("x^2+y^3")
+    sep, _ = separate(cfg, 48)
+    w = solve_weights(sep)
+    assert validate_weights(sep, w)
+
+
+# References: the Sylvester-minor test and the lowest-violated-first
+# fixed-point loop that the elimination-based solver replaced.  Both are
+# dense and slow; the tests below pin the solver to them.
+
+
+def reference_leading_minors(matrix: list[list[int]]) -> list[Fraction]:
+    """Determinants of the leading principal minors, by exact elimination."""
+    minors = []
+    n = len(matrix)
+    for k in range(n):
+        block = [[Fraction(matrix[a][b]) for b in range(k + 1)] for a in range(k + 1)]
+        det = Fraction(1)
+        for col in range(k + 1):
+            pivot_row = next((r for r in range(col, k + 1) if block[r][col]), None)
+            if pivot_row is None:
+                det = Fraction(0)
+                break
+            if pivot_row != col:
+                block[col], block[pivot_row] = block[pivot_row], block[col]
+                det = -det
+            det *= block[col][col]
+            for r in range(col + 1, k + 1):
+                factor = block[r][col] / block[col][col]
+                if factor:
+                    block[r] = [x - factor * y for x, y in zip(block[r], block[col])]
+        minors.append(det)
+    return minors
+
+
+def reference_is_negative_definite(matrix: list[list[int]]) -> bool:
+    """Sylvester's criterion: (-1)^k det_k > 0 for every leading minor."""
+    return all((-1) ** k * det > 0 for k, det in enumerate(reference_leading_minors(matrix), start=1))
+
+
+def reference_solve_weights(cfg: SncConfiguration, *, check_definite: bool = True) -> WeightVector:
+    """Start at w = 1 and raise the lowest-id violated constraint to the
+    least value satisfying it, until none is violated."""
+    if not cfg.exceptional_ids():
+        return WeightVector(tuple((d.id, 0) for d in cfg.divisors))
+    matrix = intersection_matrix(cfg)
+    keep = [n for n, d in enumerate(cfg.divisors) if d.exceptional]
+    exc_ids = [cfg.divisors[n].id for n in keep]
+    sub = [[int(matrix[a][b]) for b in keep] for a in keep]
+    if check_definite and not reference_is_negative_definite(sub):
+        raise NotNegativeDefiniteError("reference: not negative definite")
+    w = {d.id: (1 if d.exceptional else 0) for d in cfg.divisors}
+    pos = {i: n for n, i in enumerate(exc_ids)}
+    for _ in range(100_000):
+        violated = None
+        for j in exc_ids:
+            pairing = -sum(sub[pos[i]][pos[j]] * w[i] for i in exc_ids)
+            if pairing <= 0:
+                violated = j
+                break
+        if violated is None:
+            return WeightVector(tuple(sorted(w.items())))
+        j = violated
+        self_int = sub[pos[j]][pos[j]]
+        off = sum(sub[pos[i]][pos[j]] * w[i] for i in exc_ids if i != j)
+        w[j] = off // (-self_int) + 1
+    raise ResourceLimitError("reference weight loop did not converge")
+
+
+LADDER_FAMILIES = ("x^2+y^3", "x^2+y^5", "x*y", "x^3+y^4", "x^2*y+y^4", "(x^2-y^3)*(x^3-y^2)")
+
+
+@pytest.mark.parametrize("text", LADDER_FAMILIES)
+def test_solver_matches_reference_loop_on_germ_families(text):
+    cfg, _ = resolve_plane_curve(text)
+    for m in range(1, 13):
+        sep, _ = separate(cfg, m)
+        # every resolution over a point is negative definite; the random
+        # cases below compare the definiteness decisions themselves
+        assert solve_weights(sep) == reference_solve_weights(sep, check_definite=False), (text, m)
+
+
+def random_configuration(rng: random.Random) -> SncConfiguration:
+    """Up to six exceptional curves on a random multigraph with count-1 and
+    count-2 cells (cycles allowed), plus one strict transform."""
+    n = rng.randint(1, 6)
+    divisors = [Divisor(i, f"E{i}", 1, 2, True, True, 0, -rng.randint(1, 5)) for i in range(n)]
+    divisors.append(Divisor(n, "D", 1, 1, False, False, 0, None))
+    cells = [
+        IntersectionCell((i, j), rng.choice((1, 1, 2)), True)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.4
+    ]
+    cells.append(IntersectionCell((rng.randrange(n), n), 1, False))
+    return SncConfiguration(ambient_dim=2, divisors=tuple(divisors), cells=tuple(cells))
+
+
+def test_solver_matches_reference_on_random_multigraphs():
+    rng = random.Random(20191118)
+    solved = rejected = cyclic = 0
+    for _ in range(300):
+        cfg = random_configuration(rng)
+        try:
+            expected = reference_solve_weights(cfg)
+        except NotNegativeDefiniteError:
+            with pytest.raises(NotNegativeDefiniteError):
+                solve_weights(cfg)
+            rejected += 1
+            continue
+        assert solve_weights(cfg) == expected, cfg
+        solved += 1
+        exc_cells = [c for c in cfg.cells if c.over_sigma]
+        # at least as many intersection points as curves: the multigraph has a cycle
+        cyclic += sum(c.count for c in exc_cells) >= len(cfg.exceptional_ids())
+    assert solved >= 100 and rejected >= 50 and cyclic >= 20, (solved, rejected, cyclic)
+
+
+def test_negative_definiteness_matches_sylvester():
+    rng = random.Random(1911)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        matrix = [[0] * n for _ in range(n)]
+        for a in range(n):
+            matrix[a][a] = rng.randint(-6, 2)
+            for b in range(a):
+                matrix[a][b] = matrix[b][a] = rng.choice((0, 0, rng.randint(-3, 3)))
+        verdict = is_negative_definite(matrix)
+        assert verdict == reference_is_negative_definite(matrix), matrix
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
