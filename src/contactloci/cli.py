@@ -41,6 +41,20 @@ from .weights import AMPLE_NOTE, WeightVector, solve_weights, validate_weights
 DEFAULT_PRIME_POOL = (3, 5, 7, 11, 13)
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}") from None
+
+
+def _congruence(text: str) -> tuple[int, int]:
+    values = _int_list(text)
+    if len(values) != 2 or values[1] < 1:
+        raise argparse.ArgumentTypeError(f"expected 'r,mod' with mod >= 1, got {text!r}")
+    return values[0], values[1]
+
+
 def _add_input_options(parser: argparse.ArgumentParser, need_m: bool = False):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--poly", help="polynomial expression, e.g. 'x^2 + y^3'")
@@ -292,10 +306,10 @@ def _cmd_check_euler(args) -> int:
 
 def _pool(args) -> list[int]:
     if args.primes:
-        return [int(p) for p in args.primes.split(",")]
+        return args.primes
     pool = list(DEFAULT_PRIME_POOL)
     if getattr(args, "congruence", None):
-        r, mod = (int(x) for x in args.congruence.split(","))
+        r, mod = args.congruence
         pool = [q for q in pool if q % mod == r % mod]
     return pool
 
@@ -306,9 +320,7 @@ def _cmd_oracle_count(args) -> int:
     if args.strata:
         report = stratified_count(poly, args.m, level, args.q, node_cap=args.node_cap)
     else:
-        report = contact_count(
-            poly, args.m, level, args.q, workers=args.workers, node_cap=args.node_cap
-        )
+        report = contact_count(poly, args.m, level, args.q, node_cap=args.node_cap)
     table = f"count = {report.total} (m={args.m}, level={level}, q={args.q})"
     for orders, n in report.strata:
         table += f"\n  ord {tuple(orders)}: {n}"
@@ -511,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--strata", action="store_true", help="stratify by vanishing orders")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--node-cap", type=int, default=None)
     _add_format_option(p)
     p.set_defaults(func=_cmd_oracle_count, config=None)
@@ -522,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--poly-json")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--primes", help="comma separated primes, default pool 3,5,7,11,13")
-    p.add_argument("--congruence", help="filter the default pool: 'r,mod'")
+    p.add_argument("--primes", type=_int_list, help="comma separated primes, default pool 3,5,7,11,13")
+    p.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
     p.add_argument("--expected-dim", type=int, default=None)
     p.add_argument("--csv", help="write (q, count) samples to this file")
     p.add_argument("--node-cap", type=int, default=None)
@@ -543,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full pipeline with cross checks")
     _add_input_options(p, need_m=True)
     _add_weight_options(p)
-    p.add_argument("--primes", help="comma separated primes for the oracle")
-    p.add_argument("--congruence", help="filter the default pool: 'r,mod'")
+    p.add_argument("--primes", type=_int_list, help="comma separated primes for the oracle")
+    p.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--node-cap", type=int, default=None)
     _add_format_option(p)
@@ -554,6 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact counts are printed in full
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

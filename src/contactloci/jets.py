@@ -1,27 +1,28 @@
-"""Brute-force jet enumeration over small prime fields.
+"""Exact jet counts over small prime fields.
 
-For a jet centered at the origin, the t^j coefficient of f(gamma) only
-involves the jet coefficients of level at most j - mu + 1, where mu is
-the multiplicity of f at 0.  The pruned search therefore materializes
-prefixes only up to depth m - mu + 1, testing the contact condition
-f(gamma) = t^m mod t^(m+1) to the maximal precision decidable after each
-level:
+For a jet gamma centered at the origin, the t^j coefficient of f(gamma)
+only involves the jet coefficients of level at most j - mu + 1, where mu
+is the multiplicity of f at 0.  The contact condition f(gamma) = t^m mod
+t^(m+1) therefore constrains levels 1..I, I = m - mu + 1; the levels
+beyond I are free and contribute a power of q.
 
-* level 1 faces the tangent-cone equation f_mu(a) = [mu == m], solved by
-  direct enumeration of F_q^d;
-* at level i >= 2 the newly decidable coefficient (of t^(i + mu - 1)) is
-  an affine function of the level-i coefficients whose gradient is read
-  off the partial derivatives evaluated at the current prefix, so the
-  extensions form an affine subspace.  This is exact in characteristic p:
-  the higher Taylor contributions are Hasse-derivative terms of order
-  strictly above the tested coefficient once i >= 2.
+* Level 1 faces the tangent-cone equation f_mu(a_1) = [mu == m], solved
+  by enumerating F_q^d.
+* At level i >= 2 the newly decidable coefficient, of t^(i + mu - 1), is
+  base + g . a_i, where base is its value with a_i = 0.  The gradient g
+  is the t^(mu - 1) coefficient of the partials of f at gamma, which
+  only sees level 1: g = grad f_mu(a_1), one vector per seed.  This is
+  exact in characteristic p: the higher Taylor terms are Hasse
+  derivatives of order above the tested coefficient once i >= 2.
 
-Levels beyond the materialized depth are unconstrained and contribute a
-power of q.  This prunes the naive q^(d l) search down to roughly q^dim
-of the locus; a naive full enumeration is kept alongside as an
-independent check for tiny instances.  Counts are exact integers,
-deterministic, and can be partitioned over the first coefficient level
-and merged additively.
+So a seed with g != 0 has q^(d - 1) extensions at every level and
+contributes q^((d - 1)(I - 1)) prefixes in closed form, while a seed with
+g = 0 is all-or-nothing at each level: all q^d extensions when base
+meets the target, none otherwise.  One depth-first walk evaluates base
+only on the prefixes no closed form settles and keeps just the current
+path, O(I) memory; the order strata ride on the same walk.  A naive full
+enumeration is kept alongside as an independent check for tiny
+instances.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -175,7 +175,7 @@ def evaluate_on_jet(
 
 
 # ---------------------------------------------------------------------------
-# pruned search
+# depth-first walk
 
 class _Budget:
     def __init__(self, cap: int):
@@ -183,7 +183,7 @@ class _Budget:
         self.nodes = 0
         self._next_report = PROGRESS_EVERY
 
-    def spend(self, n: int):
+    def spend(self, n: int = 1):
         self.nodes += n
         if self.nodes > self.cap:
             raise ResourceLimitError(
@@ -194,123 +194,166 @@ class _Budget:
             self._next_report += PROGRESS_EVERY
 
 
-def _level_solutions(grad, rhs: int, q: int, d: int):
-    """Solutions a in F_q^d of grad . a == rhs."""
-    if all(g == 0 for g in grad):
-        if rhs % q:
-            return []
-        return list(itertools.product(range(q), repeat=d))
-    pivot = next(i for i, g in enumerate(grad) if g)
-    inv = pow(grad[pivot], -1, q)
-    sols = []
-    for free in itertools.product(range(q), repeat=d - 1):
-        a = list(free[:pivot]) + [0] + list(free[pivot:])
-        acc = sum(grad[i] * a[i] for i in range(d) if i != pivot)
-        a[pivot] = (rhs - acc) * inv % q
-        sols.append(tuple(a))
-    return sols
+def _factors(exps: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((c, e) for c, e in enumerate(exps) if e)
 
 
-def _multiplicity(terms) -> int:
-    return min(sum(exps) for _, exps in terms)
+def _point_value(terms, a: Sequence[int], q: int) -> int:
+    """Value at a point of F_q^d of a list of (value, factors) terms."""
+    total = 0
+    for value, factors in terms:
+        for c, e in factors:
+            value *= a[c] ** e
+        total += value
+    return total % q
 
 
-def _derivatives(terms, q: int, d: int):
-    """Partial derivative term lists, reduced mod q."""
-    out = []
-    for c in range(d):
-        dterms = []
-        for value, exps in terms:
-            if exps[c]:
-                coeff = value * exps[c] % q
-                if coeff:
-                    lowered = exps[:c] + (exps[c] - 1,) + exps[c + 1 :]
-                    dterms.append((coeff, lowered))
-        out.append(dterms)
-    return out
+def _shifted_coefficient(shifted, packed: Sequence[int], top: int, bits: int) -> int:
+    """Coefficient of t^top in the sum of value * t^excess * prod delta_c^e.
 
-
-def _coords_from_prefix(prefix, upto: int, d: int):
-    coords = []
-    for i in range(d):
-        row = [0] * (upto + 1)
-        for n, c in enumerate(prefix[i], start=1):
-            if n <= upto:
-                row[n] = c
-        coords.append(row)
-    return coords
-
-
-def _level1_survivors(terms, mu: int, m: int, q: int, d: int, budget) -> list:
-    """Level-1 coefficient vectors satisfying the first decidable constraint,
-    the tangent-cone equation f_mu(a) = [mu == m]."""
-    target = 1 if mu == m else 0
-    tangent = [(v, e) for v, e in terms if sum(e) == mu]
-    out = []
-    for a in itertools.product(range(q), repeat=d):
-        budget.spend(1)
-        val = 0
-        for v, exps in tangent:
-            term = v
-            for c in range(d):
-                if exps[c]:
-                    term = term * pow(a[c], exps[c], q) % q
-            val = (val + term) % q
-        if val == target:
-            out.append(tuple((a[c],) for c in range(d)))
-    return out
-
-
-def _extend_prefixes(terms, derivs, mu, m, q, d, budget, survivors, i_start, i_end):
-    """Extend survivors through levels i_start..i_end.
-
-    At level i >= 2 the newly decidable constraint is the coefficient of
-    t^(i + mu - 1) of f(gamma), which is affine in the level-i coefficients
-    with gradient coeff_(j - i) of the partials at the current prefix; all
-    higher Taylor terms have order > j for i >= 2.
+    With gamma_c = t * delta_c and excess = deg - mu this is the
+    coefficient of t^(top + mu) of f(gamma); terms whose excess exceeds
+    top cannot reach it.  Each delta_c comes packed as one integer, its
+    coefficients in ``bits``-wide fields (Kronecker substitution), wide
+    enough that no coefficient of a product overflows into the next.
     """
-    for i in range(i_start, i_end + 1):
-        j = i + mu - 1
-        target = 1 if j == m else 0
-        new = []
-        for prefix in survivors:
-            budget.spend(1)
-            coords = _coords_from_prefix(prefix, j, d)
-            base = _eval_terms(terms, coords, j, q)[j]
-            lin = tuple(
-                _eval_terms(derivs[c], coords, j - i, q)[j - i] for c in range(d)
-            )
-            rhs = (target - base) % q
-            for a in _level_solutions(lin, rhs, q, d):
-                budget.spend(1)
-                new.append(tuple(prefix[c] + (a[c],) for c in range(d)))
-        survivors = new
-    return survivors
+    mask = (1 << bits) - 1
+    total = 0
+    for excess, value, factors in shifted:
+        k = top - excess
+        if k < 0:
+            break
+        prod = 1
+        for c, e in factors:
+            prod *= packed[c] ** e
+        total += value * ((prod >> (bits * k)) & mask)
+    return total
 
 
-def _pruned_prefixes(terms, m: int, q: int, d: int, budget, seeds=None):
-    """All prefixes of length I = m - mu + 1 meeting every contact constraint.
+def _nonzero_solutions(n: int, rhs: int, q: int) -> int:
+    """Number of x in (F_q^*)^n with g . x = rhs, for any g with no zero entry."""
+    if rhs % q:
+        return ((q - 1) ** n - (-1) ** n) // q
+    return ((q - 1) ** n + (-1) ** n * (q - 1)) // q
 
-    Levels beyond I influence no coefficient of f(gamma) up to t^m, so the
-    count at jet level l is len(prefixes) * q^(d (l - I)).
+
+def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple[dict, int]:
+    """Contact prefixes of depth I = m - mu + 1, grouped for counting.
+
+    Returns ({(orders, start, rank): n}, I).  Each group stands for n
+    prefixes whose coordinate orders are fixed by ``orders`` where nonzero;
+    the zero entries are still undecided at level ``start`` and behave
+    like free coordinates from there on (see ``_expand``).  ``rank`` is 1
+    when every constrained level from ``start`` on takes q^(d - 1) of the
+    q^d extensions, and 0 when it takes all of them.  Without ``strata``
+    every coordinate counts as decided, so groups only carry the count.
     """
-    mu = _multiplicity(terms)
+    mu = min(sum(exps) for _, exps in terms)
+    groups: dict[tuple[tuple[int, ...], int, int], int] = {}
     if m < mu:
-        return [], 0
+        return groups, 0
     depth = m - mu + 1
-    derivs = _derivatives(terms, q, d)
-    if seeds is None:
-        seeds = _level1_survivors(terms, mu, m, q, d, budget)
-    survivors = _extend_prefixes(terms, derivs, mu, m, q, d, budget, seeds, 2, depth)
-    return survivors, depth
+
+    def record(orders, start, rank, n):
+        key = (orders, start, rank)
+        groups[key] = groups.get(key, 0) + n
+
+    def advance(orders, i, a):
+        return tuple([o or (x and i) for o, x in zip(orders, a)]) if strata else orders
+
+    budget.spend(q**d)  # the level-1 candidates
+    tangent = [(v, exps) for v, exps in terms if sum(exps) == mu]
+    cone = [(v, _factors(exps)) for v, exps in tangent]
+    target = 1 if mu == m else 0
+    seeds = [a for a in itertools.product(range(q), repeat=d) if _point_value(cone, a, q) == target]
+    unset = (0 if strata else 1,) * d
+    if depth == 1:  # no constrained level beyond the seeds
+        for a in seeds:
+            record(advance(unset, 1, a), 2, 0, 1)
+        return groups, depth
+
+    # only terms of excess below the depth reach a tested coefficient; a
+    # delta_c has at most depth - 1 coefficients below q when packed
+    shifted = sorted((sum(exps) - mu, v, _factors(exps)) for v, exps in terms if sum(exps) - mu < depth)
+    bits = max(((q - 1) ** (mu + x) * (depth - 1) ** (mu + x - 1)).bit_length() for x, _, _ in shifted)
+
+    def child(packed, orders, i, a):
+        shift = bits * (i - 1)
+        return tuple(p | x << shift for p, x in zip(packed, a)), advance(orders, i, a), i + 1
+
+    def visit(packed, orders, i, support):
+        # the coefficient of t^(i + mu - 1) is base + g . a_i at level i
+        budget.spend()
+        target = 1 if i + mu - 1 == m else 0
+        rhs = (target - _shifted_coefficient(shifted, packed, i - 1, bits)) % q
+        if not support:  # g = 0: all q^d extensions or none
+            if rhs:
+                return
+            if i == depth:
+                record(orders, depth, 0, 1)
+                return
+            for a in itertools.product(range(q), repeat=d):
+                visit(*child(packed, orders, i, a), support)
+            return
+        # g != 0 with its support among the coordinates still zero: extensions
+        # leaving the support zero need the next level; the others fix an
+        # order in the support, after which every level is uniform
+        if rhs == 0 and i < depth:
+            free = [c for c in range(d) if c not in support]
+            for values in itertools.product(range(q), repeat=len(free)):
+                a = [0] * d
+                for c, x in zip(free, values):
+                    a[c] = x
+                visit(*child(packed, orders, i, a), support)
+        unknown = [c for c in range(d) if not orders[c]]
+        for pattern in itertools.product((0, 1), repeat=len(unknown)):
+            hit = sum(1 for c, nz in zip(unknown, pattern) if nz and c in support)
+            if not hit and i < depth:
+                continue
+            n = (q - 1) ** (sum(pattern) - hit) * q ** (d - len(unknown)) * _nonzero_solutions(hit, rhs, q)
+            if n:
+                a = [0] * d
+                for c, nz in zip(unknown, pattern):
+                    a[c] = nz
+                record(advance(orders, i, a), i + 1, 1, n)
+
+    # g = grad f_mu(a_1) is the gradient of every later level
+    grad = [
+        [(v * e[c], _factors(e[:c] + (e[c] - 1,) + e[c + 1 :])) for v, e in tangent if e[c]] for c in range(d)
+    ]
+    for a in seeds:
+        orders = advance(unset, 1, a)
+        support = frozenset(c for c, dt in enumerate(grad) if _point_value(dt, a, q))
+        if support and any(orders[c] for c in support):
+            record(orders, 2, 1, 1)
+        else:
+            visit(a, orders, 2, support)
+    return groups, depth
 
 
-def _count_chunk(args) -> int:
-    """Worker entry point: count completions of the given level-1 seeds."""
-    terms, m, q, d, l, seeds, cap = args
-    budget = _Budget(cap)
-    survivors, depth = _pruned_prefixes(terms, m, q, d, budget, seeds=seeds)
-    return len(survivors) * q ** (d * (l - depth))
+def _expand(groups: dict, depth: int, l: int, q: int) -> dict[tuple[int, ...], int]:
+    """Order strata of level-l jets from the walk's groups.
+
+    The decided coordinates contribute q^known per free level and
+    q^(known - rank) per constrained level from ``start``; an undecided
+    one takes its first nonzero coefficient at a level k >= start,
+    (q - 1) q^(l - k) ways, or stays zero (order l + 1).
+    """
+    strata: dict[tuple[int, ...], int] = {}
+    for (orders, start, rank), n in groups.items():
+        unknown = [c for c, o in enumerate(orders) if not o]
+        known = len(orders) - len(unknown)
+        weight = n * q ** ((known - rank) * max(0, depth + 1 - start) + known * (l - depth))
+        opts = [(k, (q - 1) * q ** (l - k)) for k in range(start, l + 1)] + [(l + 1, 1)] if unknown else []
+        for combo in itertools.product(opts, repeat=len(unknown)):
+            key = list(orders)
+            w = weight
+            for c, (k, wk) in zip(unknown, combo):
+                key[c] = k
+                w *= wk
+            key = tuple(key)
+            strata[key] = strata.get(key, 0) + w
+    return strata
 
 
 @dataclass(frozen=True)
@@ -322,7 +365,7 @@ class CountReport:
     total: int
     strata: tuple[tuple[tuple[int, ...], int], ...] = ()
     elapsed: float = 0.0
-    nodes: int = 0
+    nodes: int = 0  # level-1 candidates plus prefixes whose coefficient was evaluated
 
     def strata_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.strata)
@@ -381,38 +424,28 @@ def _prepare(f, m, l, q):
     return f, terms
 
 
+def _count(f, m: int, l: int, q: int, node_cap: int | None, strata: bool) -> CountReport:
+    start = time.perf_counter()
+    f, terms = _prepare(f, m, l, q)
+    budget = _Budget(_node_cap(node_cap))
+    cells: dict[tuple[int, ...], int] = {}
+    if terms is not None:
+        cells = _expand(*_walk(terms, m, q, f.nvars, budget, strata), l, q)
+    table = tuple(sorted(cells.items())) if strata else ()
+    elapsed = time.perf_counter() - start
+    return CountReport(f.render(), m, l, q, sum(cells.values()), table, elapsed, budget.nodes)
+
+
 def contact_count(
     f: SparsePolynomial | str,
     m: int,
     l: int,
     q: int,
     *,
-    workers: int = 1,
     node_cap: int | None = None,
 ) -> CountReport:
     """Exact number of level-l jets centered at 0 with f(jet) = t^m mod t^(m+1)."""
-    start = time.perf_counter()
-    f, terms = _prepare(f, m, l, q)
-    d = f.nvars
-    text = f.render()
-    cap = _node_cap(node_cap)
-    if terms is None or m < _multiplicity(terms):
-        return CountReport(text, m, l, q, 0, (), time.perf_counter() - start, 0)
-
-    budget = _Budget(cap)
-    mu = _multiplicity(terms)
-    depth = m - mu + 1
-    if workers > 1 and depth >= 2:
-        seeds = _level1_survivors(terms, mu, m, q, d, budget)
-        chunks = [seeds[i::workers] for i in range(workers)]
-        args = [(terms, m, q, d, l, chunk, cap) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(_count_chunk, args))
-        return CountReport(text, m, l, q, total, (), time.perf_counter() - start, budget.nodes)
-
-    survivors, depth = _pruned_prefixes(terms, m, q, d, budget)
-    total = len(survivors) * q ** (d * (l - depth))
-    return CountReport(text, m, l, q, total, (), time.perf_counter() - start, budget.nodes)
+    return _count(f, m, l, q, node_cap, strata=False)
 
 
 def naive_contact_count(f: SparsePolynomial | str, m: int, l: int, q: int, *, cap: int = 2_000_000) -> int:
@@ -446,53 +479,13 @@ def stratified_count(
 ) -> CountReport:
     """Contact count broken down by the vanishing orders of the coordinates.
 
-    Orders are capped at l + 1 (the zero series).  Orders realized inside
-    the constrained levels come from materialized prefixes; the levels
-    beyond the constrained depth contribute combinatorially, so the free
-    tail is never enumerated.
+    Orders are capped at l + 1 (the zero series).  The walk decides the
+    orders it can see; from the level where the rest of the walk is
+    uniform (at the latest, past the constrained depth) the undecided
+    coordinates are counted combinatorially, so no free level is
+    enumerated.
     """
-    start = time.perf_counter()
-    f, terms = _prepare(f, m, l, q)
-    d = f.nvars
-    text = f.render()
-    cap = _node_cap(node_cap)
-    if terms is None or m < _multiplicity(terms):
-        return CountReport(text, m, l, q, 0, (), time.perf_counter() - start, 0)
-
-    budget = _Budget(cap)
-    survivors, depth = _pruned_prefixes(terms, m, q, d, budget)
-
-    free = l - depth
-    strata: dict[tuple[int, ...], int] = {}
-    for prefix in survivors:
-        known = []
-        unknown = []
-        for i in range(d):
-            order = next((n for n, c in enumerate(prefix[i], start=1) if c), None)
-            if order is None:
-                unknown.append(i)
-                known.append(None)
-            else:
-                known.append(order)
-        base_weight = q ** (free * (d - len(unknown)))
-        # zero-so-far coordinates: first nonzero entry among the free levels,
-        # or identically zero (order l + 1)
-        choices = []
-        for _i in unknown:
-            opts = [(k, (q - 1) * q ** (l - k)) for k in range(depth + 1, l + 1)]
-            opts.append((l + 1, 1))
-            choices.append(opts)
-        for combo in itertools.product(*choices):
-            orders = list(known)
-            weight = base_weight
-            for (i, (k, w)) in zip(unknown, combo):
-                orders[i] = k
-                weight *= w
-            key = tuple(orders)
-            strata[key] = strata.get(key, 0) + weight
-    total = sum(strata.values())
-    packed = tuple(sorted(strata.items()))
-    return CountReport(text, m, l, q, total, packed, time.perf_counter() - start, budget.nodes)
+    return _count(f, m, l, q, node_cap, strata=True)
 
 
 def sum_strata(

@@ -23,6 +23,33 @@ from typing import Mapping
 
 from .errors import DomainError, UnsupportedDimensionError, ValidationFailedError
 
+_REQUIRED = object()
+_JSON_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a boolean": lambda v: type(v) is bool,
+    "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+    "a list of integer lists": lambda v: isinstance(v, list)
+    and all(isinstance(row, list) and all(type(x) is int for x in row) for row in v),
+}
+
+
+def _json_field(data, key: str, kind: str, what: str, default=_REQUIRED):
+    """data[key] if it is of the named JSON kind, else a DomainError naming
+    the key; a missing key (or a null one, where the default is None) gives
+    the default when there is one."""
+    if not isinstance(data, Mapping):
+        raise DomainError(f"{what} must be a JSON object, not {type(data).__name__}")
+    if key not in data or (data[key] is None and default is None):
+        if default is _REQUIRED:
+            raise DomainError(f"{what}: missing key {key!r}")
+        return default
+    value = data[key]
+    if not _JSON_KINDS[kind](value):
+        raise DomainError(f"{what}: key {key!r} must be {kind}, not {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class Divisor:
@@ -66,20 +93,22 @@ class Divisor:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Divisor":
+        i = _json_field(data, "id", "an integer", "divisor")
+        what = f"divisor {i}"
+        betti = _json_field(data, "cover_betti", "a list of integers", what, None)
+        torsion = _json_field(data, "cover_torsion", "a list of integer lists", what, None)
         return cls(
-            id=int(data["id"]),
-            label=str(data["label"]),
-            mult=int(data["mult"]),
-            disc=int(data["disc"]),
-            exceptional=bool(data.get("exceptional", True)),
-            over_sigma=bool(data.get("over_sigma", True)),
-            genus=None if data.get("genus") is None else int(data["genus"]),
-            self_int=None if data.get("self_int") is None else int(data["self_int"]),
-            euler_open=None if data.get("euler_open") is None else int(data["euler_open"]),
-            cover_betti=None if data.get("cover_betti") is None else tuple(int(b) for b in data["cover_betti"]),
-            cover_torsion=None
-            if data.get("cover_torsion") is None
-            else tuple(tuple(int(t) for t in row) for row in data["cover_torsion"]),
+            id=i,
+            label=_json_field(data, "label", "a string", what),
+            mult=_json_field(data, "mult", "an integer", what),
+            disc=_json_field(data, "disc", "an integer", what),
+            exceptional=_json_field(data, "exceptional", "a boolean", what, True),
+            over_sigma=_json_field(data, "over_sigma", "a boolean", what, True),
+            genus=_json_field(data, "genus", "an integer", what, None),
+            self_int=_json_field(data, "self_int", "an integer", what, None),
+            euler_open=_json_field(data, "euler_open", "an integer", what, None),
+            cover_betti=None if betti is None else tuple(betti),
+            cover_torsion=None if torsion is None else tuple(tuple(row) for row in torsion),
         )
 
 
@@ -104,9 +133,9 @@ class IntersectionCell:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "IntersectionCell":
         return cls(
-            ids=tuple(int(i) for i in data["ids"]),
-            count=int(data.get("count", 1)),
-            over_sigma=bool(data.get("over_sigma", True)),
+            ids=tuple(_json_field(data, "ids", "a list of integers", "cell")),
+            count=_json_field(data, "count", "an integer", "cell", 1),
+            over_sigma=_json_field(data, "over_sigma", "a boolean", "cell", True),
         )
 
 
@@ -164,11 +193,14 @@ class SncConfiguration:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SncConfiguration":
+        what = "configuration"
+        divisors = _json_field(data, "divisors", "a list", what)
+        cells = _json_field(data, "cells", "a list", what, [])
         return cls(
-            ambient_dim=int(data["ambient_dim"]),
-            divisors=tuple(Divisor.from_json_dict(d) for d in data["divisors"]),
-            cells=tuple(IntersectionCell.from_json_dict(c) for c in data.get("cells", ())),
-            sigma_label=str(data.get("sigma", "origin")),
+            ambient_dim=_json_field(data, "ambient_dim", "an integer", what),
+            divisors=tuple(Divisor.from_json_dict(d) for d in divisors),
+            cells=tuple(IntersectionCell.from_json_dict(c) for c in cells),
+            sigma_label=_json_field(data, "sigma", "a string", what, "origin"),
         )
 
 

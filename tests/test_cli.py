@@ -363,3 +363,50 @@ def test_fit_and_fibration_json_roundtrips(capsys):
     assert ChiFit.from_json_dict(fit.to_json_dict()) == fit
     report = verify_chart_fibration(1, 1, 3)
     assert FibrationReport.from_json_dict(report.to_json_dict()) == report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-chi", "--poly", "x^2+y^3", "--m", "3", "--level", "3", "--congruence", "a,b"],
+        ["oracle-chi", "--poly", "x^2+y^3", "--m", "3", "--level", "3", "--congruence", "1"],
+        ["oracle-chi", "--poly", "x^2+y^3", "--m", "3", "--level", "3", "--congruence", "1,0"],
+        ["report", "--poly", "x^2+y^3", "--m", "3", "--primes", "3,a"],
+        ["report", "--poly", "x^2+y^3", "--m", "3", "--congruence", "1,2,3"],
+    ],
+)
+def test_malformed_prime_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].startswith(f"contactloci {argv[0]}: error: argument {argv[-2]}: ")
+
+
+@pytest.mark.parametrize(
+    "config,named",
+    [
+        ([1], "list"),
+        ({"ambient_dim": 2, "divisors": [{"id": 0, "label": "E1", "disc": 2}]}, "'mult'"),
+        ({"ambient_dim": 2, "divisors": [{"id": 0, "label": "E1", "mult": "2", "disc": 2}]}, "'mult'"),
+        ({"ambient_dim": 2, "divisors": {}}, "'divisors'"),
+        ({"ambient_dim": 2, "divisors": [], "cells": [{"ids": [0, "a"]}]}, "'ids'"),
+    ],
+)
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, config, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_exact_counts_are_printed_in_full(capsys):
+    # (q - 1) q^(2 (l - 1)) has about 14 000 digits, past the default
+    # limit of 4300 on int-to-str conversion
+    code, out, _ = run(
+        capsys, "oracle-count", "--poly", "x*y", "--m", "2", "--q", "5", "--level", "10000",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["total"] == 4 * 5 ** (2 * 9999)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from contactloci.jets import (
     sum_strata,
     verify_chart_fibration,
 )
+from contactloci.jets import _eval_terms, _poly_mod_q
 from contactloci.polys import SparsePolynomial, parse_polynomial
 
 
@@ -133,14 +136,19 @@ def test_smooth_function_counts():
     assert report.total == 5 ** 2  # a_2 = 1 forced, b_1 and b_2 free
 
 
-def test_worker_partition_is_deterministic():
-    expected = contact_count("x^2+y^3", 2, 3, 5).total
-    assert contact_count("x^2+y^3", 2, 3, 5, workers=3).total == expected
-
-
 def test_node_cap_enforced():
     with pytest.raises(ResourceLimitError):
         contact_count("x^2+y^3", 3, 3, 13, node_cap=100)
+
+
+def test_nodes_count_candidates_and_evaluated_prefixes():
+    # x*y at m = 3 over F_3: 9 level-1 candidates, 5 seeds with xy = 0.  The
+    # count evaluates only the origin's prefix (its gradient vanishes); the
+    # strata also walk the 4 seeds whose gradient sits on their zero coordinate
+    assert contact_count("x*y", 3, 3, 3).nodes == 9 + 1
+    assert stratified_count("x*y", 3, 3, 3).nodes == 9 + 5
+    assert contact_count("x^2+y^3", 2, 2, 5).nodes == 25  # depth 1: candidates only
+    assert contact_count("x^2+y^3", 1, 3, 5).nodes == 0  # m below the multiplicity
 
 
 def test_stratified_cusp_m2():
@@ -253,3 +261,141 @@ def test_csv_export(tmp_path):
     path = tmp_path / "counts.csv"
     export_counts_csv(path, [(3, 18), (5, 100)])
     assert path.read_text().splitlines() == ["q,count", "3,18", "5,100"]
+
+
+# ---------------------------------------------------------------------------
+# reference: breadth-first survivor lists with per-node partials
+
+
+def _reference_level_solutions(grad, rhs, q, d):
+    """Solutions a in F_q^d of grad . a == rhs."""
+    if all(g == 0 for g in grad):
+        return list(itertools.product(range(q), repeat=d)) if rhs % q == 0 else []
+    pivot = next(i for i, g in enumerate(grad) if g)
+    inv = pow(grad[pivot], -1, q)
+    sols = []
+    for free in itertools.product(range(q), repeat=d - 1):
+        a = list(free[:pivot]) + [0] + list(free[pivot:])
+        acc = sum(grad[i] * a[i] for i in range(d) if i != pivot)
+        a[pivot] = (rhs - acc) * inv % q
+        sols.append(tuple(a))
+    return sols
+
+
+def _reference_coords(prefix, upto, d):
+    coords = []
+    for i in range(d):
+        row = [0] * (upto + 1)
+        for n, c in enumerate(prefix[i], start=1):
+            if n <= upto:
+                row[n] = c
+        coords.append(row)
+    return coords
+
+
+def reference_prefixes(poly, m, q):
+    """(surviving prefixes of depth I = m - mu + 1, I), level by level.
+
+    Level 1 enumerates F_q^d against f(gamma)_mu; every later level solves
+    the affine equation whose gradient is read off the d partial series
+    evaluated at the full prefix.
+    """
+    d = poly.nvars
+    terms = _poly_mod_q(poly, q)
+    mu = min((sum(exps) for _, exps in terms), default=m + 1)
+    if m < mu:
+        return [], 0
+    depth = m - mu + 1
+    derivs = []
+    for c in range(d):
+        derivs.append([
+            (value * exps[c] % q, exps[:c] + (exps[c] - 1,) + exps[c + 1:])
+            for value, exps in terms
+            if exps[c] and value * exps[c] % q
+        ])
+    survivors = []
+    for a in itertools.product(range(q), repeat=d):
+        prefix = tuple((x,) for x in a)
+        if _eval_terms(terms, _reference_coords(prefix, mu, d), mu, q)[mu] == (1 if mu == m else 0):
+            survivors.append(prefix)
+    for i in range(2, depth + 1):
+        j = i + mu - 1
+        new = []
+        for prefix in survivors:
+            coords = _reference_coords(prefix, j, d)
+            base = _eval_terms(terms, coords, j, q)[j]
+            lin = tuple(_eval_terms(derivs[c], coords, j - i, q)[j - i] for c in range(d))
+            for a in _reference_level_solutions(lin, ((j == m) - base) % q, q, d):
+                new.append(tuple(prefix[c] + (a[c],) for c in range(d)))
+        survivors = new
+    return survivors, depth
+
+
+def reference_strata(poly, m, l, q):
+    """Order strata of level-l contact jets from the materialized prefixes,
+    with the free levels beyond the depth expanded combinatorially."""
+    d = poly.nvars
+    survivors, depth = reference_prefixes(poly, m, q)
+    strata = {}
+    for prefix in survivors:
+        known = [next((n for n, c in enumerate(prefix[i], start=1) if c), None) for i in range(d)]
+        unknown = [i for i in range(d) if known[i] is None]
+        base_weight = q ** ((l - depth) * (d - len(unknown)))
+        opts = [(k, (q - 1) * q ** (l - k)) for k in range(depth + 1, l + 1)] + [(l + 1, 1)]
+        for combo in itertools.product(opts, repeat=len(unknown)):
+            orders = list(known)
+            weight = base_weight
+            for i, (k, w) in zip(unknown, combo):
+                orders[i] = k
+                weight *= w
+            strata[tuple(orders)] = strata.get(tuple(orders), 0) + weight
+    return tuple(sorted(strata.items()))
+
+
+def _random_polynomial(rng, d):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 3) for _ in range(d))
+        if sum(exps):
+            terms[exps] = rng.randint(1, 6)
+    if d >= 2 and rng.random() < 0.3:  # the x*y family: seeds with a nonzero gradient
+        terms[(1, 1) + (0,) * (d - 2)] = rng.randint(1, 6)
+    return SparsePolynomial.from_terms(d, terms) if terms else None
+
+
+def test_walk_matches_reference_enumeration():
+    rng = random.Random(20191121)
+    cases = nonzero = naive_checked = 0
+    seen = set()
+    while cases < 150:
+        d = rng.choice((1, 2, 2, 3))
+        q = rng.choice((2, 3, 5, 7))
+        poly = _random_polynomial(rng, d)
+        m = rng.randint(1, 4 if d < 3 else 3)
+        l = m + rng.randint(0, 2)
+        if poly is None or q ** (d * min(m, 3)) > 20_000:
+            continue
+        strata = reference_strata(poly, m, l, q)
+        total = sum(count for _, count in strata)
+        report = stratified_count(poly, m, l, q)
+        assert (report.total, report.strata) == (total, strata), (poly.render(), m, l, q)
+        assert contact_count(poly, m, l, q).total == total, (poly.render(), m, l, q)
+        if q ** (d * l) <= 3_000:
+            assert naive_contact_count(poly, m, l, q) == total, (poly.render(), m, l, q)
+            naive_checked += 1
+        cases += 1
+        nonzero += total > 0
+        seen.add((d, q == 2, l > m))
+    assert nonzero >= 60 and naive_checked >= 20
+    assert {(3, False, True), (2, True, True), (3, True, False)} <= seen
+
+
+@pytest.mark.parametrize("m,l,q", [(3, 3, 5), (4, 5, 3), (5, 5, 3), (4, 4, 2)])
+def test_walk_matches_reference_on_node_family(m, l, q):
+    # every level-1 seed off the origin has a nonzero gradient
+    for text in ("x*y", "x*y + x^3 + 2*y^4", "x*y*z"):
+        poly, _ = parse_polynomial(text)
+        strata = reference_strata(poly, m, l, q)
+        report = stratified_count(poly, m, l, q)
+        assert report.strata == strata and report.total > 0
+        assert contact_count(poly, m, l, q).total == report.total
