@@ -10,6 +10,7 @@ check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -81,8 +82,11 @@ def _load_poly(args) -> SparsePolynomial:
         return SparsePolynomial.from_json_dict(json.load(handle))
 
 
-def _load_input(args) -> tuple[SncConfiguration, WeightVector | None, str]:
-    """Configuration, optional file-supplied weights, and a description."""
+def _load_input(
+    args, poly: SparsePolynomial | None = None
+) -> tuple[SncConfiguration, WeightVector | None, str]:
+    """Configuration, optional file-supplied weights, and a description;
+    ``poly`` is the already loaded polynomial input, if any."""
     if args.config is not None:
         with open(args.config) as handle:
             data = json.load(handle)
@@ -91,16 +95,17 @@ def _load_input(args) -> tuple[SncConfiguration, WeightVector | None, str]:
         if "weights" in data and data["weights"] is not None:
             w = WeightVector.from_json_dict(data["weights"])
         return cfg, w, f"config:{args.config}"
-    poly = _load_poly(args)
+    if poly is None:
+        poly = _load_poly(args)
     if poly.nvars == 1:
         return resolve_univariate(poly), None, poly.render(("x",))
     cfg, _ = resolve_plane_curve(poly)
     return cfg, None, poly.render()
 
 
-def _prepare_pipeline(args, m: int):
+def _prepare_pipeline(args, m: int, poly: SparsePolynomial | None = None):
     """Resolve, separate at m, and choose weights; shared by e1/hc/report."""
-    cfg, file_weights, desc = _load_input(args)
+    cfg, file_weights, desc = _load_input(args, poly)
     if cfg.ambient_dim == 2:
         sep, records = separate(cfg, m)
     else:
@@ -359,7 +364,8 @@ def _cmd_verify_fibration(args) -> int:
 
 
 def build_report(args, m: int) -> dict:
-    cfg, sep, records, w, desc = _prepare_pipeline(args, m)
+    poly = _load_poly(args) if args.config is None else None
+    cfg, sep, records, w, desc = _prepare_pipeline(args, m, poly)
     cset = contributing_set(sep, w, m)
     cover_data = covers_mod.covers_for(sep, cset.ids())
     page = e1_page(sep, w, m, cover_data)
@@ -372,7 +378,6 @@ def build_report(args, m: int) -> dict:
     if getattr(args, "primes", None) or getattr(args, "congruence", None):
         if args.config is not None:
             raise ContactLociError("the jet oracle needs a polynomial input, not a configuration")
-        poly = _load_poly(args)
         level = args.level if args.level is not None else m
         counts = [
             (q, contact_count(poly, m, level, q, node_cap=args.node_cap).total)
@@ -450,7 +455,10 @@ def _cmd_report(args) -> int:
     return 0 if data["verdict"] == "PASS" else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and building it costs far more than parsing an argv."""
     parser = argparse.ArgumentParser(
         prog="contactloci",
         description="contact locus pages, Euler oracles and jet counts from log resolutions",

@@ -111,6 +111,19 @@ def _vanishes_at_origin(g: Poly2) -> bool:
 
 
 _T = sympy.Symbol("t")
+_X, _Y = sympy.symbols("x y")
+
+
+def _sympy_poly(terms: Mapping, *gens) -> "sympy.Poly":
+    """A sympy Poly over QQ built straight from {monomial: Fraction}."""
+    qq = sympy.QQ
+    return sympy.Poly.from_dict(
+        {k: qq(c.numerator, c.denominator) for k, c in terms.items()}, *gens, domain="QQ"
+    )
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(c.p, c.q)  # c is a sympy Rational
 
 
 def _uni_factorization(u: dict[int, Fraction]) -> list[tuple[tuple[Fraction, ...], int]]:
@@ -119,15 +132,14 @@ def _uni_factorization(u: dict[int, Fraction]) -> list[tuple[tuple[Fraction, ...
     Returns (monic coefficient tuple, exponent) pairs, constant factors
     dropped, sorted deterministically by (degree, coefficients).
     """
-    expr = sum(sympy.Rational(c) * _T ** d for d, c in u.items())
-    if expr == 0:
+    if not any(u.values()):
         raise DomainError("strict transform restricts to zero on the new divisor")
-    _, factors = sympy.factor_list(sympy.Poly(expr, _T, domain="QQ"))
+    _, factors = sympy.factor_list(_sympy_poly(u, _T))
     out = []
     for poly, exp in factors:
         coeffs = poly.all_coeffs()  # highest degree first
-        lead = Fraction(str(coeffs[0]))
-        monic = tuple(Fraction(str(c)) / lead for c in reversed(coeffs))  # low to high
+        lead = _fraction(coeffs[0])
+        monic = tuple(_fraction(c) / lead for c in reversed(coeffs))  # low to high
         if len(monic) > 1:
             out.append((monic, int(exp)))
     return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
@@ -349,18 +361,14 @@ def resolve_plane_curve(
     """
     f = as_plane_curve(f)
 
-    x, y = sympy.symbols("x y")
-    expr = sum(sympy.Rational(c) * x ** a * y ** b for (a, b), c in f.terms)
-    _, sym_factors = sympy.factor_list(sympy.Poly(expr, x, y, domain="QQ"))
+    _, sym_factors = sympy.factor_list(_sympy_poly(f.as_dict(), _X, _Y))
 
     factor_polys: dict[int, Poly2] = {}
     factor_exponents: dict[int, int] = {}
     factor_texts: list[tuple[int, str, int]] = []
     dropped: list[str] = []
     for poly, exp in sorted(sym_factors, key=lambda fe: sympy.default_sort_key(fe[0])):
-        terms = {}
-        for monom, coeff in poly.as_expr().as_poly(x, y, domain="QQ").terms():
-            terms[tuple(monom)] = Fraction(str(coeff))
+        terms = {monom: _fraction(coeff) for monom, coeff in poly.terms()}
         text = SparsePolynomial.from_terms(2, terms).render(("x", "y"))
         if terms.get((0, 0)):
             dropped.append(text)

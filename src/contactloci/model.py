@@ -19,6 +19,7 @@ geometry is stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import DomainError, UnsupportedDimensionError, ValidationFailedError
@@ -152,14 +153,18 @@ class SncConfiguration:
         object.__setattr__(self, "divisors", tuple(sorted(self.divisors, key=lambda d: d.id)))
         object.__setattr__(self, "cells", tuple(self.cells))
 
+    @cached_property
+    def _by_id(self) -> dict[int, Divisor]:
+        return {d.id: d for d in reversed(self.divisors)}  # the first of equal ids wins
+
     def divisor(self, i: int) -> Divisor:
-        for div in self.divisors:
-            if div.id == i:
-                return div
-        raise DomainError(f"no divisor with id {i}")
+        try:
+            return self._by_id[i]
+        except KeyError:
+            raise DomainError(f"no divisor with id {i}") from None
 
     def has_divisor(self, i: int) -> bool:
-        return any(d.id == i for d in self.divisors)
+        return i in self._by_id
 
     def cells_containing(self, i: int) -> tuple[IntersectionCell, ...]:
         return tuple(c for c in self.cells if i in c.ids)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DomainError
+from .model import _json_field
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,27 @@ class SparsePolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparsePolynomial":
-        nvars = int(data["nvars"])
-        terms = {tuple(exps): Fraction(str(coeff)) for exps, coeff in data["terms"]}
+        what = "polynomial"
+        nvars = _json_field(data, "nvars", "an integer", what)
+        if nvars < 0:
+            raise DomainError(f"{what}: key 'nvars' must be nonnegative, not {nvars}")
+        terms = {}
+        for term in _json_field(data, "terms", "a list", what):
+            if not (
+                isinstance(term, list)
+                and len(term) == 2
+                and isinstance(term[0], list)
+                and all(type(e) is int for e in term[0])
+                and (isinstance(term[1], str) or type(term[1]) is int)
+            ):
+                raise DomainError(
+                    f"{what}: key 'terms' needs [exponent list, coefficient] pairs, not {term!r}"
+                )
+            exps, coeff = term
+            try:
+                terms[tuple(exps)] = Fraction(str(coeff))
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"{what}: key 'terms' has a bad coefficient {coeff!r}") from None
         return cls.from_terms(nvars, terms)
 
     def render(self, names: Iterable[str] = ("x", "y", "z", "w")) -> str:

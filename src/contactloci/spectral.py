@@ -21,6 +21,7 @@ min(source rank, target rank).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .covers import CoverHomology, covers_for
@@ -61,11 +62,12 @@ class E1Page:
     entries: tuple[tuple[tuple[int, int], PageEntry], ...]  # ((p, q), entry), sorted
     total_shift: int = 0  # bookkeeping for relabelled pages
 
+    @cached_property
+    def _by_position(self) -> dict[tuple[int, int], PageEntry]:
+        return dict(reversed(self.entries))  # the first of equal positions wins
+
     def entry(self, p: int, q: int) -> PageEntry | None:
-        for (pp, qq), e in self.entries:
-            if (pp, qq) == (p, q):
-                return e
-        return None
+        return self._by_position.get((p, q))
 
     def nonzero(self) -> list[tuple[int, int, PageEntry]]:
         return [(p, q, e) for (p, q), e in self.entries if e.rank or e.torsion]

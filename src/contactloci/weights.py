@@ -15,6 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import DomainError, NotNegativeDefiniteError, UnsupportedDimensionError
@@ -39,11 +40,15 @@ class WeightVector:
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
 
+    @cached_property
+    def _by_id(self) -> dict[int, int]:
+        return dict(reversed(self.entries))  # the first of equal ids wins
+
     def get(self, i: int) -> int:
-        for j, w in self.entries:
-            if j == i:
-                return w
-        raise DomainError(f"no weight for divisor {i}")
+        try:
+            return self._by_id[i]
+        except KeyError:
+            raise DomainError(f"no weight for divisor {i}") from None
 
     def scaled(self, c: int) -> "WeightVector":
         if c < 1:

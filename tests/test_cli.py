@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactloci.cli import main
 
@@ -401,6 +403,32 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, config, named):
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize(
+    "poly,named",
+    [
+        ([1], "list"),
+        ({"nvars": 2}, "'terms'"),
+        ({"terms": []}, "'nvars'"),
+        ({"nvars": "2", "terms": []}, "'nvars'"),
+        ({"nvars": -1, "terms": []}, "'nvars'"),
+        ({"nvars": 2, "terms": {}}, "'terms'"),
+        ({"nvars": 2, "terms": [[[2, 0], "1"], [[0, 3]]]}, "'terms'"),
+        ({"nvars": 2, "terms": [[[2, "0"], "1"]]}, "'terms'"),
+        ({"nvars": 2, "terms": [[[2, 0], 1.5]]}, "'terms'"),
+        ({"nvars": 2, "terms": [[[2, 0], "1/0"]]}, "'1/0'"),
+        ({"nvars": 2, "terms": [[[2, 0], "a"]]}, "'a'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["oracle-count", "report"])
+def test_malformed_poly_json_is_a_usage_error(tmp_path, capsys, poly, named, command):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(poly))
+    extra = ["--q", "5"] if command == "oracle-count" else ["--primes", "3,5"]
+    code, out, err = run(capsys, command, "--poly-json", str(path), "--m", "2", *extra)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_exact_counts_are_printed_in_full(capsys):
     # (q - 1) q^(2 (l - 1)) has about 14 000 digits, past the default
     # limit of 4300 on int-to-str conversion
@@ -410,3 +438,189 @@ def test_exact_counts_are_printed_in_full(capsys):
     )
     assert code == 0
     assert json.loads(out)["total"] == 4 * 5 ** (2 * 9999)
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    from contactloci import cli
+    from contactloci.polys import parse_polynomial
+
+    path = tmp_path / "cusp_poly.json"
+    path.write_text(json.dumps(parse_polynomial("x^2 + y^3")[0].to_json_dict()))
+    calls = [
+        ["e1", "--poly", "x^2+y^3"],  # usage error: no --m
+        ["report", "--poly", "x^2+y^3", "--m", "2", "--primes", "3,5,7", "--level", "3",
+         "--format", "json"],
+        ["report", "--poly-json", str(path), "--m", "2", "--format", "json"],
+        ["report", "--poly", "x*y", "--poly-json", str(path), "--m", "2"],  # usage error
+        ["oracle-chi", "--poly-json", str(path), "--m", "2", "--level", "2", "--primes", "3,5,7"],
+        ["oracle-chi", "--poly", "x*y", "--m", "2"],
+        ["oracle-count", "--poly", "x*y", "--m", "2", "--q", "5", "--level", "3", "--strata"],
+        ["oracle-count", "--poly-json", str(path), "--m", "2", "--q", "5"],
+        ["weights", "--poly", "x^2+y^3", "--m", "3", "--scale", "2"],
+        ["weights", "--poly-json", str(path)],
+    ]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [call(argv) for argv in calls]  # one parser for all calls
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+    assert json.loads(shared[1][1])["oracle"]["level"] == 3
+    assert json.loads(shared[2][1])["oracle"] is None
+    assert "q=11" in shared[5][1] and "level=2" in shared[7][1]
+    fresh = []
+    for argv in reversed(calls):  # a new parser for each call, in the other order
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert fresh[::-1] == shared
+    for argv in calls[1:3] + calls[4:]:
+        fresh = cli.build_parser.__wrapped__().parse_args(argv)
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines: usage errors exit 2, checks exit 1, nothing raises
+
+_FUZZ_POLYS = ("x^2+y^3", "x*y", "x^2+y^2", "x^3", "x^2*y + y^4")
+_FUZZ_BAD_POLYS = ("x+1", "0", "x*y*z", "x^2+", "(x", "x^-1", "")
+_FUZZ_KEYS = (
+    "nvars", "terms", "ambient_dim", "divisors", "cells", "sigma", "weights", "id", "label",
+    "mult", "disc", "exceptional", "over_sigma", "genus", "self_int", "ids", "count", "0", "3",
+)
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.sampled_from(["", "1/2", "a", "E1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _one_in(data, n):
+    """True about once in n draws (a middle value: hypothesis favours the ends)."""
+    return data.draw(st.integers(0, n - 1)) == n // 2
+
+
+def _fuzz_document(data, option):
+    """A JSON document for ``--config`` or ``--poly-json``: mostly well formed."""
+    from contactloci.polys import parse_polynomial
+
+    if _one_in(data, 4):
+        return data.draw(_FUZZ_JSON)
+    if option == "--config":
+        cusp = hand_built_cusp().to_json_dict()
+        return data.draw(st.sampled_from([
+            cusp,
+            dict(cusp, weights={"0": 1, "1": 1, "2": 1}),
+            dict(cusp, divisors=cusp["divisors"][:3]),  # a cell meets a missing divisor
+        ]))
+    text = data.draw(st.sampled_from(_FUZZ_POLYS))
+    return parse_polynomial(text)[0].to_json_dict()
+
+
+def _fuzz_value(data, option, folder):
+    """A value for ``option``: mostly plausible, sometimes malformed."""
+    malformed = _one_in(data, 20)
+    if option == "--poly":
+        return data.draw(st.sampled_from(_FUZZ_BAD_POLYS if malformed else _FUZZ_POLYS))
+    if option in ("--poly-json", "--config"):
+        if malformed:
+            return str(folder / "missing.json")
+        path = folder / f"{option[2:]}.json"
+        path.write_text(json.dumps(_fuzz_document(data, option)))
+        return str(path)
+    if option == "--weights":
+        return json.dumps(data.draw(_FUZZ_JSON))
+    if option == "--format":
+        return "yaml" if malformed else data.draw(st.sampled_from(["table", "json"]))
+    if malformed:
+        return data.draw(st.sampled_from(["a", "1.5", "", "-1", "0", "40", "3,a", "1,", ","]))
+    if option == "--primes":
+        primes = st.lists(st.sampled_from([2, 3, 4, 5, 7, 11, 13]), min_size=1, max_size=4)
+        return ",".join(map(str, data.draw(primes)))
+    if option == "--congruence":
+        return f"{data.draw(st.integers(-1, 5))},{data.draw(st.integers(1, 6))}"
+    if option == "--q":
+        return str(data.draw(st.sampled_from([2, 3, 5, 7])))
+    top = 30000 if option == "--node-cap" else 5
+    return str(data.draw(st.integers(1, top)))
+
+
+# the commands with a check: (failed in the JSON output, failed in the table output)
+_FAILED_CHECK = {
+    "validate": (lambda d: d["valid"] is False, lambda t: t != "valid"),
+    "check-euler": (lambda d: d["passed"] is False, lambda t: t.endswith("FAIL")),
+    "verify-fibration": (lambda d: d["passed"] is False, lambda t: t.endswith("FAIL")),
+    "oracle-chi": (lambda d: d["fit"]["conclusive"] is False, lambda t: "chi estimate at q=1" not in t),
+    "report": (lambda d: d["verdict"] == "FAIL", lambda t: "verdict: FAIL" in t),
+}
+
+
+def _fuzz_argv(data, command, parser, folder):
+    """Usually one option of the input group, the required options usually,
+    the others at times, in any order; now and then a stray token."""
+    (inputs,) = [g._group_actions for g in parser._mutually_exclusive_groups] or [[]]
+    chosen = []
+    if inputs:
+        count = 2 if _one_in(data, 20) else 1
+        chosen = data.draw(st.lists(st.sampled_from(inputs), min_size=count, max_size=count, unique=True))
+    for action in parser._actions:
+        if action.option_strings and action.dest not in ("help", "csv") and action not in inputs:
+            if action.required != _one_in(data, 20 if action.required else 4):
+                chosen.append(action)
+    argv = [command]
+    for action in data.draw(st.permutations(chosen)):
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(_fuzz_value(data, action.option_strings[0], folder))
+    if _one_in(data, 20):
+        argv.append(data.draw(st.sampled_from(["--m", "junk", "--poly", "-1"])))
+    return argv
+
+
+def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch):
+    import contextlib
+    import io
+    from collections import Counter
+
+    from contactloci.cli import build_parser
+    from contactloci.jets import NODE_CAP_ENV
+
+    monkeypatch.setenv(NODE_CAP_ENV, "20000")
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    codes = Counter()
+    for command in sorted(subparsers):  # --csv is left out: it writes a file
+
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        @given(data=st.data())
+        def fuzz(data):
+            argv = _fuzz_argv(data, command, subparsers[command], tmp_path)
+            out, err = io.StringIO(), io.StringIO()
+            # any exception but SystemExit propagates and fails the test
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2), argv
+            if code == 1:  # only a check's verdict
+                json_failed, table_failed = _FAILED_CHECK[command]
+                text = out.getvalue().strip()
+                as_json = "--format" in argv and argv[argv.index("--format") + 1] == "json"
+                assert not err.getvalue(), argv
+                assert json_failed(json.loads(text)) if as_json else table_failed(text), argv
+            if code == 2:  # one line from the program, or argparse's usage and error
+                lines = err.getvalue().splitlines()
+                assert not out.getvalue() and lines, argv
+                if lines[0].startswith("error: "):
+                    assert len(lines) == 1, argv
+                else:
+                    assert ": error: " in lines[-1], argv
+            codes[code] += 1
+
+        fuzz()
+    assert min(codes[0], codes[2]) >= 40  # the pipeline runs, not only the parser

@@ -1,6 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
+import sympy
 
 from contactloci.curves import (
+    _uni_factorization,
     blowup_numeric_rules,
     point_configuration,
     resolve_plane_curve,
@@ -8,6 +13,7 @@ from contactloci.curves import (
 )
 from contactloci.errors import DomainError
 from contactloci.model import validate_configuration
+from contactloci.polys import SparsePolynomial
 
 
 def by_label(cfg):
@@ -167,3 +173,133 @@ def test_resolve_univariate():
     assert cfg.divisors[0].mult == 4
     with pytest.raises(DomainError):
         resolve_univariate("x + 1")
+
+
+# ---------------------------------------------------------------------------
+# the resolver's sympy polynomials against the expression-tree path
+
+_X, _Y, _T = sympy.symbols("x y t")
+
+
+def reference_factor_list(terms, gens):
+    """Factors of {exponent tuple: Fraction} by the expression-tree path the
+    resolver used to take: build sum(c * monomial), hand it to sympy.Poly,
+    factor, and read each factor back through as_expr().as_poly().
+
+    Returns ({exponent tuple: Fraction}, exponent) pairs in default_sort_key
+    order of the factors, the constant factor left out.
+    """
+    expr = sum(
+        sympy.Rational(c) * sympy.Mul(*(g ** e for g, e in zip(gens, exps)))
+        for exps, c in terms.items()
+    )
+    _, factors = sympy.factor_list(sympy.Poly(expr, *gens, domain="QQ"))
+    return [
+        (
+            {
+                tuple(monom): Fraction(str(coeff))
+                for monom, coeff in poly.as_expr().as_poly(*gens, domain="QQ").terms()
+            },
+            int(exp),
+        )
+        for poly, exp in sorted(factors, key=lambda fe: sympy.default_sort_key(fe[0]))
+    ]
+
+
+def reference_plane_factors(f):
+    """(log.factors, log.dropped_factors) as the expression-tree path gave them."""
+    kept, dropped = [], []
+    for terms, exp in reference_factor_list(f.as_dict(), (_X, _Y)):
+        text = SparsePolynomial.from_terms(2, terms).render(("x", "y"))
+        if terms.get((0, 0)):
+            dropped.append(text)
+        else:
+            kept.append((len(kept), text, exp))
+    return tuple(kept), tuple(dropped)
+
+
+def reference_uni_factorization(u):
+    out = []
+    for terms, exp in reference_factor_list({(d,): c for d, c in u.items()}, (_T,)):
+        coeffs = [terms.get((d,), Fraction(0)) for d in range(max(terms)[0] + 1)]
+        monic = tuple(c / coeffs[-1] for c in coeffs)
+        if len(monic) > 1:
+            out.append((monic, exp))
+    return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
+
+
+def _rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3, 7]))
+
+
+def _times(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _random_product(rng, factors, count, terms):
+    """``terms`` times ``count`` random factors, each to a random power."""
+    for _ in range(count):
+        factor = rng.choice(factors)()
+        for _ in range(rng.choice([1, 1, 2])):
+            terms = _times(terms, factor)
+    return terms
+
+
+def random_germ(rng):
+    """A product of rational branches through the origin, some repeated, and
+    of units at the origin, times a rational constant; every center it
+    needs is rational, so the resolver finishes."""
+    branches = [
+        lambda: {(0, 1): Fraction(1), (rng.randint(1, 2), 0): _rational(rng)},  # y + a x^k
+        lambda: {(1, 0): Fraction(1), (0, 2): _rational(rng)},
+        lambda: {(2, 0): Fraction(1), (0, 3): _rational(rng)},
+        lambda: {(1, 0): Fraction(1)},
+        lambda: {(0, 1): Fraction(1)},
+        lambda: {(0, 0): _rational(rng), (1, 0): _rational(rng), (0, 1): Fraction(rng.randint(-2, 2))},
+    ]
+    terms = _random_product(rng, branches[:-1], 1, {(0, 0): _rational(rng)})
+    return SparsePolynomial.from_terms(2, _random_product(rng, branches, rng.randint(0, 2), terms))
+
+
+def random_univariate(rng):
+    factors = [
+        lambda: {(1,): Fraction(1), (0,): _rational(rng)},
+        lambda: {(1,): Fraction(1)},
+        lambda: {(2,): Fraction(1), (0,): Fraction(rng.choice([2, 3, 5, -1]))},
+        lambda: {(2,): Fraction(1), (1,): _rational(rng), (0,): Fraction(rng.randint(3, 9))},
+        lambda: {(3,): Fraction(1), (0,): _rational(rng)},
+    ]
+    terms = _random_product(rng, factors, rng.randint(0, 3), {(0,): _rational(rng)})
+    return {e[0]: c for e, c in terms.items()}
+
+
+def test_plane_factor_lists_match_expression_path():
+    rng = random.Random(20190)
+    dropped = repeated = rational = 0
+    for _ in range(200):
+        f = random_germ(rng)
+        _, log = resolve_plane_curve(f)
+        assert (log.factors, log.dropped_factors) == reference_plane_factors(f), f.render()
+        dropped += bool(log.dropped_factors)
+        repeated += any(e > 1 for _, _, e in log.factors)
+        rational += any(c.denominator > 1 for _, c in f.terms)
+    assert min(dropped, repeated, rational) >= 20
+
+
+def test_univariate_factorizations_match_expression_path():
+    rng = random.Random(20191)
+    repeated = units = 0
+    for _ in range(200):
+        u = random_univariate(rng)
+        got = _uni_factorization(u)
+        assert got == reference_uni_factorization(u), u
+        repeated += any(e > 1 for _, e in got)
+        units += any(monic[0] for monic, _ in got)
+    assert min(repeated, units) >= 50
+    with pytest.raises(DomainError):
+        _uni_factorization({})

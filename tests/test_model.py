@@ -138,3 +138,29 @@ def test_configuration_json_roundtrip():
     for cfg in (hand_built_cusp(), hand_built_node()):
         again = SncConfiguration.from_json_dict(cfg.to_json_dict())
         assert again == cfg
+
+
+def test_lookups_by_id_match_a_linear_scan():
+    from contactloci.errors import DomainError
+    from contactloci.spectral import E1Page, PageEntry
+    from contactloci.weights import WeightVector
+
+    twin = Divisor(1, "E2 twin", 9, 9, True, True, 0, -1)
+    cfg = SncConfiguration(2, hand_built_cusp().divisors + (twin,))
+    for i in range(-1, 6):
+        scan = [d for d in cfg.divisors if d.id == i]  # the first of equal ids wins
+        assert cfg.has_divisor(i) == bool(scan)
+        if scan:
+            assert cfg.divisor(i) is scan[0]
+        else:
+            with pytest.raises(DomainError, match=f"no divisor with id {i}"):
+                cfg.divisor(i)
+
+    w = WeightVector(((0, 3), (2, 5), (2, 7)))
+    assert (w.get(0), w.get(2)) == (3, 5)
+    with pytest.raises(DomainError, match="no weight for divisor 1"):
+        w.get(1)
+
+    a, b = PageEntry(1), PageEntry(2)
+    page = E1Page(1, 2, (((0, 1), a), ((0, 1), b), ((-2, 3), b)))
+    assert (page.entry(0, 1), page.entry(-2, 3), page.entry(1, 0)) == (a, b, None)
