@@ -49,6 +49,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _congruence(text: str) -> tuple[int, int]:
     values = _int_list(text)
     if len(values) != 2 or values[1] < 1:
@@ -62,12 +72,12 @@ def _add_input_options(parser: argparse.ArgumentParser, need_m: bool = False):
     group.add_argument("--poly-json", help="path to a sparse-monomial JSON document")
     group.add_argument("--config", help="path to a configuration JSON file")
     if need_m:
-        parser.add_argument("--m", type=int, required=True, help="contact order m >= 1")
+        parser.add_argument("--m", type=_positive_int, required=True, help="contact order m >= 1")
 
 
 def _add_weight_options(parser: argparse.ArgumentParser):
     parser.add_argument("--weights", help="JSON map divisor id -> weight, overrides the solver")
-    parser.add_argument("--scale", type=int, default=1, help="scale factor applied to the weights")
+    parser.add_argument("--scale", type=_positive_int, default=1, help="scale factor applied to the weights")
 
 
 def _add_format_option(parser: argparse.ArgumentParser):
@@ -484,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="solve for a relatively ample weight vector")
     _add_input_options(p)
-    p.add_argument("--m", type=int, default=None, help="separate at m before solving")
+    p.add_argument("--m", type=_positive_int, default=None, help="separate at m before solving")
     _add_weight_options(p)
     _add_format_option(p)
     p.set_defaults(func=_cmd_weights)
@@ -527,9 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--poly")
     group.add_argument("--poly-json")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--q", type=_positive_int, required=True)
+    p.add_argument("--level", type=_positive_int, default=None)
     p.add_argument("--strata", action="store_true", help="stratify by vanishing orders")
     p.add_argument("--node-cap", type=int, default=None)
     _add_format_option(p)
@@ -539,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--poly")
     group.add_argument("--poly-json")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--level", type=_positive_int, default=None)
     p.add_argument("--primes", type=_int_list, help="comma separated primes, default pool 3,5,7,11,13")
     p.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
     p.add_argument("--expected-dim", type=int, default=None)
@@ -550,9 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_chi, config=None)
 
     p = sub.add_parser("verify-fibration", help="check the blowup chart fibration on jets")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--level", "--l", dest="level", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--level", "--l", dest="level", type=_positive_int, required=True)
+    p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--nu", type=int, default=2)
     p.add_argument("--node-cap", type=int, default=None)
@@ -564,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_options(p)
     p.add_argument("--primes", type=_int_list, help="comma separated primes for the oracle")
     p.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_positive_int, default=None)
     p.add_argument("--node-cap", type=int, default=None)
     _add_format_option(p)
     p.set_defaults(func=_cmd_report)

@@ -130,18 +130,23 @@ def _uni_factorization(u: dict[int, Fraction]) -> list[tuple[tuple[Fraction, ...
     """Q-irreducible factors of a univariate polynomial given as {deg: coeff}.
 
     Returns (monic coefficient tuple, exponent) pairs, constant factors
-    dropped, sorted deterministically by (degree, coefficients).
+    dropped, sorted deterministically by (degree, coefficients).  The power
+    of t and a linear rest are read off; only a rest of degree >= 2 is
+    handed to sympy.
     """
-    if not any(u.values()):
+    u = {d: c for d, c in u.items() if c}
+    if not u:
         raise DomainError("strict transform restricts to zero on the new divisor")
-    _, factors = sympy.factor_list(_sympy_poly(u, _T))
-    out = []
-    for poly, exp in factors:
-        coeffs = poly.all_coeffs()  # highest degree first
-        lead = _fraction(coeffs[0])
-        monic = tuple(_fraction(c) / lead for c in reversed(coeffs))  # low to high
-        if len(monic) > 1:
-            out.append((monic, int(exp)))
+    lo, hi = min(u), max(u)
+    out = [((Fraction(0), Fraction(1)), lo)] if lo else []
+    if hi - lo == 1:
+        out.append(((u[lo] / u[hi], Fraction(1)), 1))
+    elif hi - lo >= 2:
+        _, factors = sympy.factor_list(_sympy_poly({(d - lo,): c for d, c in u.items()}, _T))
+        for poly, exp in factors:
+            coeffs = poly.all_coeffs()  # highest degree first
+            lead = _fraction(coeffs[0])
+            out.append((tuple(_fraction(c) / lead for c in reversed(coeffs)), int(exp)))
     return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
 
 
@@ -361,13 +366,20 @@ def resolve_plane_curve(
     """
     f = as_plane_curve(f)
 
-    _, sym_factors = sympy.factor_list(_sympy_poly(f.as_dict(), _X, _Y))
+    # Factor each non-constant multiplicand the user wrote, not the expanded
+    # product; sympy normalises each factor's sign and content, so merging
+    # equal factors gives the factor list of f itself.
+    pieces = [(g, e) for g, e in f.multiplicands if e and any(any(exps) for exps, _ in g.terms)]
+    sym_factors: dict = {}
+    for g, e in pieces or [(f, 1)]:
+        for poly, exp in sympy.factor_list(_sympy_poly(g.as_dict(), _X, _Y))[1]:
+            sym_factors[poly] = sym_factors.get(poly, 0) + int(exp) * e
 
     factor_polys: dict[int, Poly2] = {}
     factor_exponents: dict[int, int] = {}
     factor_texts: list[tuple[int, str, int]] = []
     dropped: list[str] = []
-    for poly, exp in sorted(sym_factors, key=lambda fe: sympy.default_sort_key(fe[0])):
+    for poly, exp in sorted(sym_factors.items(), key=lambda fe: sympy.default_sort_key(fe[0])):
         terms = {monom: _fraction(coeff) for monom, coeff in poly.terms()}
         text = SparsePolynomial.from_terms(2, terms).render(("x", "y"))
         if terms.get((0, 0)):
@@ -375,8 +387,8 @@ def resolve_plane_curve(
             continue
         j = len(factor_polys)
         factor_polys[j] = terms
-        factor_exponents[j] = int(exp)
-        factor_texts.append((j, text, int(exp)))
+        factor_exponents[j] = exp
+        factor_texts.append((j, text, exp))
 
     state = ResolutionState(factor_exponents)
     origin = LocalProblem.make({}, factor_polys, "origin")

@@ -50,7 +50,16 @@ NODE_CAP_ENV = "CONTACTLOCI_NODE_CAP"
 def _node_cap(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
-    return int(os.environ.get(NODE_CAP_ENV, DEFAULT_NODE_CAP))
+    text = os.environ.get(NODE_CAP_ENV)
+    if text is None:
+        return DEFAULT_NODE_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise DomainError(f"{NODE_CAP_ENV} must be a positive integer, not {text!r}")
+    return cap
 
 
 @dataclass(frozen=True)

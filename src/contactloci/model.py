@@ -185,9 +185,6 @@ class SncConfiguration:
     def exceptional_ids(self) -> tuple[int, ...]:
         return tuple(d.id for d in self.divisors if d.exceptional)
 
-    def over_sigma_ids(self) -> tuple[int, ...]:
-        return tuple(d.id for d in self.divisors if d.over_sigma)
-
     def to_json_dict(self) -> dict:
         return {
             "ambient_dim": self.ambient_dim,

@@ -9,8 +9,9 @@ sympy at module boundaries.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -23,10 +24,14 @@ class SparsePolynomial:
     """A polynomial in ``nvars`` variables with exact rational coefficients.
 
     ``terms`` is sorted by exponent tuple and stores no zero coefficients.
+    When the parsed text was one product term, ``multiplicands`` holds its
+    (base, exponent) pairs, whose product is the polynomial; it takes no
+    part in equality, hashing or JSON.
     """
 
     nvars: int
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    multiplicands: tuple[tuple["SparsePolynomial", int], ...] = field(default=(), compare=False, repr=False)
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[tuple[int, ...], Fraction | int]) -> "SparsePolynomial":
@@ -61,11 +66,6 @@ class SparsePolynomial:
         if not self.terms:
             raise DomainError("the zero polynomial has no multiplicity")
         return min(sum(exps) for exps, _ in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps, _ in self.terms)
 
     def linear_part(self) -> tuple[Fraction, ...]:
         """Coefficients of the degree-one monomials, one per variable."""
@@ -181,28 +181,31 @@ class _Parser:
         return tok
 
     def expr(self):
-        sign = 1
+        """The polynomial, and the (base, exponent) multiplicands of the
+        expression when it is one product term, else ()."""
+        factors = []
         if self.peek() == ("op", "-"):
             self.take()
-            sign = -1
-        result = _scale(self.term(), sign)
+            factors.append(({(): Fraction(-1)}, 1))
+        factors += self.term()
+        result, multiplicands = _product(factors), tuple(factors)
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op = self.take()
-            rhs = self.term()
-            result = _add(result, _scale(rhs, -1 if op == "-" else 1))
-        return result
+            rhs = _product(self.term())
+            result, multiplicands = _add(result, _scale(rhs, -1 if op == "-" else 1)), ()
+        return result, multiplicands
 
     def term(self):
-        result = self.factor()
+        factors = [self.factor()]
         while True:
             kind, value = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                result = _mul(result, self.factor())
+                factors.append(self.factor())
             elif kind in ("int", "var") or (kind == "op" and value == "("):
-                result = _mul(result, self.factor())
+                factors.append(self.factor())
             else:
-                return result
+                return factors
 
     def factor(self):
         base = self.atom()
@@ -211,8 +214,8 @@ class _Parser:
             kind, value = self.take()
             if kind != "int":
                 raise DomainError("exponent must be a literal integer")
-            return _pow(base, int(value))
-        return base
+            return base, int(value)
+        return base, 1
 
     def atom(self):
         kind, value = self.take()
@@ -222,7 +225,7 @@ class _Parser:
             self.vars.setdefault(value, None)
             return {(value,): Fraction(1)}
         if (kind, value) == ("op", "("):
-            inner = self.expr()
+            inner, _ = self.expr()
             if self.take() != ("op", ")"):
                 raise DomainError("missing closing parenthesis")
             return inner
@@ -256,10 +259,21 @@ def _scale(a, s):
 def _pow(a, e):
     if e < 0:
         raise DomainError("negative exponents are not polynomials")
+    if len(a) == 1:
+        ((key, coeff),) = a.items()
+        return {tuple(sorted(key * e)): coeff ** e}
     out = {(): Fraction(1)}
-    for _ in range(e):
-        out = _mul(out, a)
+    while e:  # square and multiply
+        if e & 1:
+            out = _mul(out, a)
+        e >>= 1
+        if e:
+            a = _mul(a, a)
     return out
+
+
+def _product(factors):
+    return functools.reduce(_mul, (_pow(base, e) for base, e in factors))
 
 
 def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> tuple[SparsePolynomial, tuple[str, ...]]:
@@ -267,10 +281,12 @@ def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> tup
 
     Returns the polynomial and the variable name tuple.  When ``variables``
     is not given, the variables are the letters appearing in the text, in
-    alphabetical order.
+    alphabetical order.  When the whole text is one product term, such as
+    ``-(x - y)^2*(x + 2*y)``, the polynomial's ``multiplicands`` record its
+    top-level bases and exponents (a leading minus is the base -1).
     """
     parser = _Parser(_tokenize(text))
-    raw = parser.expr()
+    raw, factors = parser.expr()
     if parser.pos != len(parser.tokens):
         raise DomainError(f"trailing input after position {parser.pos}")
     if variables is None:
@@ -280,11 +296,17 @@ def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> tup
         raise DomainError(f"unknown variables {sorted(unknown)}")
     index = {name: i for i, name in enumerate(variables)}
     nvars = len(variables)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for key, coeff in raw.items():
-        exps = [0] * nvars
-        for name in key:
-            exps[index[name]] += 1
-        exps = tuple(exps)
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return SparsePolynomial.from_terms(nvars, terms), variables
+
+    def build(raw_terms) -> SparsePolynomial:
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for key, coeff in raw_terms.items():
+            exps = [0] * nvars
+            for name in key:
+                exps[index[name]] += 1
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        return SparsePolynomial.from_terms(nvars, terms)
+
+    poly = build(raw)
+    multiplicands = tuple((build(base), e) for base, e in factors)
+    return SparsePolynomial(nvars, poly.terms, multiplicands), variables

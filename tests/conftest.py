@@ -52,3 +52,52 @@ def hand_built_node() -> SncConfiguration:
             IntersectionCell((0, 2), 1, True),
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# germs written as products of multiplicands
+
+# Q-irreducible factors and ways to write each (up to sign and content);
+# ids 0-4 pass through the origin with rational centres only, 5-6 are
+# units there.
+PRODUCT_FACTORS = (
+    ("x - y", "y - x", "2*x - 2*y"),
+    ("x + 2*y", "-3*x - 6*y"),
+    ("y + 3*x^2", "-y - 3*x^2"),
+    ("x^2 - y^3", "2*y^3 - 2*x^2"),
+    ("x", "-x", "5*x"),
+    ("1 + x", "-2 - 2*x"),
+    ("2 - y + x",),
+)
+PRODUCT_EXAMPLES = (
+    "(x-y)*(y-x)^2", "(2*x-2*y)*(x-y)", "((x+y)*(x-y))*x", "-(x-y)*(x+2*y)^2", "(x+y)^0*x*(x-y)",
+)
+
+
+def random_product_text(rng):
+    """A germ written as a product: (text, [(factor ids, exponent)]), one
+    pair per top-level multiplicand; a constant multiplicand has no ids.
+
+    Every product has a multiplicand through the origin; multiplicands of
+    two factors are written nested, as ``((a)*(b))``, or expanded."""
+    from contactloci.polys import parse_polynomial
+
+    parts = [rng.sample(range(5), rng.choice([1, 1, 2])) for _ in range(rng.randint(1, 3))]
+    parts += [[rng.choice([5, 6])] for _ in range(rng.choice([0, 1]))]
+    parts += [[] for _ in range(rng.choice([0, 1]))]
+    rng.shuffle(parts)
+    written = []
+    for ids in parts:
+        forms = [f"({rng.choice(PRODUCT_FACTORS[i])})" for i in ids]
+        if not ids:
+            text = str(rng.choice([2, 3, 7])) if rng.random() < 0.5 else f"({rng.choice([-1, -4])})"
+        elif len(ids) == 1:
+            text = forms[0]
+        elif rng.random() < 0.5:
+            text = f"({'*'.join(forms)})"
+        else:
+            text = f"({parse_polynomial('*'.join(forms), ('x', 'y'))[0].render()})"
+        written.append((text, rng.choice([1, 1, 2]) if len(ids) < 2 else 1))
+    text = "*".join(t if e == 1 else f"{t}^{e}" for t, e in written)
+    sign = "-" if rng.random() < 0.25 else ""
+    return sign + text, [(ids, e) for ids, (_, e) in zip(parts, written)]

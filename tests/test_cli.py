@@ -265,6 +265,41 @@ def test_node_cap_env_var(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "", "0", "-3"])
+def test_bad_node_cap_env_var_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CONTACTLOCI_NODE_CAP", value)
+    code, out, err = run(capsys, "oracle-count", "--poly", "x*y", "--m", "2", "--q", "5")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "CONTACTLOCI_NODE_CAP" in err
+
+
+def _positive_options():
+    """(command, option) for every --m, --q, --level and --scale option."""
+    from contactloci.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    return [
+        (command, action.option_strings[0])
+        for command, parser in sorted(subparsers.items())
+        for action in parser._actions
+        if action.option_strings[0] in ("--m", "--q", "--level", "--scale")
+    ]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command,option", _positive_options())
+def test_nonpositive_integer_options_are_usage_errors(capsys, command, option, value):
+    argv = [command, option, value]
+    if command != "verify-fibration":
+        argv += ["--poly", "x^2+y^3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert f"error: argument {option}" in captured.err.splitlines()[-1]
+    assert "expected a positive integer" in captured.err
+
+
 def test_resolve_univariate_cli(capsys):
     code, out, _ = run(capsys, "resolve", "--poly", "x^3", "--format", "json")
     assert code == 0

@@ -13,7 +13,9 @@ from contactloci.curves import (
 )
 from contactloci.errors import DomainError
 from contactloci.model import validate_configuration
-from contactloci.polys import SparsePolynomial
+from contactloci.polys import SparsePolynomial, parse_polynomial
+
+from conftest import PRODUCT_EXAMPLES, random_product_text
 
 
 def by_label(cfg):
@@ -291,15 +293,56 @@ def test_plane_factor_lists_match_expression_path():
     assert min(dropped, repeated, rational) >= 20
 
 
-def test_univariate_factorizations_match_expression_path():
+class _CountingSympy:
+    """Stands in for ``sympy`` inside ``contactloci.curves`` and counts the
+    ``factor_list`` calls made there."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def factor_list(self, *args, **kwargs):
+        self.calls += 1
+        return sympy.factor_list(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(sympy, name)
+
+
+def test_univariate_factorizations_match_expression_path(monkeypatch):
+    from contactloci import curves
+
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
     rng = random.Random(20191)
-    repeated = units = 0
+    repeated = units = by_inspection = by_sympy = 0
     for _ in range(200):
         u = random_univariate(rng)
+        before = counting.calls
         got = _uni_factorization(u)
         assert got == reference_uni_factorization(u), u
         repeated += any(e > 1 for _, e in got)
         units += any(monic[0] for monic, _ in got)
-    assert min(repeated, units) >= 50
+        by_sympy += counting.calls > before
+        by_inspection += counting.calls == before
+    assert min(repeated, units, by_inspection, by_sympy) >= 50, (repeated, units, by_inspection, by_sympy)
     with pytest.raises(DomainError):
         _uni_factorization({})
+
+
+def test_factor_lists_of_written_products_match_the_expanded_polynomial():
+    rng = random.Random(20192)
+    counts = {"shared": 0, "repeated": 0, "constant": 0, "unit": 0}
+    examples = [(text, None) for text in PRODUCT_EXAMPLES]
+    for text, parts in examples + [random_product_text(rng) for _ in range(60)]:
+        f, _ = parse_polynomial(text, ("x", "y"))
+        assert f.multiplicands, text
+        _, log = resolve_plane_curve(f)
+        assert (log.factors, log.dropped_factors) == reference_plane_factors(f), text
+        if parts is None:
+            continue
+        ids = [i for part, _ in parts for i in set(part)]
+        counts["shared"] += len(ids) > len(set(ids))
+        counts["repeated"] += any(e > 1 for _, _, e in log.factors)
+        counts["constant"] += any(not part for part, _ in parts)
+        counts["unit"] += any(part and min(part) >= 5 for part, _ in parts)
+    assert min(counts.values()) >= 20, counts

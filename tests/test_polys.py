@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from contactloci.errors import DomainError
 from contactloci.polys import SparsePolynomial, parse_polynomial
+
+from conftest import PRODUCT_EXAMPLES, random_product_text
 
 
 def test_parse_simple():
@@ -62,3 +65,41 @@ def test_render():
     assert poly.render() == "x^2 + y^3"
     poly2, _ = parse_polynomial("-2x + y", variables=("x", "y"))
     assert poly2.render() == "-2*x + y"
+
+
+def _expanded_product(poly):
+    """The product of ``poly``'s multiplicands, expanded by the parser."""
+    text = "*".join(f"({g.render()})^{e}" for g, e in poly.multiplicands)
+    return parse_polynomial(text, ("x", "y"))[0]
+
+
+def test_written_products_parse_to_the_expanded_polynomial():
+    rng = random.Random(20193)
+    texts = list(PRODUCT_EXAMPLES) + [random_product_text(rng)[0] for _ in range(60)]
+    for text in texts:
+        product, _ = parse_polynomial(text, ("x", "y"))
+        expanded, _ = parse_polynomial(product.render(), ("x", "y"))
+        assert product.multiplicands, text
+        assert product == expanded and hash(product) == hash(expanded), text
+        assert product.to_json_dict() == expanded.to_json_dict(), text
+        assert repr(product) == repr(expanded), text
+        assert _expanded_product(product) == product, text
+
+
+def test_multiplicands_of_the_outermost_term_only():
+    poly, _ = parse_polynomial("-((x+y)*(x-y))^2*x*3", ("x", "y"))
+    assert [(g.render(), e) for g, e in poly.multiplicands] == [
+        ("-1", 1), ("x^2 - y^2", 2), ("x", 1), ("3", 1)
+    ]
+    for text in ("x*y + y^4", "x^2 - (x - y)*(x + y)", "(x - y)*(x + y) + 1"):
+        assert parse_polynomial(text, ("x", "y"))[0].multiplicands == (), text
+    from_json = SparsePolynomial.from_json_dict(poly.to_json_dict())
+    assert from_json == poly and from_json.multiplicands == ()
+
+
+@pytest.mark.parametrize("base", ["3x^2y", "-2y", "x - 2y + 1", "x^2 - x*y + 3"])
+@pytest.mark.parametrize("e", [0, 1, 2, 5, 8])
+def test_powers_equal_repeated_products(base, e):
+    power, _ = parse_polynomial(f"({base})^{e}", ("x", "y"))
+    repeated, _ = parse_polynomial("*".join([f"({base})"] * e) or "1", ("x", "y"))
+    assert power == repeated
