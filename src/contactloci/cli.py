@@ -49,14 +49,21 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive")
+_nonnegative_int = _int_at_least(0, "a nonnegative")
 
 
 def _congruence(text: str) -> tuple[int, int]:
@@ -352,12 +359,17 @@ def _cmd_oracle_chi(args) -> int:
     fit = interpolate_chi(counts, args.expected_dim)
     if args.csv:
         export_counts_csv(args.csv, counts)
+    # all-zero counts fit no degree: an empty locus matches no stated dimension
+    degree_match = args.expected_dim is None or fit.degree == args.expected_dim
+    passed = fit.conclusive and degree_match
     data = {"counts": [[q, n] for q, n in counts], "fit": fit.to_json_dict()}
+    if args.expected_dim is not None:
+        data.update(expected_dim=args.expected_dim, degree_match=degree_match)
     table = "\n".join([f"q={q}: {n}" for q, n in counts])
     table += f"\nfit: {fit.render()}"
-    table += f"\nchi estimate at q=1: {fit.chi}" if fit.conclusive else f"\n{fit.message}"
+    table += f"\nchi estimate at q=1: {fit.chi}" if passed else f"\n{fit.message}"
     _emit(args, data, table)
-    return 0 if fit.conclusive else 1
+    return 0 if passed else 1
 
 
 def _cmd_verify_fibration(args) -> int:
@@ -541,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--level", type=_positive_int, default=None)
     p.add_argument("--strata", action="store_true", help="stratify by vanishing orders")
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=_positive_int, default=None)
     _add_format_option(p)
     p.set_defaults(func=_cmd_oracle_count, config=None)
 
@@ -553,9 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_positive_int, default=None)
     p.add_argument("--primes", type=_int_list, help="comma separated primes, default pool 3,5,7,11,13")
     p.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
-    p.add_argument("--expected-dim", type=int, default=None)
+    p.add_argument("--expected-dim", type=_nonnegative_int, default=None)
     p.add_argument("--csv", help="write (q, count) samples to this file")
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=_positive_int, default=None)
     _add_format_option(p)
     p.set_defaults(func=_cmd_oracle_chi, config=None)
 
@@ -565,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--nu", type=int, default=2)
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=_positive_int, default=None)
     _add_format_option(p)
     p.set_defaults(func=_cmd_verify_fibration)
 
@@ -575,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=_int_list, help="comma separated primes for the oracle")
     p.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
     p.add_argument("--level", type=_positive_int, default=None)
-    p.add_argument("--node-cap", type=int, default=None)
+    p.add_argument("--node-cap", type=_positive_int, default=None)
     _add_format_option(p)
     p.set_defaults(func=_cmd_report)
 

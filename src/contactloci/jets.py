@@ -376,9 +376,6 @@ class CountReport:
     elapsed: float = 0.0
     nodes: int = 0  # level-1 candidates plus prefixes whose coefficient was evaluated
 
-    def strata_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.strata)
-
     def to_json_dict(self) -> dict:
         return {
             "poly": self.poly_text,

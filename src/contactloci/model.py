@@ -163,11 +163,16 @@ class SncConfiguration:
         except KeyError:
             raise DomainError(f"no divisor with id {i}") from None
 
-    def has_divisor(self, i: int) -> bool:
-        return i in self._by_id
+    @cached_property
+    def _cells_by_id(self) -> dict[int, tuple[IntersectionCell, ...]]:
+        index: dict[int, list[IntersectionCell]] = {}
+        for cell in self.cells:
+            for i in set(cell.ids):
+                index.setdefault(i, []).append(cell)
+        return {i: tuple(cells) for i, cells in index.items()}
 
     def cells_containing(self, i: int) -> tuple[IntersectionCell, ...]:
-        return tuple(c for c in self.cells if i in c.ids)
+        return self._cells_by_id.get(i, ())
 
     def puncture_count(self, i: int) -> int:
         """Number of points removed from E_i by the other components."""

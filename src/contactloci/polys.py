@@ -61,20 +61,6 @@ class SparsePolynomial:
                 return coeff
         return Fraction(0)
 
-    def multiplicity_at_origin(self) -> int:
-        """Order of vanishing at 0, i.e. the least total degree of a term."""
-        if not self.terms:
-            raise DomainError("the zero polynomial has no multiplicity")
-        return min(sum(exps) for exps, _ in self.terms)
-
-    def linear_part(self) -> tuple[Fraction, ...]:
-        """Coefficients of the degree-one monomials, one per variable."""
-        grad = [Fraction(0)] * self.nvars
-        for exps, coeff in self.terms:
-            if sum(exps) == 1:
-                grad[exps.index(1)] = coeff
-        return tuple(grad)
-
     def to_json_dict(self) -> dict:
         return {
             "nvars": self.nvars,

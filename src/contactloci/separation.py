@@ -9,9 +9,11 @@ minimal pair multiplicity raises the minimum strictly until it exceeds m.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import ResourceLimitError, UnsupportedDimensionError
+from .errors import UnsupportedDimensionError
 from .model import Divisor, IntersectionCell, SncConfiguration, require_valid
 
 
@@ -74,18 +76,24 @@ def first_offending_pair(cfg: SncConfiguration, m: int) -> tuple[int, int, int] 
     return None
 
 
-def separate(
-    cfg: SncConfiguration, m: int, *, max_subdivisions: int = 10_000
-) -> tuple[SncConfiguration, list[SubdivisionRecord]]:
+def separate(cfg: SncConfiguration, m: int) -> tuple[SncConfiguration, list[SubdivisionRecord]]:
     """Blow up intersection points until the configuration is m-separating.
 
-    Cells of minimal pair multiplicity are processed first, ties broken by
-    (min id, max id, point index); a cell of count c is treated as c
+    Cells are processed in the order of their key (pair multiplicity,
+    min id, max id, over_sigma); a cell of count c is treated as c
     independent points.  Each subdivision adds an exceptional divisor with
     mult m_i + m_j, disc nu_i + nu_j, genus 0 and self-intersection -1,
     drops the endpoints' self-intersections by one, moves one intersection
     point from the old cell onto the two new cells, and inherits the
     over_sigma flag of the subdivided cell.
+
+    The loop terminates with a known size.  A new cell's pair multiplicity
+    exceeds the subdivided one's, so the heap pops cells level by level,
+    and only cells of pair multiplicity <= m enter it.  The divisors born
+    over a cell between multiplicities a and b are the Stern-Brocot tree of
+    that edge, one per coprime (i, j) with mult i*a + j*b, so a cell of
+    count c gets c * #{(i, j) coprime, i, j >= 1, i*a + j*b <= m}
+    subdivisions.
     """
     require_valid(cfg)
     if cfg.ambient_dim != 2:
@@ -96,76 +104,47 @@ def separate(
             "supply an m-separating configuration for ambient_dim != 2"
         )
 
-    divisors = {d.id: d for d in cfg.divisors}
+    mult = {d.id: d.mult for d in cfg.divisors}
+    disc = {d.id: d.disc for d in cfg.divisors}
     # mutable cell multiset: (i, j, over_sigma) -> count
     cells: dict[tuple[int, int, bool], int] = {}
     for cell in cfg.cells:
         key = (cell.ids[0], cell.ids[1], cell.over_sigma)
         cells[key] = cells.get(key, 0) + cell.count
+    heap = [(mult[i] + mult[j], i, j, flag) for i, j, flag in cells if mult[i] + mult[j] <= m]
+    heapq.heapify(heap)
 
     records: list[SubdivisionRecord] = []
-    next_id = max(divisors) + 1
-    passes = 0
-    last_min = None
-    while True:
-        if len(records) > max_subdivisions:
-            raise ResourceLimitError("separation exceeded the subdivision cap")
-        offending = [
-            (divisors[i].mult + divisors[j].mult, i, j, flag)
-            for (i, j, flag), count in cells.items()
-            if count and divisors[i].mult + divisors[j].mult <= m
-        ]
-        if not offending:
-            break
-        level = min(pm for pm, _, _, _ in offending)
-        # each pass exhausts one minimum level, so the level rises strictly
-        assert last_min is None or level > last_min
-        batch = sorted((i, j, flag) for pm, i, j, flag in offending if pm == level)
-        for i, j, flag in batch:
-            count = cells.get((i, j, flag), 0)
-            for point_index in range(count):
-                di, dj = divisors[i], divisors[j]
-                new = Divisor(
-                    id=next_id,
-                    label=f"S{len(records) + 1}",
-                    mult=di.mult + dj.mult,
-                    disc=di.disc + dj.disc,
-                    exceptional=True,
-                    over_sigma=flag,
-                    genus=0,
-                    self_int=-1,
-                )
-                divisors[next_id] = new
-                for endpoint in (i, j):
-                    d = divisors[endpoint]
-                    if d.self_int is not None:
-                        divisors[endpoint] = replace(d, self_int=d.self_int - 1)
-                cells[(i, j, flag)] -= 1
-                for endpoint in (i, j):
-                    key = (min(endpoint, next_id), max(endpoint, next_id), flag)
-                    cells[key] = cells.get(key, 0) + 1
-                records.append(
-                    SubdivisionRecord(
-                        pair=(i, j),
-                        point_index=point_index,
-                        new_id=next_id,
-                        mult=new.mult,
-                        disc=new.disc,
-                        over_sigma=flag,
-                    )
-                )
-                next_id += 1
-        last_min = level
-        passes += 1
+    drops: Counter[int] = Counter()  # self-intersection drops per divisor id
+    new_id = max(mult) + 1
+    while heap:
+        pm, i, j, flag = heapq.heappop(heap)
+        for point_index in range(cells.pop((i, j, flag))):
+            mult[new_id] = pm
+            disc[new_id] = disc[i] + disc[j]
+            for endpoint in (i, j):
+                drops[endpoint] += 1
+                cells[(endpoint, new_id, flag)] = 1  # new_id exceeds every id so far
+                if mult[endpoint] + pm <= m:
+                    heapq.heappush(heap, (mult[endpoint] + pm, endpoint, new_id, flag))
+            records.append(SubdivisionRecord((i, j), point_index, new_id, pm, disc[new_id], flag))
+            new_id += 1
 
+    divisors = [
+        replace(d, self_int=d.self_int - drops[d.id]) if d.self_int is not None and drops[d.id] else d
+        for d in cfg.divisors
+    ]
+    divisors += [
+        Divisor(r.new_id, f"S{n}", r.mult, r.disc, True, r.over_sigma, 0, -1 - drops[r.new_id])
+        for n, r in enumerate(records, start=1)
+    ]
     new_cells = tuple(
         IntersectionCell(ids=(i, j), count=count, over_sigma=flag)
         for (i, j, flag), count in sorted(cells.items())
-        if count
     )
     out = SncConfiguration(
         ambient_dim=2,
-        divisors=tuple(divisors.values()),
+        divisors=tuple(divisors),
         cells=new_cells,
         sigma_label=cfg.sigma_label,
     )

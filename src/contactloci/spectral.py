@@ -81,19 +81,6 @@ class E1Page:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (p + q) * e.rank for (p, q), e in self.entries)
 
-    def content_multiset(self) -> tuple[tuple[int, int, int], ...]:
-        """Sorted multiset of (total degree, divisor id, homology degree).
-
-        Together with the cover data this pins the page content; it is
-        independent of the chosen valid weight vector, only the column
-        labels move when the weights change.
-        """
-        items = []
-        for (p, q), e in self.entries:
-            for i, n in e.contributors:
-                items.append((p + q, i, n))
-        return tuple(sorted(items))
-
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,

@@ -39,6 +39,13 @@ def hand_built_cusp() -> SncConfiguration:
     )
 
 
+def page_content(page) -> tuple[tuple[int, int, int], ...]:
+    """Sorted multiset of (total degree, divisor id, homology degree) of an
+    E1 page: with the cover data it pins the page content, whatever valid
+    weight vector placed the columns."""
+    return tuple(sorted((p + q, i, n) for (p, q), e in page.entries for i, n in e.contributors))
+
+
 def hand_built_node() -> SncConfiguration:
     return SncConfiguration(
         ambient_dim=2,

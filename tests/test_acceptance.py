@@ -34,6 +34,8 @@ from contactloci.spectral import (
 )
 from contactloci.weights import WeightVector, solve_weights, validate_weights
 
+from conftest import page_content
+
 
 @contextmanager
 def criterion(label: str, budget: float):
@@ -215,7 +217,7 @@ def test_criterion_7_weight_solver():
             if validate_weights(sep, bumped):
                 variants.append(bumped)
             assert len(variants) >= 3
-            contents = {e1_page(sep, ww, m).content_multiset() for ww in variants}
+            contents = {page_content(e1_page(sep, ww, m)) for ww in variants}
             assert len(contents) == 1
             totals = {
                 tuple(sorted(e1_page(sep, ww, m).ranks_by_total_degree().items()))

@@ -220,6 +220,24 @@ def test_oracle_chi_inconclusive_exits_1(capsys):
     assert "inconclusive" in out
 
 
+def test_oracle_chi_expected_dim_mismatch_exits_1(capsys):
+    argv = ["oracle-chi", "--poly", "x*y", "--m", "2", "--primes", "3,5,7", "--expected-dim"]
+    code, out, _ = run(capsys, *argv, "3")
+    assert code == 0 and "chi estimate at q=1: 0" in out
+    code, out, _ = run(capsys, *argv, "2")
+    assert code == 1 and out.splitlines()[-1] == "fitted degree 3 differs from expected dimension 2"
+    code, out, _ = run(capsys, *argv, "2", "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and (data["expected_dim"], data["degree_match"]) == (2, False)
+    # all counts zero: the locus is empty and has no dimension
+    code, out, _ = run(capsys, "oracle-chi", "--poly", "x^2+y^3", "--m", "1", "--expected-dim", "0")
+    assert code == 1 and out.splitlines()[-1] == "all counts zero"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-3"])
+    assert exc.value.code == 2
+    assert "expected a nonnegative integer, got '-3'" in capsys.readouterr().err
+
+
 def test_report_fails_on_inconclusive_oracle(capsys):
     code, out, _ = run(
         capsys, "report", "--poly", "x^2+y^3", "--m", "3", "--primes", "3,5,7,11,13"
@@ -274,7 +292,7 @@ def test_bad_node_cap_env_var_is_a_usage_error(capsys, monkeypatch, value):
 
 
 def _positive_options():
-    """(command, option) for every --m, --q, --level and --scale option."""
+    """(command, option) for every --m, --q, --level, --scale and --node-cap option."""
     from contactloci.cli import build_parser
 
     subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
@@ -282,7 +300,7 @@ def _positive_options():
         (command, action.option_strings[0])
         for command, parser in sorted(subparsers.items())
         for action in parser._actions
-        if action.option_strings[0] in ("--m", "--q", "--level", "--scale")
+        if action.option_strings[0] in ("--m", "--q", "--level", "--scale", "--node-cap")
     ]
 
 
@@ -590,7 +608,10 @@ _FAILED_CHECK = {
     "validate": (lambda d: d["valid"] is False, lambda t: t != "valid"),
     "check-euler": (lambda d: d["passed"] is False, lambda t: t.endswith("FAIL")),
     "verify-fibration": (lambda d: d["passed"] is False, lambda t: t.endswith("FAIL")),
-    "oracle-chi": (lambda d: d["fit"]["conclusive"] is False, lambda t: "chi estimate at q=1" not in t),
+    "oracle-chi": (
+        lambda d: d["fit"]["conclusive"] is False or d.get("degree_match") is False,
+        lambda t: "chi estimate at q=1" not in t,
+    ),
     "report": (lambda d: d["verdict"] == "FAIL", lambda t: "verdict: FAIL" in t),
 }
 

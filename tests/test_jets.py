@@ -153,7 +153,7 @@ def test_nodes_count_candidates_and_evaluated_prefixes():
 
 def test_stratified_cusp_m2():
     report = stratified_count("x^2+y^3", 2, 3, 5)
-    strata = report.strata_dict()
+    strata = dict(report.strata)
     assert report.total == 2 * 5 ** 5
     assert sum(strata.values()) == report.total
     assert strata[(1, 1)] == 2 * 4 * 5 ** 4

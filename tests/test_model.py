@@ -1,5 +1,6 @@
 import pytest
 
+from contactloci.curves import resolve_plane_curve
 from contactloci.errors import UnsupportedDimensionError
 from contactloci.model import (
     Divisor,
@@ -8,7 +9,7 @@ from contactloci.model import (
     euler_open_stratum,
     validate_configuration,
 )
-from contactloci.separation import pair_multiplicities
+from contactloci.separation import pair_multiplicities, separate
 
 from conftest import hand_built_cusp, hand_built_node
 
@@ -149,12 +150,17 @@ def test_lookups_by_id_match_a_linear_scan():
     cfg = SncConfiguration(2, hand_built_cusp().divisors + (twin,))
     for i in range(-1, 6):
         scan = [d for d in cfg.divisors if d.id == i]  # the first of equal ids wins
-        assert cfg.has_divisor(i) == bool(scan)
         if scan:
             assert cfg.divisor(i) is scan[0]
         else:
             with pytest.raises(DomainError, match=f"no divisor with id {i}"):
                 cfg.divisor(i)
+
+    sep, _ = separate(resolve_plane_curve("x^2 + y^4")[0], 12)  # has a count-2 cell
+    repeated = SncConfiguration(2, sep.divisors, sep.cells + (IntersectionCell((2, 2)),))
+    for c in (sep, repeated):
+        for i in range(-1, len(c.divisors) + 1):
+            assert c.cells_containing(i) == tuple(cell for cell in c.cells if i in cell.ids)
 
     w = WeightVector(((0, 3), (2, 5), (2, 7)))
     assert (w.get(0), w.get(2)) == (3, 5)

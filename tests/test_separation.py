@@ -1,3 +1,7 @@
+import functools
+import math
+from dataclasses import replace
+
 import pytest
 
 from contactloci.covers import cover_betti
@@ -10,11 +14,142 @@ from contactloci.model import (
     SncConfiguration,
     validate_configuration,
 )
-from contactloci.separation import is_m_separating, pair_multiplicities, separate
+from contactloci.separation import (
+    SubdivisionRecord,
+    is_m_separating,
+    pair_multiplicities,
+    separate,
+)
 
 from conftest import hand_built_cusp, hand_built_node
 
 SUITE = ("x^2+y^3", "x*y", "x^3+y^4", "x^2+y^5")
+LADDER_GERMS = ("x^2+y^3", "x^2+y^5", "x*y", "x^3+y^4", "x^2*y+y^4", "(x^2-y^3)*(x^3-y^2)")
+
+
+@functools.cache
+def resolved(text: str) -> SncConfiguration:
+    return resolve_plane_curve(text)[0]
+
+
+def reference_separate(
+    cfg: SncConfiguration, m: int
+) -> tuple[SncConfiguration, list[SubdivisionRecord]]:
+    """The level-by-level separation loop: rescan every cell for the least
+    offending pair multiplicity, then subdivide that level's cells in
+    (min id, max id, flag) order.  Curve case only."""
+    divisors = {d.id: d for d in cfg.divisors}
+    cells: dict[tuple[int, int, bool], int] = {}
+    for cell in cfg.cells:
+        key = (cell.ids[0], cell.ids[1], cell.over_sigma)
+        cells[key] = cells.get(key, 0) + cell.count
+
+    records: list[SubdivisionRecord] = []
+    next_id = max(divisors) + 1
+    last_min = None
+    while True:
+        offending = [
+            (divisors[i].mult + divisors[j].mult, i, j, flag)
+            for (i, j, flag), count in cells.items()
+            if count and divisors[i].mult + divisors[j].mult <= m
+        ]
+        if not offending:
+            break
+        level = min(pm for pm, _, _, _ in offending)
+        assert last_min is None or level > last_min
+        batch = sorted((i, j, flag) for pm, i, j, flag in offending if pm == level)
+        for i, j, flag in batch:
+            count = cells.get((i, j, flag), 0)
+            for point_index in range(count):
+                di, dj = divisors[i], divisors[j]
+                new = Divisor(
+                    id=next_id,
+                    label=f"S{len(records) + 1}",
+                    mult=di.mult + dj.mult,
+                    disc=di.disc + dj.disc,
+                    exceptional=True,
+                    over_sigma=flag,
+                    genus=0,
+                    self_int=-1,
+                )
+                divisors[next_id] = new
+                for endpoint in (i, j):
+                    d = divisors[endpoint]
+                    if d.self_int is not None:
+                        divisors[endpoint] = replace(d, self_int=d.self_int - 1)
+                cells[(i, j, flag)] -= 1
+                for endpoint in (i, j):
+                    key = (min(endpoint, next_id), max(endpoint, next_id), flag)
+                    cells[key] = cells.get(key, 0) + 1
+                records.append(
+                    SubdivisionRecord(
+                        pair=(i, j),
+                        point_index=point_index,
+                        new_id=next_id,
+                        mult=new.mult,
+                        disc=new.disc,
+                        over_sigma=flag,
+                    )
+                )
+                next_id += 1
+        last_min = level
+
+    new_cells = tuple(
+        IntersectionCell(ids=(i, j), count=count, over_sigma=flag)
+        for (i, j, flag), count in sorted(cells.items())
+        if count
+    )
+    out = SncConfiguration(
+        ambient_dim=2,
+        divisors=tuple(divisors.values()),
+        cells=new_cells,
+        sigma_label=cfg.sigma_label,
+    )
+    return out, records
+
+
+def closed_form_size(cfg: SncConfiguration, m: int) -> int:
+    """Subdivisions needed for m-separation: a cell of count c between
+    multiplicities a and b gets c * #{(i, j) coprime, i, j >= 1,
+    i*a + j*b <= m}."""
+    total = 0
+    for cell in cfg.cells:
+        a, b = (cfg.divisor(k).mult for k in cell.ids)
+        total += cell.count * sum(
+            1
+            for i in range(1, (m - b) // a + 1)
+            for j in range(1, (m - i * a) // b + 1)
+            if math.gcd(i, j) == 1
+        )
+    return total
+
+
+def assert_same_separation(cfg: SncConfiguration, m: int) -> None:
+    sep, records = separate(cfg, m)
+    ref_sep, ref_records = reference_separate(cfg, m)
+    assert sep.to_json_dict() == ref_sep.to_json_dict()
+    assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in ref_records]
+
+
+@pytest.mark.parametrize("text", LADDER_GERMS)
+def test_separate_matches_reference_on_ladder_germs(text):
+    for m in range(1, 41):
+        assert_same_separation(resolved(text), m)
+
+
+@pytest.mark.parametrize("m", (96, 192))
+@pytest.mark.parametrize("text", ("x^2+y^3", "(x^2-y^3)*(x^3-y^2)"))
+def test_separate_matches_reference_at_large_m(text, m):
+    assert_same_separation(resolved(text), m)
+
+
+@pytest.mark.parametrize(
+    "text, m", [(text, m) for text in LADDER_GERMS for m in (1, 7, 17, 40)] + [("x*y", 192)]
+)
+def test_subdivision_count_has_a_closed_form(text, m):
+    sep, records = separate(resolved(text), m)
+    assert len(records) == closed_form_size(resolved(text), m)
+    assert is_m_separating(sep, m)
 
 
 def min_pair_multiplicity(cfg: SncConfiguration) -> int | None:

@@ -22,7 +22,7 @@ from contactloci.spectral import (
 )
 from contactloci.weights import WeightVector, solve_weights
 
-from conftest import hand_built_cusp, hand_built_node
+from conftest import hand_built_cusp, hand_built_node, page_content
 
 CUSP_W = WeightVector.from_dict({0: 4, 1: 6, 2: 11, 3: 0})
 
@@ -229,7 +229,7 @@ def test_weight_invariance_of_content():
     w2 = CUSP_W.scaled(2)
     w3 = WeightVector.from_dict({0: 5, 1: 7, 2: 13, 3: 0})
     pages = [e1_page(cusp, w, 6) for w in (w1, w2, w3)]
-    contents = {page.content_multiset() for page in pages}
+    contents = {page_content(page) for page in pages}
     assert len(contents) == 1
     totals = {tuple(sorted(page.ranks_by_total_degree().items())) for page in pages}
     assert len(totals) == 1
