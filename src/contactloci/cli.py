@@ -120,10 +120,14 @@ def _load_input(
     return cfg, None, poly.render()
 
 
-def _prepare_pipeline(args, m: int, poly: SparsePolynomial | None = None):
-    """Resolve, separate at m, and choose weights; shared by e1/hc/report."""
+def _prepare_pipeline(args, m: int | None, poly: SparsePolynomial | None = None):
+    """Resolve, separate at m (not at all when m is None), and choose the
+    weights: --weights, else the config file's, else the solver's; scaled
+    by --scale and checked.  Shared by weights/e1/hc/report."""
     cfg, file_weights, desc = _load_input(args, poly)
-    if cfg.ambient_dim == 2:
+    if m is None:
+        sep, records = cfg, []
+    elif cfg.ambient_dim == 2:
         sep, records = separate(cfg, m)
     else:
         if not is_m_separating(cfg, m):
@@ -251,14 +255,7 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    if args.m is not None:
-        _, sep, _, w, _ = _prepare_pipeline(args, args.m)
-    else:
-        cfg, file_weights, _ = _load_input(args)
-        sep = cfg
-        w = file_weights or solve_weights(cfg)
-        if args.scale != 1:
-            w = w.scaled(args.scale)
+    _, sep, _, w, _ = _prepare_pipeline(args, args.m)
     data = {"weights": w.to_json_dict(), "note": AMPLE_NOTE}
     labels = {d.id: d.label for d in sep.divisors}
     table = "\n".join(f"w[{labels[i]}] = {value}" for i, value in w.entries)

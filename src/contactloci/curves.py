@@ -42,7 +42,7 @@ from typing import Mapping
 
 import sympy
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .model import Divisor, IntersectionCell, SncConfiguration
 from .polys import SparsePolynomial, parse_polynomial
 
@@ -166,20 +166,14 @@ class LocalProblem:
     """Germ of the total transform at one point over the origin."""
 
     axes: tuple[tuple[str, int], ...]  # ("u"|"v", exceptional index), sorted
-    stricts: tuple[tuple[int, tuple], ...]  # (factor index, poly as sorted term tuple)
+    stricts: dict[int, Poly2]  # factor index -> strict transform, by index
     site: str  # human readable position, for the log
 
     @classmethod
     def make(cls, axes: Mapping[str, int], stricts: Mapping[int, Poly2], site: str) -> "LocalProblem":
-        packed = tuple(
-            (j, tuple(sorted(g.items())))
-            for j, g in sorted(stricts.items())
-            if _vanishes_at_origin(g)
-        )
-        return cls(tuple(sorted(axes.items())), packed, site)
-
-    def strict_polys(self) -> dict[int, Poly2]:
-        return {j: dict(terms) for j, terms in self.stricts}
+        """The problem at a point; strict transforms that miss it are dropped."""
+        through = {j: g for j, g in sorted(stricts.items()) if _vanishes_at_origin(g)}
+        return cls(tuple(sorted(axes.items())), through, site)
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,6 @@ class ResolutionLog:
     factors: tuple[tuple[int, str, int], ...]  # (factor index, text, exponent in f)
     dropped_factors: tuple[str, ...]  # factors of f not through the origin
     blowups: tuple[BlowupRecord, ...]
-    notes: tuple[str, ...] = ()
 
 
 class ResolutionState:
@@ -211,18 +204,14 @@ class ResolutionState:
         self.worklist: deque[LocalProblem] = deque()
 
     # handles: ("E", index) for exceptional, ("D", factor index) for stricts
-    def _record_cell(self, ha, hb):
-        key = tuple(sorted((ha, hb)))
-        self.cells[key] = self.cells.get(key, 0) + 1
-
-    def _record_cluster_cell(self, ha, hb, count):
+    def _record_cell(self, ha, hb, count=1):
         key = tuple(sorted((ha, hb)))
         self.cells[key] = self.cells.get(key, 0) + count
 
 
 def is_snc_problem(problem: LocalProblem) -> bool:
     """Simple normal crossing test for the germ at the problem's point."""
-    stricts = problem.strict_polys()
+    stricts = problem.stricts
     mults = {j: _mult0(g) for j, g in stricts.items()}
     if any(mu >= 2 for mu in mults.values()):
         return False
@@ -269,7 +258,7 @@ def blowup_step(state: ResolutionState, problem: LocalProblem) -> int:
     needed).
     """
     axes = dict(problem.axes)
-    stricts = problem.strict_polys()
+    stricts = problem.stricts
     if not axes and not stricts:
         raise DomainError("blowup center does not lie on the total transform")
     mults = {j: _mult0(g) for j, g in stricts.items()}
@@ -321,7 +310,7 @@ def blowup_step(state: ResolutionState, problem: LocalProblem) -> int:
         simple = len(participants) == 1 and next(iter(participants.values())) == 1
         if simple:
             (j,) = participants
-            state._record_cluster_cell(("E", new_index), ("D", j), degree)
+            state._record_cell(("E", new_index), ("D", j), degree)
         else:
             raise DomainError(
                 "resolution needs a blowup at a non-rational point cluster "
@@ -343,26 +332,29 @@ def blowup_step(state: ResolutionState, problem: LocalProblem) -> int:
 
 def _terminal_cells(state: ResolutionState, problem: LocalProblem) -> None:
     handles = [("E", idx) for _, idx in problem.axes]
-    handles += [("D", j) for j, _ in problem.stricts]
+    handles += [("D", j) for j in problem.stricts]
     if len(handles) == 2:
         state._record_cell(handles[0], handles[1])
 
 
-def resolve_plane_curve(
-    f: SparsePolynomial | str,
-    *,
-    ensure_sigma_divisor: bool = True,
-    max_blowups: int = 64,
-) -> tuple[SncConfiguration, ResolutionLog]:
+def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, ResolutionLog]:
     """Resolve the germ of f at the origin to a simple normal crossing
     configuration over Sigma = {0}.
 
-    With ``ensure_sigma_divisor`` (the default) at least one blowup is
-    performed even if the germ is already simple normal crossing, so that
-    the fiber over the origin is a divisor and the configuration is usable
-    for contact locus computations.  Passing ``False`` returns the minimal
-    configuration, which for a smooth reduced germ is the strict transform
-    alone (and then carries no divisor over Sigma).
+    The origin is blown up once even when the germ is already simple normal
+    crossing, so that the fiber over the origin is a divisor.  Then local
+    problems are popped breadth first until none is left: a simple normal
+    crossing problem records its cell, any other is blown up.
+
+    The loop ends because this is classical embedded resolution of the
+    reduced curve (the distinct factors of f): each blowup at a point that
+    is singular on a strict transform, or where the total transform is not
+    simple normal crossing, lowers the multiplicities and contact orders
+    there, and every blowup centre is rational, since a non-rational
+    cluster that is not already simple normal crossing is refused with a
+    DomainError.  There is no blowup cap.  For x^a + y^b with coprime
+    2 <= a < b the number of blowups is the sum of the quotients of
+    Euclid's algorithm on (b, a); x^2 + y^127 takes 63 + 2 = 65.
     """
     f = as_plane_curve(f)
 
@@ -391,25 +383,13 @@ def resolve_plane_curve(
         factor_texts.append((j, text, exp))
 
     state = ResolutionState(factor_exponents)
-    origin = LocalProblem.make({}, factor_polys, "origin")
-    notes: list[str] = []
-
-    if is_snc_problem(origin) and not ensure_sigma_divisor:
-        _terminal_cells(state, origin)
-        notes.append("germ already simple normal crossing; no blowup performed")
-    else:
-        state.worklist.append(origin)
-        blowups = 0
-        while state.worklist:
-            problem = state.worklist.popleft()
-            force = blowups == 0 and ensure_sigma_divisor
-            if is_snc_problem(problem) and not force:
-                _terminal_cells(state, problem)
-                continue
-            if blowups >= max_blowups:
-                raise ResourceLimitError(f"resolution did not terminate within {max_blowups} blowups")
+    blowup_step(state, LocalProblem.make({}, factor_polys, "origin"))
+    while state.worklist:
+        problem = state.worklist.popleft()
+        if is_snc_problem(problem):
+            _terminal_cells(state, problem)
+        else:
             blowup_step(state, problem)
-            blowups += 1
 
     # assemble the configuration: exceptional divisors first, strict factors after
     n_exc = len(state.exceptional)
@@ -460,7 +440,6 @@ def resolve_plane_curve(
         factors=tuple(factor_texts),
         dropped_factors=tuple(dropped),
         blowups=tuple(state.records),
-        notes=tuple(notes),
     )
     return cfg, log
 

@@ -174,6 +174,11 @@ class SncConfiguration:
     def cells_containing(self, i: int) -> tuple[IntersectionCell, ...]:
         return self._cells_by_id.get(i, ())
 
+    @cached_property
+    def _issues(self) -> tuple["ValidationIssue", ...]:
+        """validate_configuration's report, computed once per configuration."""
+        return tuple(validate_configuration(self))
+
     def puncture_count(self, i: int) -> int:
         """Number of points removed from E_i by the other components."""
         return sum(c.count for c in self.cells_containing(i))
@@ -280,9 +285,9 @@ def validate_configuration(cfg: SncConfiguration) -> list[ValidationIssue]:
 
 
 def require_valid(cfg: SncConfiguration) -> None:
-    issues = validate_configuration(cfg)
-    if issues:
-        raise ValidationFailedError(issues)
+    """Raise on an invalid configuration; each configuration is scanned once."""
+    if cfg._issues:
+        raise ValidationFailedError(cfg._issues)
 
 
 def euler_open_stratum(cfg: SncConfiguration, i: int) -> int:

@@ -62,9 +62,13 @@ class WeightVector:
     def from_json_dict(cls, data: Mapping) -> "WeightVector":
         if not isinstance(data, Mapping):
             raise DomainError(f"weights must be a JSON object, not {type(data).__name__}")
+        seen = set()
         for key, value in data.items():
             if not str(key).removeprefix("-").isdecimal() or type(value) is not int:
                 raise DomainError(f"bad weight entry {key!r}: {value!r} (need divisor id: integer)")
+            if int(key) in seen:
+                raise DomainError(f"weights name divisor {int(key)} twice")
+            seen.add(int(key))
         return cls.from_dict(data)
 
 
@@ -160,10 +164,11 @@ def ample_deficits(cfg: SncConfiguration, w: WeightVector) -> dict[int, int]:
 
 
 def validate_weights(cfg: SncConfiguration, w: WeightVector) -> bool:
-    """Nonnegative, zero on non-exceptional divisors, and (curve case)
-    strictly positive against every exceptional curve."""
+    """One weight per divisor and none elsewhere, nonnegative, zero on
+    non-exceptional divisors, and (curve case) strictly positive against
+    every exceptional curve."""
     values = w.as_dict()
-    if any(values.get(d.id, -1) < 0 for d in cfg.divisors):
+    if values.keys() != {d.id for d in cfg.divisors} or any(v < 0 for v in values.values()):
         return False
     if any(values[d.id] != 0 for d in cfg.divisors if not d.exceptional):
         return False

@@ -111,7 +111,14 @@ def test_invalid_weight_override_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "weights,named", [('{"0":"a"}', "'a'"), ("[1]", "list"), ('{"x":4}', "'x'"), ('{"0":1.5}', "1.5")]
+    "weights,named",
+    [
+        ('{"0":"a"}', "'a'"),
+        ("[1]", "list"),
+        ('{"x":4}', "'x'"),
+        ('{"0":1.5}', "1.5"),
+        ('{"0":2,"00":4,"1":6,"2":11,"3":0}', "divisor 0 twice"),
+    ],
 )
 def test_malformed_weights_are_usage_errors(tmp_path, capsys, weights, named):
     code, out, err = run(capsys, "e1", "--poly", "x^2+y^3", "--m", "6", "--weights", weights)
@@ -136,6 +143,65 @@ def test_weights_cli_with_separation(capsys):
     # the separated configuration has one more exceptional divisor
     assert len(data["weights"]) == 5
     assert "ampleness" in data["note"]
+
+
+@pytest.mark.parametrize("m", [[], ["--m", "7"]])
+@pytest.mark.parametrize(
+    "weights", ['{"0":5,"1":0}', '{"0":0,"1":7}', '{"0":4,"1":6,"2":11,"3":0,"99":1}']
+)
+def test_weights_cli_checks_every_weight_choice(tmp_path, capsys, m, weights):
+    code, out, err = run(capsys, "weights", "--poly", "x^2+y^3", "--weights", weights, *m)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    data = hand_built_cusp().to_json_dict()
+    data["weights"] = json.loads(weights)
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "weights", "--config", str(path), *m)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_weights_cli_prints_a_valid_override_as_given(capsys):
+    weights = {"0": 5, "1": 7, "2": 13, "3": 0}
+    code, out, _ = run(
+        capsys, "weights", "--poly", "x^2+y^3", "--weights", json.dumps(weights), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["weights"] == weights
+    code, out, _ = run(capsys, "weights", "--poly", "x^2+y^3", "--weights", json.dumps(weights), "--scale", "2")
+    assert code == 0
+    assert out.splitlines()[:4] == ["w[E1] = 10", "w[E2] = 14", "w[E3] = 26", "w[D1] = 0"]
+
+
+def test_report_validates_each_configuration_once(capsys, monkeypatch):
+    from contactloci import model
+
+    scanned, original = [], model.validate_configuration
+
+    def counting(cfg):
+        scanned.append(len(cfg.divisors))
+        return original(cfg)
+
+    monkeypatch.setattr(model, "validate_configuration", counting)
+    code, out, _ = run(capsys, "report", "--poly", "x^2+y^3", "--m", "96", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    # once for the resolution, once for its separation at m
+    assert scanned == [4, len(data["configuration"]["divisors"])]
+
+
+@pytest.mark.parametrize(
+    "poly,m,primes", [("x^2+y^127", 6, ["--primes", "3,5,7"]), ("x^64+y^65", 64, [])]
+)
+def test_report_passes_on_germs_with_long_resolutions(capsys, poly, m, primes):
+    code, out, _ = run(capsys, "report", "--poly", poly, "--m", str(m), *primes, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "PASS"
+    if primes:
+        assert data["oracle"]["chi_match"] is True
 
 
 def test_report_on_config_input(tmp_path, capsys):

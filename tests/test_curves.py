@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -48,27 +49,32 @@ def test_node_resolution():
 
 
 def test_smooth_multiple_line():
-    cfg, _ = resolve_plane_curve("x^2")
+    # already simple normal crossing, but the origin is blown up once
+    cfg, log = resolve_plane_curve("x^2")
     divs = by_label(cfg)
     assert (divs["E1"].mult, divs["E1"].disc) == (2, 2)
     assert (divs["D1"].mult, divs["D1"].disc) == (2, 1)
+    assert cells_by_labels(cfg) == {("D1", "E1"): 1}
+    assert len(log.blowups) == 1
 
 
-def test_smooth_multiple_line_minimal():
-    cfg, log = resolve_plane_curve("x^2", ensure_sigma_divisor=False)
-    assert [(d.label, d.mult, d.disc) for d in cfg.divisors] == [("D1", 2, 1)]
-    assert cfg.cells == ()
-    assert log.blowups == ()
-    # the minimal output has no divisor over the center, validation says so
-    assert any("Sigma" in str(i) for i in validate_configuration(cfg))
+def euclid_quotient_sum(b, a):
+    total = 0
+    while a:
+        total += b // a
+        b, a = a, b % a
+    return total
 
 
 @pytest.mark.parametrize(
     "p,q",
-    [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5)],
+    [(p, q) for p in range(2, 8) for q in range(p + 1, 30) if math.gcd(p, q) == 1]
+    + [(2, 127), (2, 131), (3, 400), (64, 65)],
 )
 def test_coprime_power_pairs_have_mult_pq(p, q):
-    cfg, _ = resolve_plane_curve(f"x^{p} + y^{q}")
+    # the blowup count has a closed form: the quotients of Euclid on (q, p)
+    cfg, log = resolve_plane_curve(f"x^{p} + y^{q}")
+    assert len(log.blowups) == euclid_quotient_sum(q, p)
     assert max(d.mult for d in cfg.divisors) == p * q
     assert validate_configuration(cfg) == []
 
@@ -153,13 +159,6 @@ def test_blowup_step_rejects_empty_center():
     problem = LocalProblem.make({}, {}, "nowhere")
     with pytest.raises(DomainError):
         blowup_step(state, problem)
-
-
-def test_iteration_cap():
-    from contactloci.errors import ResourceLimitError
-
-    with pytest.raises(ResourceLimitError):
-        resolve_plane_curve("x^5 + y^13", max_blowups=2)
 
 
 def test_point_configuration():

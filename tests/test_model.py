@@ -1,12 +1,14 @@
 import pytest
 
+from contactloci import model
 from contactloci.curves import resolve_plane_curve
-from contactloci.errors import UnsupportedDimensionError
+from contactloci.errors import UnsupportedDimensionError, ValidationFailedError
 from contactloci.model import (
     Divisor,
     IntersectionCell,
     SncConfiguration,
     euler_open_stratum,
+    require_valid,
     validate_configuration,
 )
 from contactloci.separation import pair_multiplicities, separate
@@ -46,6 +48,22 @@ def test_missing_sigma_divisor_is_flagged():
     )
     messages = [str(i) for i in validate_configuration(cfg)]
     assert any("Sigma empty" in m for m in messages)
+
+
+def test_require_valid_scans_each_configuration_once(monkeypatch):
+    scans = []
+    monkeypatch.setattr(model, "validate_configuration", lambda cfg: scans.append(cfg) or [])
+    cfg = hand_built_cusp()
+    require_valid(cfg)
+    require_valid(cfg)
+    assert scans == [cfg]
+
+    monkeypatch.undo()
+    broken = SncConfiguration(ambient_dim=2, divisors=(Divisor(0, "D", 2, 1, False, False, 0, None),))
+    for _ in range(2):
+        with pytest.raises(ValidationFailedError) as info:
+            require_valid(broken)
+        assert info.value.issues == validate_configuration(broken) != []
 
 
 def test_positive_self_intersection_is_flagged():
