@@ -30,6 +30,13 @@ unshared intersection is already simple normal crossing and is recorded
 as a cell of count e.  Singular or shared clusters would need blowups at
 non-rational centers, which this builder refuses (the exact arithmetic
 stays in Q); inputs for the shipped suites keep all centers rational.
+
+The factors of f are found one written multiplicand at a time (f itself
+when it is written as a sum).  The monomial content x^i y^j is read off,
+and a rest whose Newton polygon is integrally indecomposable is
+irreducible (``newton``).  Only the other rests, and restrictions to a
+new divisor that keep degree 2 or more once the power of t is read off,
+reach ``sympy.factor_list``.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from typing import Mapping
 
 import sympy
 
+from . import newton
 from .errors import DomainError
 from .model import Divisor, IntersectionCell, SncConfiguration
 from .polys import SparsePolynomial, parse_polynomial
@@ -148,6 +156,38 @@ def _uni_factorization(u: dict[int, Fraction]) -> list[tuple[tuple[Fraction, ...
             lead = _fraction(coeffs[0])
             out.append((tuple(_fraction(c) / lead for c in reversed(coeffs)), int(exp)))
     return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
+
+
+def _primitive(terms: Poly2) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    """A polynomial as sympy writes an irreducible factor over QQ: integer
+    coefficients with gcd 1 and a positive lex-leading coefficient (x
+    first), as a term tuple in lex-descending order."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    nums = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+    content = math.gcd(*nums.values())
+    if nums[max(nums)] < 0:
+        content = -content
+    return tuple((k, Fraction(nums[k] // content)) for k in sorted(nums, reverse=True))
+
+
+def _plane_factorization(g: Poly2) -> list[tuple[tuple, int]]:
+    """Q-irreducible factors of a bivariate polynomial, constants dropped,
+    as (term tuple, exponent) pairs normalised by ``_primitive``.
+
+    The monomial content x^i y^j is read off.  A rest whose Newton polygon
+    is integrally indecomposable is irreducible (``newton``) and is its
+    own factor; only any other rest is handed to sympy.
+    """
+    i, j = min(a for a, _ in g), min(b for _, b in g)
+    out = [(((mono, Fraction(1)),), e) for mono, e in (((1, 0), i), ((0, 1), j)) if e]
+    rest = {(a - i, b - j): c for (a, b), c in g.items()}
+    if len(rest) == 1:  # a constant
+        return out
+    if not newton.is_decomposable(rest):
+        return out + [(_primitive(rest), 1)]
+    for poly, exp in sympy.factor_list(_sympy_poly(rest, _X, _Y))[1]:
+        out.append((tuple((mono, _fraction(c)) for mono, c in poly.terms()), int(exp)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +399,23 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
     f = as_plane_curve(f)
 
     # Factor each non-constant multiplicand the user wrote, not the expanded
-    # product; sympy normalises each factor's sign and content, so merging
+    # product; every factor is normalised as sympy normalises it, so merging
     # equal factors gives the factor list of f itself.
     pieces = [(g, e) for g, e in f.multiplicands if e and any(any(exps) for exps, _ in g.terms)]
-    sym_factors: dict = {}
+    merged: dict[tuple, int] = {}
     for g, e in pieces or [(f, 1)]:
-        for poly, exp in sympy.factor_list(_sympy_poly(g.as_dict(), _X, _Y))[1]:
-            sym_factors[poly] = sym_factors.get(poly, 0) + int(exp) * e
+        for factor, exp in _plane_factorization(g.as_dict()):
+            merged[factor] = merged.get(factor, 0) + exp * e
+    order = list(merged)
+    if len(order) > 1:
+        order.sort(key=lambda factor: sympy.default_sort_key(_sympy_poly(dict(factor), _X, _Y)))
 
     factor_polys: dict[int, Poly2] = {}
     factor_exponents: dict[int, int] = {}
     factor_texts: list[tuple[int, str, int]] = []
     dropped: list[str] = []
-    for poly, exp in sorted(sym_factors.items(), key=lambda fe: sympy.default_sort_key(fe[0])):
-        terms = {monom: _fraction(coeff) for monom, coeff in poly.terms()}
+    for factor in order:
+        terms, exp = dict(factor), merged[factor]
         text = SparsePolynomial.from_terms(2, terms).render(("x", "y"))
         if terms.get((0, 0)):
             dropped.append(text)

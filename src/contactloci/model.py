@@ -179,6 +179,12 @@ class SncConfiguration:
         """validate_configuration's report, computed once per configuration."""
         return tuple(validate_configuration(self))
 
+    @cached_property
+    def min_pair_multiplicity(self) -> int | None:
+        """M(Delta), the least m_i + m_j over ``pair_multiplicities``, None
+        when no two divisors meet; computed once per configuration."""
+        return min((pm for _, _, pm in pair_multiplicities(self)), default=None)
+
     def puncture_count(self, i: int) -> int:
         """Number of points removed from E_i by the other components."""
         return sum(c.count for c in self.cells_containing(i))
@@ -282,6 +288,21 @@ def validate_configuration(cfg: SncConfiguration) -> list[ValidationIssue]:
             if i not in seen_ids:
                 issues.append(ValidationIssue("cell", idx, f"unknown divisor id {i}"))
     return issues
+
+
+def pair_multiplicities(cfg: SncConfiguration) -> list[tuple[int, int, int]]:
+    """The 1-cells of the dual complex: (i, j, m_i + m_j) for every pair of
+    meeting divisors, one per intersection cell (every pair inside a cell
+    when d >= 3).  M(Delta) is the least m_i + m_j here."""
+    mult = {d.id: d.mult for d in cfg.divisors}
+    out = []
+    for cell in cfg.cells:
+        ids = sorted(cell.ids)
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                i, j = ids[a], ids[b]
+                out.append((i, j, mult[i] + mult[j]))
+    return out
 
 
 def require_valid(cfg: SncConfiguration) -> None:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import UnsupportedDimensionError
-from .model import Divisor, IntersectionCell, SncConfiguration, require_valid
+from .model import Divisor, IntersectionCell, SncConfiguration, pair_multiplicities, require_valid
 
 
 @dataclass(frozen=True)
@@ -50,23 +50,9 @@ class SubdivisionRecord:
         )
 
 
-def pair_multiplicities(cfg: SncConfiguration) -> list[tuple[int, int, int]]:
-    """The 1-cells of the dual complex: (i, j, m_i + m_j) for every pair of
-    meeting divisors, one per intersection cell (every pair inside a cell
-    when d >= 3).  M(Delta) is the least m_i + m_j here."""
-    mult = {d.id: d.mult for d in cfg.divisors}
-    out = []
-    for cell in cfg.cells:
-        ids = sorted(cell.ids)
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                out.append((i, j, mult[i] + mult[j]))
-    return out
-
-
 def is_m_separating(cfg: SncConfiguration, m: int) -> bool:
-    return all(pm > m for _, _, pm in pair_multiplicities(cfg))
+    least = cfg.min_pair_multiplicity
+    return least is None or least > m
 
 
 def first_offending_pair(cfg: SncConfiguration, m: int) -> tuple[int, int, int] | None:

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from contactloci import curves, newton
 from contactloci.curves import (
+    _plane_factorization,
+    _primitive,
     _uni_factorization,
     blowup_numeric_rules,
     point_configuration,
@@ -279,37 +282,42 @@ def random_univariate(rng):
     return {e[0]: c for e, c in terms.items()}
 
 
-def test_plane_factor_lists_match_expression_path():
-    rng = random.Random(20190)
-    dropped = repeated = rational = 0
-    for _ in range(200):
-        f = random_germ(rng)
-        _, log = resolve_plane_curve(f)
-        assert (log.factors, log.dropped_factors) == reference_plane_factors(f), f.render()
-        dropped += bool(log.dropped_factors)
-        repeated += any(e > 1 for _, _, e in log.factors)
-        rational += any(c.denominator > 1 for _, c in f.terms)
-    assert min(dropped, repeated, rational) >= 20
-
-
 class _CountingSympy:
     """Stands in for ``sympy`` inside ``contactloci.curves`` and counts the
     ``factor_list`` calls made there."""
 
     def __init__(self):
         self.calls = 0
+        self.plane_calls = 0  # calls on polynomials in x and y
 
-    def factor_list(self, *args, **kwargs):
+    def factor_list(self, poly, *args, **kwargs):
         self.calls += 1
-        return sympy.factor_list(*args, **kwargs)
+        self.plane_calls += len(poly.gens) == 2
+        return sympy.factor_list(poly, *args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(sympy, name)
 
 
-def test_univariate_factorizations_match_expression_path(monkeypatch):
-    from contactloci import curves
+def test_plane_factor_lists_match_expression_path(monkeypatch):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    rng = random.Random(20190)
+    dropped = repeated = rational = certified = by_sympy = 0
+    for _ in range(200):
+        f = random_germ(rng)
+        before = counting.plane_calls
+        _, log = resolve_plane_curve(f)
+        assert (log.factors, log.dropped_factors) == reference_plane_factors(f), f.render()
+        dropped += bool(log.dropped_factors)
+        repeated += any(e > 1 for _, _, e in log.factors)
+        rational += any(c.denominator > 1 for _, c in f.terms)
+        certified += counting.plane_calls == before
+        by_sympy += counting.plane_calls > before
+    assert min(dropped, repeated, rational, certified, by_sympy) >= 20, (certified, by_sympy)
 
+
+def test_univariate_factorizations_match_expression_path(monkeypatch):
     counting = _CountingSympy()
     monkeypatch.setattr(curves, "sympy", counting)
     rng = random.Random(20191)
@@ -328,15 +336,20 @@ def test_univariate_factorizations_match_expression_path(monkeypatch):
         _uni_factorization({})
 
 
-def test_factor_lists_of_written_products_match_the_expanded_polynomial():
+def test_factor_lists_of_written_products_match_the_expanded_polynomial(monkeypatch):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
     rng = random.Random(20192)
-    counts = {"shared": 0, "repeated": 0, "constant": 0, "unit": 0}
+    counts = {"shared": 0, "repeated": 0, "constant": 0, "unit": 0, "certified": 0, "by sympy": 0}
     examples = [(text, None) for text in PRODUCT_EXAMPLES]
     for text, parts in examples + [random_product_text(rng) for _ in range(60)]:
         f, _ = parse_polynomial(text, ("x", "y"))
         assert f.multiplicands, text
+        before = counting.plane_calls
         _, log = resolve_plane_curve(f)
         assert (log.factors, log.dropped_factors) == reference_plane_factors(f), text
+        counts["certified"] += counting.plane_calls == before
+        counts["by sympy"] += counting.plane_calls > before
         if parts is None:
             continue
         ids = [i for part, _ in parts for i in set(part)]
@@ -345,3 +358,87 @@ def test_factor_lists_of_written_products_match_the_expanded_polynomial():
         counts["constant"] += any(not part for part, _ in parts)
         counts["unit"] += any(part and min(part) >= 5 for part, _ in parts)
     assert min(counts.values()) >= 20, counts
+
+
+# ---------------------------------------------------------------------------
+# the Newton polygon certificate in front of sympy's factor_list
+
+
+def random_sparse_germ(rng):
+    """2-5 terms of total degree <= 7 with rational coefficients; some have
+    a constant term."""
+    monomials = [(a, b) for a in range(8) for b in range(8 - a)]
+    if rng.random() < 0.8:
+        monomials.remove((0, 0))
+    return {mono: _rational(rng) for mono in rng.sample(monomials, rng.randint(2, 5))}
+
+
+def as_term_tuples(factors):
+    return sorted((tuple(sorted(terms.items(), reverse=True)), exp) for terms, exp in factors)
+
+
+def test_certified_factors_match_sympy(monkeypatch):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    rng = random.Random(20193)
+    certified = by_sympy = 0
+    for _ in range(600):
+        g = random_sparse_germ(rng)
+        before = counting.calls
+        got = _plane_factorization(g)
+        reference = reference_factor_list(g, (_X, _Y))
+        assert sorted(got) == as_term_tuples(reference), g
+        if counting.calls == before:
+            certified += 1
+            # one factor besides the monomial content
+            assert sum(len(terms) > 1 for terms, _ in reference) == 1, g
+        else:
+            by_sympy += 1
+            # sympy's factors are already in the certificate's normal form,
+            # so factors from either path merge
+            assert all(factor == _primitive(dict(factor)) for factor, _ in got), g
+    assert certified >= 300 and by_sympy >= 20, (certified, by_sympy)
+
+
+@pytest.mark.parametrize("text", ["x^2-y^4", "x^2+y^4", "x^4-y^6"])
+def test_decomposable_polygons_reach_sympy(monkeypatch, text):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    g = parse_polynomial(text, ("x", "y"))[0].as_dict()
+    assert newton.is_decomposable(g)
+    assert sorted(_plane_factorization(g)) == as_term_tuples(reference_factor_list(g, (_X, _Y)))
+    assert counting.plane_calls == 1
+
+
+def test_indecomposable_polygon_is_certified(monkeypatch):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    f, _ = parse_polynomial("x*y+x^3+y^3", ("x", "y"))
+    assert not newton.is_decomposable(f.as_dict())
+    _, log = resolve_plane_curve(f)
+    assert (log.factors, log.dropped_factors) == reference_plane_factors(f)
+    assert counting.calls == 0
+
+
+def test_ladder_germs_resolve_without_factor_list(monkeypatch):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    for text in ("x^2+y^3", "x^3+y^4", "x^2*y+y^4", "x*y", "(x^2-y^3)*(x^3-y^2)"):
+        resolve_plane_curve(text)
+    assert counting.calls == 0
+
+
+@pytest.mark.parametrize(
+    "points, decomposable",
+    [
+        ([(0, 0)], False),
+        ([(2, 0), (0, 3)], False),  # x^2 + y^3
+        ([(2, 0), (0, 4)], True),  # x^2 + y^4 = (x + i y^2)(x - i y^2)
+        ([(2, 0), (1, 1), (0, 2)], True),  # a square of a line, the middle term on the edge
+        ([(1, 1), (3, 0), (0, 3)], False),
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], True),  # the unit square is two segments
+        ([(3, 0), (0, 3), (0, 5)], False),  # (x - s y)^3 + c y^5
+    ],
+)
+def test_newton_polygon_decomposability(points, decomposable):
+    assert newton.is_decomposable(points) == decomposable

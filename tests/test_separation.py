@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -155,6 +156,27 @@ def test_subdivision_count_has_a_closed_form(text, m):
 def min_pair_multiplicity(cfg: SncConfiguration) -> int | None:
     """M(Delta): least m_i + m_j over the 1-cells, None when there are none."""
     return min((pm for _, _, pm in pair_multiplicities(cfg)), default=None)
+
+
+def test_configuration_caches_its_min_pair_multiplicity(monkeypatch):
+    from contactloci import model
+
+    scans = []
+
+    def counting(cfg):
+        scans.append(cfg)
+        return pair_multiplicities(cfg)
+
+    monkeypatch.setattr(model, "pair_multiplicities", counting)
+    rng = random.Random(20194)
+    for _ in range(40):
+        m = rng.randint(1, 30)
+        sep, _ = separate(resolved(rng.choice(LADDER_GERMS)), m)
+        scans.clear()
+        for probe in (m, m + 1, rng.randint(1, 60)):
+            assert is_m_separating(sep, probe) == all(pm > probe for *_, pm in pair_multiplicities(sep))
+        assert sep.min_pair_multiplicity == min_pair_multiplicity(sep)
+        assert scans == [sep]
 
 
 def test_min_pair_multiplicity_examples():
