@@ -31,10 +31,8 @@ from .jets import (
     ChiFit,
     CountReport,
     FibrationReport,
-    TruncatedSeries,
     closed_form_power_count,
     contact_count,
-    evaluate_on_jet,
     interpolate_chi,
     naive_contact_count,
     stratified_count,

@@ -27,7 +27,7 @@ from .jets import (
 from .lefschetz import cross_check_euler, lefschetz_number, zeta_factorization
 from .model import SncConfiguration, validate_configuration
 from .polys import SparsePolynomial, parse_polynomial
-from .separation import is_m_separating, separate
+from .separation import separate
 from .spectral import (
     contributing_set,
     degeneration_analysis,
@@ -125,17 +125,7 @@ def _prepare_pipeline(args, m: int | None, poly: SparsePolynomial | None = None)
     weights: --weights, else the config file's, else the solver's; scaled
     by --scale and checked.  Shared by weights/e1/hc/report."""
     cfg, file_weights, desc = _load_input(args, poly)
-    if m is None:
-        sep, records = cfg, []
-    elif cfg.ambient_dim == 2:
-        sep, records = separate(cfg, m)
-    else:
-        if not is_m_separating(cfg, m):
-            raise ContactLociError(
-                f"configuration is not {m}-separating and separation is only "
-                "implemented for curves"
-            )
-        sep, records = cfg, []
+    sep, records = (cfg, []) if m is None else separate(cfg, m)
     override = getattr(args, "weights", None)
     if override:
         w = WeightVector.from_json_dict(json.loads(override))
@@ -560,8 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--poly-json")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--level", type=_positive_int, default=None)
-    p.add_argument("--primes", type=_int_list, help="comma separated primes, default pool 3,5,7,11,13")
-    p.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--primes", type=_int_list, help="comma separated primes, default pool 3,5,7,11,13")
+    group.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
     p.add_argument("--expected-dim", type=_nonnegative_int, default=None)
     p.add_argument("--csv", help="write (q, count) samples to this file")
     p.add_argument("--node-cap", type=_positive_int, default=None)
@@ -581,8 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full pipeline with cross checks")
     _add_input_options(p, need_m=True)
     _add_weight_options(p)
-    p.add_argument("--primes", type=_int_list, help="comma separated primes for the oracle")
-    p.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--primes", type=_int_list, help="comma separated primes for the oracle")
+    group.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
     p.add_argument("--level", type=_positive_int, default=None)
     p.add_argument("--node-cap", type=_positive_int, default=None)
     _add_format_option(p)

@@ -62,50 +62,6 @@ def _node_cap(explicit: int | None) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c_0..c_l of a power series over F_q, truncated at t^l."""
-
-    coeffs: tuple[int, ...]
-    q: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(c % self.q for c in self.coeffs))
-
-    @property
-    def level(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, q: int, level: int) -> "TruncatedSeries":
-        return cls((0,) * (level + 1), q)
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.q != other.q or self.level != other.level:
-            raise DomainError("series must share the field and the level")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple((a + b) % self.q for a, b in zip(self.coeffs, other.coeffs)), self.q)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(_ser_mul(self.coeffs, other.coeffs, self.level, self.q), self.q)
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple((c * a) % self.q for a in self.coeffs), self.q)
-
-    def __pow__(self, e: int) -> "TruncatedSeries":
-        return TruncatedSeries(_ser_pow(self.coeffs, e, self.level, self.q), self.q)
-
-    def order(self) -> int:
-        """Index of the first nonzero coefficient; level + 1 for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.level + 1
-
-
 def _ser_mul(a: Sequence[int], b: Sequence[int], level: int, q: int) -> tuple[int, ...]:
     out = [0] * (level + 1)
     for i, ai in enumerate(a):
@@ -157,30 +113,6 @@ def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> t
             if c:
                 total[n] = (total[n] + value * c) % q
     return tuple(total)
-
-
-def evaluate_on_jet(
-    f: SparsePolynomial | str,
-    jets: Sequence[TruncatedSeries],
-    level: int | None = None,
-) -> TruncatedSeries:
-    """Compose f with a tuple of truncated series, exactly over F_q."""
-    if isinstance(f, str):
-        f, _ = parse_polynomial(f)
-    if len(jets) != f.nvars:
-        raise DomainError(f"f has {f.nvars} variables but {len(jets)} series were given")
-    if not jets:
-        raise DomainError("need at least one coordinate series")
-    q = jets[0].q
-    lvl = jets[0].level if level is None else level
-    coords = []
-    for s in jets:
-        if s.q != q:
-            raise DomainError("series over different fields")
-        coeffs = list(s.coeffs[: lvl + 1])
-        coeffs += [0] * (lvl + 1 - len(coeffs))
-        coords.append(coeffs)
-    return TruncatedSeries(_eval_terms(_poly_mod_q(f, q), coords, lvl, q), q)
 
 
 # ---------------------------------------------------------------------------

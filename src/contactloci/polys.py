@@ -3,13 +3,15 @@
 Polynomials are stored as immutable sorted term lists mapping exponent
 tuples to nonzero rational coefficients.  This is the exchange format for
 curve germs ("x^2 + y^3") and for the polynomials handed to the finite
-field jet enumerator; all heavy algebra (factorization) is delegated to
-sympy at module boundaries.
+field jet enumerator.  Nothing here factors: the resolver certifies most
+multiplicands irreducible from their Newton polygon (``newton``) and hands
+only the rest to sympy.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -151,12 +153,15 @@ class _Parser:
     term   := factor (['*'] factor)*      (juxtaposition multiplies)
     factor := atom ['^' INT]
     atom   := INT | VAR | '(' expr ')'
+
+    Polynomials are built as {exponent tuple: Fraction} over ``names``.
     """
 
-    def __init__(self, tokens: list[tuple[str, str]]):
+    def __init__(self, tokens: list[tuple[str, str]], names: tuple[str, ...]):
         self.tokens = tokens
         self.pos = 0
-        self.vars: dict[str, None] = {}
+        self.zero = (0,) * len(names)
+        self.units = {name: self.zero[:i] + (1,) + self.zero[i + 1:] for i, name in enumerate(names)}
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -172,12 +177,12 @@ class _Parser:
         factors = []
         if self.peek() == ("op", "-"):
             self.take()
-            factors.append(({(): Fraction(-1)}, 1))
+            factors.append(({self.zero: Fraction(-1)}, 1))
         factors += self.term()
-        result, multiplicands = _product(factors), tuple(factors)
+        result, multiplicands = self.product(factors), tuple(factors)
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op = self.take()
-            rhs = _product(self.term())
+            rhs = self.product(self.term())
             result, multiplicands = _add(result, _scale(rhs, -1 if op == "-" else 1)), ()
         return result, multiplicands
 
@@ -206,10 +211,9 @@ class _Parser:
     def atom(self):
         kind, value = self.take()
         if kind == "int":
-            return {(): Fraction(value)}
+            return {self.zero: Fraction(value)}
         if kind == "var":
-            self.vars.setdefault(value, None)
-            return {(value,): Fraction(1)}
+            return {self.units[value]: Fraction(1)}
         if (kind, value) == ("op", "("):
             inner, _ = self.expr()
             if self.take() != ("op", ")"):
@@ -217,16 +221,28 @@ class _Parser:
             return inner
         raise DomainError(f"unexpected token {value!r}")
 
+    def power(self, a, e):
+        if len(a) == 1:
+            ((key, coeff),) = a.items()
+            return {tuple(k * e for k in key): coeff ** e}
+        out = {self.zero: Fraction(1)}
+        while e:  # square and multiply
+            if e & 1:
+                out = _mul(out, a)
+            e >>= 1
+            if e:
+                a = _mul(a, a)
+        return out
 
-# Intermediate representation during parsing: exponent keys are sorted
-# tuples of variable names with repetition, resolved to numeric exponent
-# tuples once the variable set is known.
+    def product(self, factors):
+        return functools.reduce(_mul, (self.power(base, e) for base, e in factors))
+
 
 def _mul(a, b):
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            key = tuple(sorted(ka + kb))
+            key = tuple(map(operator.add, ka, kb))
             out[key] = out.get(key, Fraction(0)) + ca * cb
     return {k: c for k, c in out.items() if c}
 
@@ -242,26 +258,6 @@ def _scale(a, s):
     return {k: c * s for k, c in a.items()}
 
 
-def _pow(a, e):
-    if e < 0:
-        raise DomainError("negative exponents are not polynomials")
-    if len(a) == 1:
-        ((key, coeff),) = a.items()
-        return {tuple(sorted(key * e)): coeff ** e}
-    out = {(): Fraction(1)}
-    while e:  # square and multiply
-        if e & 1:
-            out = _mul(out, a)
-        e >>= 1
-        if e:
-            a = _mul(a, a)
-    return out
-
-
-def _product(factors):
-    return functools.reduce(_mul, (_pow(base, e) for base, e in factors))
-
-
 def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> tuple[SparsePolynomial, tuple[str, ...]]:
     """Parse an integer-coefficient expression such as ``x^2 + y^3``.
 
@@ -271,28 +267,19 @@ def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> tup
     ``-(x - y)^2*(x + 2*y)``, the polynomial's ``multiplicands`` record its
     top-level bases and exponents (a leading minus is the base -1).
     """
-    parser = _Parser(_tokenize(text))
-    raw, factors = parser.expr()
-    if parser.pos != len(parser.tokens):
-        raise DomainError(f"trailing input after position {parser.pos}")
+    tokens = _tokenize(text)
+    seen = {value for kind, value in tokens if kind == "var"}
     if variables is None:
-        variables = tuple(sorted(parser.vars))
-    unknown = set(parser.vars) - set(variables)
+        variables = tuple(sorted(seen))
+    unknown = sorted(seen - set(variables))
+    # unknown names get slots too, so that a syntax error is reported first
+    parser = _Parser(tokens, (*variables, *unknown))
+    raw, factors = parser.expr()
+    if parser.pos != len(tokens):
+        raise DomainError(f"trailing input after position {parser.pos}")
     if unknown:
-        raise DomainError(f"unknown variables {sorted(unknown)}")
-    index = {name: i for i, name in enumerate(variables)}
+        raise DomainError(f"unknown variables {unknown}")
     nvars = len(variables)
-
-    def build(raw_terms) -> SparsePolynomial:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for key, coeff in raw_terms.items():
-            exps = [0] * nvars
-            for name in key:
-                exps[index[name]] += 1
-            exps = tuple(exps)
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return SparsePolynomial.from_terms(nvars, terms)
-
-    poly = build(raw)
-    multiplicands = tuple((build(base), e) for base, e in factors)
+    poly = SparsePolynomial.from_terms(nvars, raw)
+    multiplicands = tuple((SparsePolynomial.from_terms(nvars, base), e) for base, e in factors)
     return SparsePolynomial(nvars, poly.terms, multiplicands), variables

@@ -21,7 +21,6 @@ min(source rank, target rank).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .covers import CoverHomology, covers_for
@@ -62,12 +61,8 @@ class E1Page:
     entries: tuple[tuple[tuple[int, int], PageEntry], ...]  # ((p, q), entry), sorted
     total_shift: int = 0  # bookkeeping for relabelled pages
 
-    @cached_property
-    def _by_position(self) -> dict[tuple[int, int], PageEntry]:
-        return dict(reversed(self.entries))  # the first of equal positions wins
-
     def entry(self, p: int, q: int) -> PageEntry | None:
-        return self._by_position.get((p, q))
+        return next((e for pos, e in self.entries if pos == (p, q)), None)
 
     def nonzero(self) -> list[tuple[int, int, PageEntry]]:
         return [(p, q, e) for (p, q), e in self.entries if e.rank or e.torsion]
@@ -291,7 +286,7 @@ def e1_page(
     return E1Page(m=m, ambient_dim=d, entries=entries)
 
 
-def _arrows(page: E1Page, max_r: int | None) -> list[tuple[int, int, int, int, int]]:
+def _arrows(page: E1Page) -> list[tuple[int, int, int, int, int]]:
     """Pairs of nonzero entries connected by a possible differential.
 
     Returns (source total degree, cap, r, p_source, p_target); a d_r arrow
@@ -303,8 +298,7 @@ def _arrows(page: E1Page, max_r: int | None) -> list[tuple[int, int, int, int, i
         for (pp, qq), rank2 in nonzero.items():
             r = pp - p
             if r >= 1 and (pp + qq) == (p + q) + 1 and qq == q - r + 1:
-                if max_r is None or r <= max_r:
-                    arrows.append((p + q, min(rank, rank2), r, p, pp))
+                arrows.append((p + q, min(rank, rank2), r, p, pp))
     return arrows
 
 
@@ -324,8 +318,8 @@ def degeneration_analysis(page: E1Page) -> HcReport:
         if e.torsion:
             torsion_by_degree.setdefault(p + q, []).extend(e.torsion)
 
-    all_arrows = _arrows(page, None)
-    window_arrows = _arrows(page, d)
+    all_arrows = _arrows(page)
+    window_arrows = [arrow for arrow in all_arrows if arrow[2] <= d]  # arrow[2] is r
 
     statuses = []
     degrees = sorted(set(totals) | set(torsion_by_degree))

@@ -446,8 +446,24 @@ def test_higher_dimensional_config_flow(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
     # m = 10 would need separation, which is curve-only: a clean error
-    code, _, err = run(capsys, "e1", "--config", str(path), "--m", "10")
-    assert code == 2 and "separat" in err
+    code, out, err = run(capsys, "e1", "--config", str(path), "--m", "10")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "separat" in err
+
+
+def test_line_configuration_is_separating_at_every_m(tmp_path, capsys):
+    # a point on a line has no intersection cells: m-separating at every m
+    line = {
+        "ambient_dim": 1,
+        "sigma": "origin",
+        "divisors": [{"id": 0, "label": "origin", "mult": 3, "disc": 1, "over_sigma": True}],
+    }
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(line))
+    for m in (1, 2, 3, 7, 30):
+        code, out, err = run(capsys, "e1", "--config", str(path), "--m", str(m), "--format", "json")
+        assert code == 0 and not err, m
+        assert json.loads(out)["page"]["m"] == m
 
 
 def test_report_roundtrips_through_json(capsys):
@@ -494,6 +510,8 @@ def test_fit_and_fibration_json_roundtrips(capsys):
         ["oracle-chi", "--poly", "x^2+y^3", "--m", "3", "--level", "3", "--congruence", "1,0"],
         ["report", "--poly", "x^2+y^3", "--m", "3", "--primes", "3,a"],
         ["report", "--poly", "x^2+y^3", "--m", "3", "--congruence", "1,2,3"],
+        ["report", "--poly", "x*y", "--m", "2", "--primes", "3,5,7", "--congruence", "1,4"],
+        ["oracle-chi", "--poly", "x*y", "--m", "2", "--primes", "3,5,7", "--congruence", "1,4"],
     ],
 )
 def test_malformed_prime_options_are_usage_errors(capsys, argv):
@@ -685,7 +703,7 @@ _FAILED_CHECK = {
 def _fuzz_argv(data, command, parser, folder):
     """Usually one option of the input group, the required options usually,
     the others at times, in any order; now and then a stray token."""
-    (inputs,) = [g._group_actions for g in parser._mutually_exclusive_groups] or [[]]
+    inputs = next((g._group_actions for g in parser._mutually_exclusive_groups if g.required), [])
     chosen = []
     if inputs:
         count = 2 if _one_in(data, 20) else 1

@@ -8,53 +8,39 @@ from hypothesis import strategies as st
 
 from contactloci.errors import DomainError, ResourceLimitError
 from contactloci.jets import (
-    TruncatedSeries,
     closed_form_power_count,
     contact_count,
-    evaluate_on_jet,
     interpolate_chi,
     naive_contact_count,
     stratified_count,
     sum_strata,
     verify_chart_fibration,
 )
-from contactloci.jets import _eval_terms, _poly_mod_q
+from contactloci.jets import _eval_terms, _poly_mod_q, _ser_mul, _ser_pow
 from contactloci.polys import SparsePolynomial, parse_polynomial
-
-
-def series(q, *coeffs):
-    return TruncatedSeries(tuple(coeffs), q)
 
 
 def test_series_arithmetic():
     q = 7
-    a = series(q, 0, 1, 1)  # t + t^2
-    b = series(q, 0, 2, 0)
-    assert (a + b).coeffs == (0, 3, 1)
-    assert (a * b).coeffs == (0, 0, 2)  # truncation at t^2
-    assert (a ** 2).coeffs == (0, 0, 1)
-    assert series(q, 0, 0, 0).order() == 3
-    assert a.order() == 1
+    a = (0, 1, 1)  # t + t^2
+    b = (0, 2, 0)
+    assert _ser_mul(a, b, 2, q) == (0, 0, 2)  # truncation at t^2
+    assert _ser_pow(a, 2, 2, q) == (0, 0, 1)
+    assert _ser_pow(a, 3, 4, q) == (0, 0, 0, 1, 3)
+    assert _ser_mul((3, 4), (5, 6), 1, q) == (1, 3)  # 15 + 38t reduced mod 7
 
 
 def test_evaluate_on_jet_examples():
+    def evaluate(f, coords, level, q):
+        return _eval_terms(_poly_mod_q(f, q), coords, level, q)
+
     # x^2 + y^3 on (t, t) at level 2
-    out = evaluate_on_jet("x^2 + y^3", [series(5, 0, 1, 0), series(5, 0, 1, 0)])
-    assert out.coeffs == (0, 0, 1)
+    assert evaluate(parse_polynomial("x^2 + y^3")[0], [(0, 1, 0), (0, 1, 0)], 2, 5) == (0, 0, 1)
     # x*y on (2t, 3t) over F_7
-    out = evaluate_on_jet("x*y", [series(7, 0, 2, 0), series(7, 0, 3, 0)])
-    assert out.coeffs == (0, 0, 6)
+    assert evaluate(parse_polynomial("x*y")[0], [(0, 2, 0), (0, 3, 0)], 2, 7) == (0, 0, 6)
     # x^2 on x = t + t^2 at level 3 (second variable unused by the monomial)
-    out = evaluate_on_jet(
-        parse_polynomial("x^2", variables=("x", "y"))[0],
-        [series(11, 0, 1, 1, 0), series(11, 0, 0, 0, 0)],
-    )
-    assert out.coeffs == (0, 0, 1, 2)
-
-
-def test_evaluate_rejects_mismatched_fields():
-    with pytest.raises(DomainError):
-        evaluate_on_jet("x*y", [series(5, 0, 1), series(7, 0, 1)])
+    x2 = parse_polynomial("x^2", variables=("x", "y"))[0]
+    assert evaluate(x2, [(0, 1, 1, 0), (0, 0, 0, 0)], 3, 11) == (0, 0, 1, 2)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])

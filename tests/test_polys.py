@@ -1,10 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from contactloci.errors import DomainError
-from contactloci.polys import SparsePolynomial, parse_polynomial
+from contactloci.polys import SparsePolynomial, _tokenize, parse_polynomial
 
 from conftest import PRODUCT_EXAMPLES, random_product_text
 
@@ -113,3 +114,200 @@ def test_powers_equal_repeated_products(base, e):
     power, _ = parse_polynomial(f"({base})^{e}", ("x", "y"))
     repeated, _ = parse_polynomial("*".join([f"({base})"] * e) or "1", ("x", "y"))
     assert power == repeated
+
+
+# The parser as it was before it built exponent vectors directly: terms keyed
+# by sorted tuples of variable names, converted once the variable set is known.
+# Kept to pin the current parser to it.
+
+class _ReferenceParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.vars = {}
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        factors = []
+        if self.peek() == ("op", "-"):
+            self.take()
+            factors.append(({(): Fraction(-1)}, 1))
+        factors += self.term()
+        result, multiplicands = _ref_product(factors), tuple(factors)
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            _, op = self.take()
+            rhs = _ref_product(self.term())
+            result, multiplicands = _ref_add(result, _ref_scale(rhs, -1 if op == "-" else 1)), ()
+        return result, multiplicands
+
+    def term(self):
+        factors = [self.factor()]
+        while True:
+            kind, value = self.peek()
+            if kind == "op" and value == "*":
+                self.take()
+                factors.append(self.factor())
+            elif kind in ("int", "var") or (kind == "op" and value == "("):
+                factors.append(self.factor())
+            else:
+                return factors
+
+    def factor(self):
+        base = self.atom()
+        if self.peek() == ("op", "^"):
+            self.take()
+            kind, value = self.take()
+            if kind != "int":
+                raise DomainError("exponent must be a literal integer")
+            return base, int(value)
+        return base, 1
+
+    def atom(self):
+        kind, value = self.take()
+        if kind == "int":
+            return {(): Fraction(value)}
+        if kind == "var":
+            self.vars.setdefault(value, None)
+            return {(value,): Fraction(1)}
+        if (kind, value) == ("op", "("):
+            inner, _ = self.expr()
+            if self.take() != ("op", ")"):
+                raise DomainError("missing closing parenthesis")
+            return inner
+        raise DomainError(f"unexpected token {value!r}")
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(sorted(ka + kb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_scale(a, s):
+    return {k: c * s for k, c in a.items()}
+
+
+def _ref_pow(a, e):
+    if e < 0:
+        raise DomainError("negative exponents are not polynomials")
+    if len(a) == 1:
+        ((key, coeff),) = a.items()
+        return {tuple(sorted(key * e)): coeff ** e}
+    out = {(): Fraction(1)}
+    while e:  # square and multiply
+        if e & 1:
+            out = _ref_mul(out, a)
+        e >>= 1
+        if e:
+            a = _ref_mul(a, a)
+    return out
+
+
+def _ref_product(factors):
+    return functools.reduce(_ref_mul, (_ref_pow(base, e) for base, e in factors))
+
+
+def reference_parse(text, variables=None):
+    parser = _ReferenceParser(_tokenize(text))
+    raw, factors = parser.expr()
+    if parser.pos != len(parser.tokens):
+        raise DomainError(f"trailing input after position {parser.pos}")
+    if variables is None:
+        variables = tuple(sorted(parser.vars))
+    unknown = set(parser.vars) - set(variables)
+    if unknown:
+        raise DomainError(f"unknown variables {sorted(unknown)}")
+    index = {name: i for i, name in enumerate(variables)}
+
+    def build(raw_terms):
+        terms = {}
+        for key, coeff in raw_terms.items():
+            exps = [0] * len(variables)
+            for name in key:
+                exps[index[name]] += 1
+            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
+        return SparsePolynomial.from_terms(len(variables), terms)
+
+    return build(raw), tuple((build(base), e) for base, e in factors), variables
+
+
+_MALFORMED_TAILS = ("^", "+", "*", ")", "(", "^x", "?", "**", "(x", "^-1", "x^", "+ w)", "(w", "^^2", "- (")
+
+
+def _random_expression(rng, names, depth):
+    terms = []
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        factors = []
+        for _ in range(rng.choice([1, 2, 2])):
+            pick = rng.random()
+            if depth and pick < 0.2:
+                atom = f"({_random_expression(rng, names, depth - 1)})"
+            elif pick < 0.3:
+                v = rng.choice(names)
+                atom = f"({v}-{v})"  # zero subexpression
+            elif pick < 0.5:
+                atom = str(rng.randint(0, 5))
+            else:
+                atom = rng.choice(names)
+            if rng.random() < 0.45:
+                atom += rng.choice(["^", "**"]) + str(rng.randint(0, 3))
+            factors.append(atom)
+        text = factors[0]
+        for f in factors[1:]:
+            glue = ["*", "*", " "] if text[-1].isdigit() and f[0].isdigit() else ["*", "*", " ", ""]
+            text += rng.choice(glue) + f
+        terms.append(text)
+    text = ("-" if rng.random() < 0.2 else "") + terms[0]
+    for t in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-"]) + t
+    return text
+
+
+def test_parser_matches_the_reference_on_random_expressions():
+    rng = random.Random(1010)
+    seen = {"product": 0, "sum": 0, "pow0": 0, "unknown": 0, "syntax": 0}
+    for n in range(2000):
+        names = rng.sample("xyz", rng.randint(1, 3))
+        text = _random_expression(rng, names, rng.randint(0, 2))
+        if n % 18 == 0:
+            text += rng.choice(_MALFORMED_TAILS)
+        variables = rng.choice([None, None, "reordered", "unused", "missing"])
+        if variables == "reordered":
+            variables = tuple(rng.sample(names, len(names)))
+        elif variables == "unused":
+            variables = tuple(rng.sample(names + ["w"], len(names) + 1))
+        elif variables == "missing":
+            variables = tuple(names[1:])
+        seen["pow0"] += "^0" in text or "**0" in text
+        try:
+            want = reference_parse(text, variables)
+        except DomainError as exc:
+            seen["unknown" if str(exc).startswith("unknown variables") else "syntax"] += 1
+            with pytest.raises(type(exc)) as got:
+                parse_polynomial(text, variables)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc), text
+            continue
+        poly, names_out = parse_polynomial(text, variables)
+        assert poly.terms == want[0].terms, text
+        assert [(g.terms, e) for g, e in poly.multiplicands] == [(g.terms, e) for g, e in want[1]], text
+        assert names_out == want[2], text
+        seen["product"] += len(poly.multiplicands) >= 2
+        seen["sum"] += not poly.multiplicands
+    assert min(seen.values()) >= 100, seen
