@@ -9,7 +9,6 @@ brute-force jet counts over small prime fields.
 
 from .covers import CoverHomology, cover_betti, cover_component_count, covers_for
 from .curves import (
-    PlaneCurvePoly,
     ResolutionLog,
     as_plane_curve,
     point_configuration,
@@ -31,7 +30,6 @@ from .jets import (
     ChiFit,
     CountReport,
     FibrationReport,
-    closed_form_power_count,
     contact_count,
     interpolate_chi,
     naive_contact_count,
@@ -70,7 +68,6 @@ from .spectral import (
     e1_page,
     fiber_dimension,
     mclean_relabel,
-    milnor_betti_homogeneous_isolated,
     milnor_betti_power,
     multiplicity_case_prediction,
     render_page_table,

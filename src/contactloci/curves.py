@@ -32,45 +32,66 @@ non-rational centers, which this builder refuses (the exact arithmetic
 stays in Q); inputs for the shipped suites keep all centers rational.
 
 The factors of f are found one written multiplicand at a time (f itself
-when it is written as a sum).  The monomial content x^i y^j is read off,
-and a rest whose Newton polygon is integrally indecomposable is
-irreducible (``newton``).  Only the other rests, and restrictions to a
-new divisor that keep degree 2 or more once the power of t is read off,
-reach ``sympy.factor_list``.
+when it is written as a sum).  The monomial content x^i y^j is read off;
+a rest with a constant term is a unit at the origin and is skipped, and
+any other rest whose Newton polygon is integrally indecomposable is
+irreducible (``newton``).  A restriction to a new divisor loses its power
+of t, and a rest that is linear or a pure power c (t + s)^k is read off.
+Only the remaining rests reach ``sympy.factor_list``, and factors are
+ordered by a stdlib copy of sympy's ``default_sort_key``.  ``sympy`` is
+imported the first time a rest reaches it, so resolving a germ that needs
+no real factorisation leaves it out of ``sys.modules``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-import sympy
-
 from . import newton
 from .errors import DomainError
 from .model import Divisor, IntersectionCell, SncConfiguration
 from .polys import SparsePolynomial, parse_polynomial
 
-# A plane curve germ is just a 2-variable sparse polynomial with no
-# constant term; ``as_plane_curve`` validates this.
-PlaneCurvePoly = SparsePolynomial
-
 Poly2 = dict  # {(a, b): Fraction}, internal mutable representation
 
 
-def as_plane_curve(f: SparsePolynomial | str) -> SparsePolynomial:
-    if isinstance(f, str):
-        poly, names = parse_polynomial(f, variables=("x", "y"))
-        f = poly
-    if f.nvars != 2:
-        raise DomainError("plane curve germs live in two variables")
-    if f.is_zero():
-        raise DomainError("the zero polynomial does not define a curve")
+class _LazySympy:
+    """Stands in for the ``sympy`` module until an attribute is first read;
+    then imports sympy and keeps that attribute, so later reads are plain
+    instance lookups."""
+
+    def __getattr__(self, name):
+        import sympy as module
+
+        value = getattr(module, name)
+        setattr(self, name, value)
+        return value
+
+
+sympy = _LazySympy()
+
+
+def _check_germ(f: SparsePolynomial, nvars: int, wrong_nvars: str) -> None:
+    """Refuse a polynomial that is no germ at the origin in ``nvars``
+    variables; a constant gets the same message whatever its variables."""
+    if all(not any(exps) for exps, _ in f.terms):
+        raise DomainError("a constant polynomial defines no germ at the origin")
+    if f.nvars != nvars:
+        raise DomainError(wrong_nvars)
     if f.constant_term():
         raise DomainError("the germ must vanish at the origin")
+
+
+def as_plane_curve(f: SparsePolynomial | str) -> SparsePolynomial:
+    """A plane curve germ: a polynomial in x, y with no constant term."""
+    if isinstance(f, str):
+        f, _ = parse_polynomial(f, variables=("x", "y"))
+    _check_germ(f, 2, "plane curve germs live in two variables")
     return f
 
 
@@ -118,8 +139,10 @@ def _vanishes_at_origin(g: Poly2) -> bool:
     return not g.get((0, 0))
 
 
-_T = sympy.Symbol("t")
-_X, _Y = sympy.symbols("x y")
+@functools.cache
+def _gens():
+    """The sympy symbols t, x, y, built on first use."""
+    return sympy.symbols("t x y")
 
 
 def _sympy_poly(terms: Mapping, *gens) -> "sympy.Poly":
@@ -139,18 +162,24 @@ def _uni_factorization(u: dict[int, Fraction]) -> list[tuple[tuple[Fraction, ...
 
     Returns (monic coefficient tuple, exponent) pairs, constant factors
     dropped, sorted deterministically by (degree, coefficients).  The power
-    of t and a linear rest are read off; only a rest of degree >= 2 is
-    handed to sympy.
+    of t is read off, and so is a rest of degree k = hi - lo that is linear
+    or a pure power c (t + s)^k, where s can only be u[hi-1] / (k u[hi]);
+    only any other rest is handed to sympy.
     """
     u = {d: c for d, c in u.items() if c}
     if not u:
         raise DomainError("strict transform restricts to zero on the new divisor")
     lo, hi = min(u), max(u)
+    k = hi - lo
     out = [((Fraction(0), Fraction(1)), lo)] if lo else []
-    if hi - lo == 1:
-        out.append(((u[lo] / u[hi], Fraction(1)), 1))
-    elif hi - lo >= 2:
-        _, factors = sympy.factor_list(_sympy_poly({(d - lo,): c for d, c in u.items()}, _T))
+    if k == 0:
+        return out
+    top = u[hi]
+    s = u.get(hi - 1, 0) / (k * top)
+    if all(u.get(lo + d, 0) == top * math.comb(k, d) * s ** (k - d) for d in range(k - 1)):
+        out.append(((s, Fraction(1)), k))
+    else:
+        _, factors = sympy.factor_list(_sympy_poly({(d - lo,): c for d, c in u.items()}, _gens()[0]))
         for poly, exp in factors:
             coeffs = poly.all_coeffs()  # highest degree first
             lead = _fraction(coeffs[0])
@@ -171,23 +200,57 @@ def _primitive(terms: Poly2) -> tuple[tuple[tuple[int, int], Fraction], ...]:
 
 
 def _plane_factorization(g: Poly2) -> list[tuple[tuple, int]]:
-    """Q-irreducible factors of a bivariate polynomial, constants dropped,
-    as (term tuple, exponent) pairs normalised by ``_primitive``.
+    """The Q-irreducible factors through the origin of a bivariate
+    polynomial, as (term tuple, exponent) pairs normalised by ``_primitive``.
 
-    The monomial content x^i y^j is read off.  A rest whose Newton polygon
-    is integrally indecomposable is irreducible (``newton``) and is its
-    own factor; only any other rest is handed to sympy.
+    The monomial content x^i y^j is read off.  A rest with a constant term
+    is a unit at the origin and is not factored.  Any other rest whose
+    Newton polygon is integrally indecomposable is irreducible (``newton``)
+    and is its own factor; only the remaining rests are handed to sympy.
     """
     i, j = min(a for a, _ in g), min(b for _, b in g)
     out = [(((mono, Fraction(1)),), e) for mono, e in (((1, 0), i), ((0, 1), j)) if e]
     rest = {(a - i, b - j): c for (a, b), c in g.items()}
-    if len(rest) == 1:  # a constant
+    if (0, 0) in rest:
         return out
     if not newton.is_decomposable(rest):
         return out + [(_primitive(rest), 1)]
-    for poly, exp in sympy.factor_list(_sympy_poly(rest, _X, _Y))[1]:
-        out.append((tuple((mono, _fraction(c)) for mono, c in poly.terms()), int(exp)))
+    for poly, exp in sympy.factor_list(_sympy_poly(rest, *_gens()[1:]))[1]:
+        terms = tuple((mono, _fraction(c)) for mono, c in poly.terms())
+        if terms[-1][0] != (0, 0):  # terms are lex-descending, so a unit ends in its constant
+            out.append((terms, int(exp)))
     return out
+
+
+# sympy's default_sort_key of a factor's Poly in x, y (Expr.sort_key of
+# sympy 1.14 on an integer polynomial), so that factors keep sympy's order
+_NUMBER, _SYMBOL, _MUL, _ADD = (1, 0, "Number"), (2, 0, "Symbol"), (3, 0, "Mul"), (3, 1, "Add")
+
+
+def _number_key(c) -> tuple:
+    return _NUMBER, (0, ()), (), c
+
+
+def _term_key(mono: tuple[int, int], c) -> tuple:
+    """The key of the term c x^a y^b."""
+    powers = [(_SYMBOL, (1, (name,)), _number_key(e), 1) for name, e in zip("xy", mono) if e]
+    if not powers:
+        return _number_key(c)
+    if len(powers) == 1:  # the key of x^a (or y^b) with coefficient c
+        return (*powers[0][:3], c)
+    return _MUL, (2, tuple(powers)), _number_key(1), c
+
+
+def _sort_key(factor: tuple) -> tuple:
+    """The key of a term tuple in lex-descending order (as ``_primitive``
+    and sympy's ``Poly.terms`` give it); terms are compared in that order,
+    except that c - d x^k or c - d y^k (c, d > 0) puts c first."""
+    if len(factor) == 1:
+        return _term_key(*factor[0])
+    terms = list(factor)
+    if len(terms) == 2 and terms[1][0] == (0, 0) and terms[1][1] > 0 > terms[0][1] and 0 in terms[0][0]:
+        terms.reverse()
+    return _ADD, (len(terms), tuple(_term_key(*t) for t in terms)), _number_key(1), 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +292,6 @@ class BlowupRecord:
 @dataclass(frozen=True)
 class ResolutionLog:
     factors: tuple[tuple[int, str, int], ...]  # (factor index, text, exponent in f)
-    dropped_factors: tuple[str, ...]  # factors of f not through the origin
     blowups: tuple[BlowupRecord, ...]
 
 
@@ -400,30 +462,21 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
 
     # Factor each non-constant multiplicand the user wrote, not the expanded
     # product; every factor is normalised as sympy normalises it, so merging
-    # equal factors gives the factor list of f itself.
+    # equal factors gives the factors of f through the origin.
     pieces = [(g, e) for g, e in f.multiplicands if e and any(any(exps) for exps, _ in g.terms)]
     merged: dict[tuple, int] = {}
     for g, e in pieces or [(f, 1)]:
         for factor, exp in _plane_factorization(g.as_dict()):
             merged[factor] = merged.get(factor, 0) + exp * e
-    order = list(merged)
-    if len(order) > 1:
-        order.sort(key=lambda factor: sympy.default_sort_key(_sympy_poly(dict(factor), _X, _Y)))
 
     factor_polys: dict[int, Poly2] = {}
     factor_exponents: dict[int, int] = {}
     factor_texts: list[tuple[int, str, int]] = []
-    dropped: list[str] = []
-    for factor in order:
-        terms, exp = dict(factor), merged[factor]
-        text = SparsePolynomial.from_terms(2, terms).render(("x", "y"))
-        if terms.get((0, 0)):
-            dropped.append(text)
-            continue
-        j = len(factor_polys)
-        factor_polys[j] = terms
-        factor_exponents[j] = exp
-        factor_texts.append((j, text, exp))
+    for j, factor in enumerate(sorted(merged, key=_sort_key)):
+        factor_polys[j] = dict(factor)
+        factor_exponents[j] = merged[factor]
+        text = SparsePolynomial.from_terms(2, factor_polys[j]).render(("x", "y"))
+        factor_texts.append((j, text, merged[factor]))
 
     state = ResolutionState(factor_exponents)
     blowup_step(state, LocalProblem.make({}, factor_polys, "origin"))
@@ -479,11 +532,7 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
     )
 
     cfg = SncConfiguration(ambient_dim=2, divisors=tuple(divisors), cells=cells)
-    log = ResolutionLog(
-        factors=tuple(factor_texts),
-        dropped_factors=tuple(dropped),
-        blowups=tuple(state.records),
-    )
+    log = ResolutionLog(factors=tuple(factor_texts), blowups=tuple(state.records))
     return cfg, log
 
 
@@ -503,9 +552,6 @@ def resolve_univariate(f: SparsePolynomial | str) -> SncConfiguration:
     """Configuration of a one-variable germ: the origin with its multiplicity."""
     if isinstance(f, str):
         f, _ = parse_polynomial(f)
-    if f.nvars != 1:
-        raise DomainError("expected a univariate polynomial")
-    if f.is_zero() or f.constant_term():
-        raise DomainError("the germ must vanish at the origin (and not identically)")
+    _check_germ(f, 1, "expected a univariate polynomial")
     r = min(exps[0] for exps, _ in f.terms)
     return point_configuration(r)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -447,19 +446,6 @@ def sum_strata(
         if ok:
             total += count
     return total
-
-
-def closed_form_power_count(r: int, m: int, q: int, l: int | None = None) -> int:
-    """Contact count for f = x^r in one variable.
-
-    The locus is mu_r x C^(m - m/r) when r | m and empty otherwise, so the
-    count is gcd(r, q - 1) * q^(l - m/r) for jets of level l >= m.
-    """
-    if l is None:
-        l = m
-    if m % r:
-        return 0
-    return math.gcd(r, q - 1) * q ** (l - m // r)
 
 
 @dataclass(frozen=True)

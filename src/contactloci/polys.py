@@ -3,9 +3,11 @@
 Polynomials are stored as immutable sorted term lists mapping exponent
 tuples to nonzero rational coefficients.  This is the exchange format for
 curve germs ("x^2 + y^3") and for the polynomials handed to the finite
-field jet enumerator.  Nothing here factors: the resolver certifies most
-multiplicands irreducible from their Newton polygon (``newton``) and hands
-only the rest to sympy.
+field jet enumerator.  Nothing here factors, and nothing here imports
+sympy: the resolver certifies most multiplicands irreducible from their
+Newton polygon (``newton``), and imports sympy only for a rest through the
+origin whose polygon is decomposable, or for a restriction to a new
+divisor that is no pure power (``curves``).
 """
 
 from __future__ import annotations

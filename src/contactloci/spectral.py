@@ -381,18 +381,6 @@ def milnor_betti_power(p: int) -> tuple[int, ...]:
     return (p,)
 
 
-def milnor_betti_homogeneous_isolated(m: int, d: int) -> tuple[int, ...]:
-    """Betti numbers of the Milnor fiber of a homogeneous polynomial of
-    degree m in d variables with an isolated singularity: b_0 = 1 and
-    b_{d-1} = (m - 1)^d (they add up in dimension one)."""
-    if m < 1 or d < 1:
-        raise DomainError("need positive degree and dimension")
-    betti = [0] * d
-    betti[0] = 1
-    betti[d - 1] += (m - 1) ** d
-    return tuple(betti)
-
-
 def multiplicity_case_prediction(d: int, m: int, milnor_betti: Iterable[int]) -> dict[int, int]:
     """H_c of the m-th contact locus when m is the multiplicity at the origin.
 

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from contactloci.curves import point_configuration, resolve_plane_curve
+from contactloci.errors import DomainError
 from contactloci.model import Divisor, IntersectionCell, SncConfiguration
 
 
@@ -108,3 +111,28 @@ def random_product_text(rng):
     text = "*".join(t if e == 1 else f"{t}^{e}" for t, e in written)
     sign = "-" if rng.random() < 0.25 else ""
     return sign + text, [(ids, e) for ids, (_, e) in zip(parts, written)]
+
+
+def closed_form_power_count(r: int, m: int, q: int, l: int | None = None) -> int:
+    """Contact count for f = x^r in one variable.
+
+    The locus is mu_r x C^(m - m/r) when r | m and empty otherwise, so the
+    count is gcd(r, q - 1) * q^(l - m/r) for jets of level l >= m.
+    """
+    if l is None:
+        l = m
+    if m % r:
+        return 0
+    return math.gcd(r, q - 1) * q ** (l - m // r)
+
+
+def milnor_betti_homogeneous_isolated(m: int, d: int) -> tuple[int, ...]:
+    """Betti numbers of the Milnor fiber of a homogeneous polynomial of
+    degree m in d variables with an isolated singularity: b_0 = 1 and
+    b_{d-1} = (m - 1)^d (they add up in dimension one)."""
+    if m < 1 or d < 1:
+        raise DomainError("need positive degree and dimension")
+    betti = [0] * d
+    betti[0] = 1
+    betti[d - 1] += (m - 1) ** d
+    return tuple(betti)

@@ -18,7 +18,6 @@ import pytest
 
 from contactloci.curves import point_configuration, resolve_plane_curve
 from contactloci.jets import (
-    closed_form_power_count,
     contact_count,
     interpolate_chi,
     verify_chart_fibration,
@@ -34,7 +33,7 @@ from contactloci.spectral import (
 )
 from contactloci.weights import WeightVector, solve_weights, validate_weights
 
-from conftest import page_content
+from conftest import closed_form_power_count, page_content
 
 
 @contextmanager

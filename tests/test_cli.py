@@ -392,6 +392,67 @@ def test_resolve_univariate_cli(capsys):
     assert data["configuration"]["divisors"][0]["mult"] == 3
 
 
+@pytest.mark.parametrize("command", ["resolve", "separate", "report"])
+def test_constant_germs_get_one_message(capsys, command):
+    errors = set()
+    for poly in ("5", "0", "x-x", "x^2-x^2+y-y"):
+        extra = [] if command == "resolve" else ["--m", "2"]
+        code, out, err = run(capsys, command, "--poly", poly, *extra)
+        assert code == 2 and not out, poly
+        assert err.startswith("error: ") and err.count("\n") == 1, (poly, err)
+        errors.add(err)
+    assert errors == {"error: a constant polynomial defines no germ at the origin\n"}
+
+
+SYMPY_PROBE = """
+import contextlib, io, json, sys
+import contactloci.cli as cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+seen = {"import": "sympy" in sys.modules}
+run("report", "--poly", "x^2+y^3", "--m", "2", "--primes", "3,5,7", "--format", "json")
+run("oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata", "--format", "json")
+seen["warm-up"] = "sympy" in sys.modules
+for family in sys.argv[2:]:
+    run("report", "--poly", family, "--m", "4", "--format", "json")
+    seen[family] = "sympy" in sys.modules
+resolved = json.loads(run("resolve", "--poly", sys.argv[1], "--format", "json"))
+seen["decomposable"] = "sympy" in sys.modules
+print(json.dumps({"seen": seen, "factors": [f["poly"] for f in resolved["factors"]]}))
+"""
+
+LADDER_FAMILIES = ("x^2+y^3", "x^2+y^5", "x*y", "x^3+y^4", "x^2*y+y^4", "(x^2-y^3)*(x^3-y^2)")
+
+
+def test_sympy_is_imported_only_for_a_decomposable_polygon():
+    import os
+    import subprocess
+    import sys
+
+    import contactloci
+
+    src = os.path.dirname(os.path.dirname(contactloci.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # x y (x - y)(x + y)(1 + x): the rest x^2 - y^2 + x^3 - x y^2 has a
+    # decomposable polygon and goes to sympy, which splits off the unit
+    decomposable = "x^3*y-x*y^3+x^4*y-x^2*y^3"
+    proc = subprocess.run(
+        [sys.executable, "-c", SYMPY_PROBE, decomposable, *LADDER_FAMILIES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    expected = {key: False for key in ("import", "warm-up", *LADDER_FAMILIES)}
+    assert result["seen"] == {**expected, "decomposable": True}
+    assert result["factors"] == ["x", "y", "x - y", "x + y"]
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, _, err = run(capsys, "validate", "--config", "/nonexistent/file.json")
     assert code == 2

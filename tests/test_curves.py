@@ -141,7 +141,7 @@ def test_non_reduced_factor_multiplicity():
 
 def test_factor_away_from_origin_is_dropped():
     cfg, log = resolve_plane_curve("x*(x - 1)")
-    assert log.dropped_factors == ("x - 1",)
+    assert log.factors == ((0, "x", 1),)
     divs = by_label(cfg)
     assert set(divs) == {"E1", "D1"}
     # the dropped factor is a unit near the origin, so it adds nothing to m
@@ -211,7 +211,8 @@ def reference_factor_list(terms, gens):
 
 
 def reference_plane_factors(f):
-    """(log.factors, log.dropped_factors) as the expression-tree path gave them."""
+    """``log.factors`` as the expression-tree path gave it, and the texts of
+    the factors it dropped because they miss the origin."""
     kept, dropped = [], []
     for terms, exp in reference_factor_list(f.as_dict(), (_X, _Y)):
         text = SparsePolynomial.from_terms(2, terms).render(("x", "y"))
@@ -308,8 +309,9 @@ def test_plane_factor_lists_match_expression_path(monkeypatch):
         f = random_germ(rng)
         before = counting.plane_calls
         _, log = resolve_plane_curve(f)
-        assert (log.factors, log.dropped_factors) == reference_plane_factors(f), f.render()
-        dropped += bool(log.dropped_factors)
+        kept, dropped_by_reference = reference_plane_factors(f)
+        assert log.factors == kept, f.render()
+        dropped += bool(dropped_by_reference)
         repeated += any(e > 1 for _, _, e in log.factors)
         rational += any(c.denominator > 1 for _, c in f.terms)
         certified += counting.plane_calls == before
@@ -336,6 +338,36 @@ def test_univariate_factorizations_match_expression_path(monkeypatch):
         _uni_factorization({})
 
 
+def random_power_restriction(rng):
+    """t^i c (t + s)^k with k >= 2 as {degree: coefficient}; a third of
+    them have one coefficient below t^(i+k-1) moved, which keeps the
+    candidate s but breaks the power, and a sixth are (t + s)^k (t + r)."""
+    lo, k, s, c = rng.randint(0, 2), rng.randint(2, 6), _rational(rng), _rational(rng)
+    u = {lo + d: c * math.comb(k, d) * s ** (k - d) for d in range(k + 1)}
+    pick = rng.random()
+    if pick < 1 / 3:
+        u[lo + rng.randint(0, k - 2)] += _rational(rng)
+    elif pick < 1 / 2:
+        terms = _times({(e,): a for e, a in u.items()}, {(1,): Fraction(1), (0,): _rational(rng)})
+        u = {e[0]: a for e, a in terms.items()}
+    return u
+
+
+def test_pure_powers_match_sympy(monkeypatch):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    rng = random.Random(20195)
+    pure = other = 0
+    for _ in range(160):
+        u = random_power_restriction(rng)
+        before = counting.calls
+        got = _uni_factorization(u)
+        assert got == reference_uni_factorization(u), u
+        pure += counting.calls == before
+        other += counting.calls > before
+    assert pure >= 60 and other >= 60, (pure, other)
+
+
 def test_factor_lists_of_written_products_match_the_expanded_polynomial(monkeypatch):
     counting = _CountingSympy()
     monkeypatch.setattr(curves, "sympy", counting)
@@ -347,7 +379,7 @@ def test_factor_lists_of_written_products_match_the_expanded_polynomial(monkeypa
         assert f.multiplicands, text
         before = counting.plane_calls
         _, log = resolve_plane_curve(f)
-        assert (log.factors, log.dropped_factors) == reference_plane_factors(f), text
+        assert log.factors == reference_plane_factors(f)[0], text
         counts["certified"] += counting.plane_calls == before
         counts["by sympy"] += counting.plane_calls > before
         if parts is None:
@@ -381,23 +413,26 @@ def test_certified_factors_match_sympy(monkeypatch):
     counting = _CountingSympy()
     monkeypatch.setattr(curves, "sympy", counting)
     rng = random.Random(20193)
-    certified = by_sympy = 0
+    certified = by_sympy = unit_rests = 0
     for _ in range(600):
         g = random_sparse_germ(rng)
         before = counting.calls
         got = _plane_factorization(g)
-        reference = reference_factor_list(g, (_X, _Y))
+        reference = [(t, e) for t, e in reference_factor_list(g, (_X, _Y)) if (0, 0) not in t]
         assert sorted(got) == as_term_tuples(reference), g
         if counting.calls == before:
             certified += 1
-            # one factor besides the monomial content
-            assert sum(len(terms) > 1 for terms, _ in reference) == 1, g
+            # one factor besides the monomial content, none when the rest
+            # is a unit at the origin
+            unit_rest = (min(a for a, _ in g), min(b for _, b in g)) in g
+            unit_rests += unit_rest
+            assert sum(len(terms) > 1 for terms, _ in reference) == (not unit_rest), g
         else:
             by_sympy += 1
             # sympy's factors are already in the certificate's normal form,
             # so factors from either path merge
             assert all(factor == _primitive(dict(factor)) for factor, _ in got), g
-    assert certified >= 300 and by_sympy >= 20, (certified, by_sympy)
+    assert certified >= 300 and by_sympy >= 20 and unit_rests >= 20, (certified, by_sympy, unit_rests)
 
 
 @pytest.mark.parametrize("text", ["x^2-y^4", "x^2+y^4", "x^4-y^6"])
@@ -416,7 +451,7 @@ def test_indecomposable_polygon_is_certified(monkeypatch):
     f, _ = parse_polynomial("x*y+x^3+y^3", ("x", "y"))
     assert not newton.is_decomposable(f.as_dict())
     _, log = resolve_plane_curve(f)
-    assert (log.factors, log.dropped_factors) == reference_plane_factors(f)
+    assert log.factors == reference_plane_factors(f)[0]
     assert counting.calls == 0
 
 
@@ -426,6 +461,36 @@ def test_ladder_germs_resolve_without_factor_list(monkeypatch):
     for text in ("x^2+y^3", "x^3+y^4", "x^2*y+y^4", "x*y", "(x^2-y^3)*(x^3-y^2)"):
         resolve_plane_curve(text)
     assert counting.calls == 0
+
+
+# ---------------------------------------------------------------------------
+# the stdlib sort key in place of sympy.default_sort_key
+
+
+def random_integer_factor(rng):
+    """A term tuple in lex-descending order with 1-4 terms, exponents <= 5
+    and coefficients in +-1..6; a quarter are c + d x^k or c + d y^k."""
+    if rng.random() < 0.25:
+        k = rng.randint(1, 5)
+        monomials = [rng.choice([(k, 0), (0, k)]), (0, 0)]
+    else:
+        monomials = rng.sample([(a, b) for a in range(6) for b in range(6)], rng.randint(1, 4))
+    signed = [rng.choice([-1, 1]) * rng.randint(1, 6) for _ in monomials]
+    return tuple(sorted(((mono, Fraction(c)) for mono, c in zip(monomials, signed)), reverse=True))
+
+
+def test_sort_key_matches_sympy():
+    rng = random.Random(20194)
+    negated_powers = 0  # c - d x^k and c - d y^k with c, d > 0
+    for _ in range(600):
+        factors = list({random_integer_factor(rng) for _ in range(rng.randint(2, 4))})
+        expected = sorted(factors, key=lambda f: sympy.default_sort_key(curves._sympy_poly(dict(f), _X, _Y)))
+        rng.shuffle(factors)
+        assert sorted(factors, key=curves._sort_key) == expected, factors
+        negated_powers += sum(
+            len(f) == 2 and f[1][0] == (0, 0) and 0 in f[0][0] and f[0][1] < 0 < f[1][1] for f in factors
+        )
+    assert negated_powers >= 60, negated_powers
 
 
 @pytest.mark.parametrize(

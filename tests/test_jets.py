@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from contactloci.errors import DomainError, ResourceLimitError
 from contactloci.jets import (
-    closed_form_power_count,
     contact_count,
     interpolate_chi,
     naive_contact_count,
@@ -18,6 +17,8 @@ from contactloci.jets import (
 )
 from contactloci.jets import _eval_terms, _poly_mod_q, _ser_mul, _ser_pow
 from contactloci.polys import SparsePolynomial, parse_polynomial
+
+from conftest import closed_form_power_count
 
 
 def test_series_arithmetic():

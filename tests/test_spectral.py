@@ -12,7 +12,6 @@ from contactloci.spectral import (
     e1_page,
     fiber_dimension,
     mclean_relabel,
-    milnor_betti_homogeneous_isolated,
     milnor_betti_power,
     multiplicity_case_prediction,
     rational_gap_analysis,
@@ -22,7 +21,7 @@ from contactloci.spectral import (
 )
 from contactloci.weights import WeightVector, solve_weights
 
-from conftest import hand_built_cusp, hand_built_node, page_content
+from conftest import hand_built_cusp, hand_built_node, milnor_betti_homogeneous_isolated, page_content
 
 CUSP_W = WeightVector.from_dict({0: 4, 1: 6, 2: 11, 3: 0})
 
