@@ -380,7 +380,7 @@ def build_report(args, m: int) -> dict:
     page = e1_page(sep, w, m, cover_data)
     hc = degeneration_analysis(page)
     zeta = zeta_factorization(cfg)
-    check = cross_check_euler(sep, w, m, cover_data, lefschetz_cfg=cfg)
+    check = cross_check_euler(sep, w, m, lefschetz_cfg=cfg, page=page)
 
     oracle = None
     oracle_pass = True

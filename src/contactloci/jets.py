@@ -6,23 +6,32 @@ is the multiplicity of f at 0.  The contact condition f(gamma) = t^m mod
 t^(m+1) therefore constrains levels 1..I, I = m - mu + 1; the levels
 beyond I are free and contribute a power of q.
 
-* Level 1 faces the tangent-cone equation f_mu(a_1) = [mu == m], solved
-  by enumerating F_q^d.
+* Level 1 faces the tangent-cone equation f_mu(a_1) = [mu == m].  f_mu
+  is homogeneous, so it is evaluated at one point p per line through the
+  origin: the seeds are the lambda p with lambda^mu f_mu(p) = [mu == m],
+  and the origin when the target is 0.
 * At level i >= 2 the newly decidable coefficient, of t^(i + mu - 1), is
   base + g . a_i, where base is its value with a_i = 0.  The gradient g
   is the t^(mu - 1) coefficient of the partials of f at gamma, which
   only sees level 1: g = grad f_mu(a_1), one vector per seed.  This is
   exact in characteristic p: the higher Taylor terms are Hasse
   derivatives of order above the tested coefficient once i >= 2.
+* The children of a prefix at level i >= 3 test the coefficient of
+  t^(i + mu), which is base' + h . a_i: the terms quadratic in a_i sit at
+  t^(2i - 2 + mu), above it.  h is the t^mu coefficient of grad f(gamma)
+  and only sees levels 1 and 2.  So when those children sit at the last
+  level I, they are settled in their parent's loop, one dot product each.
 
 So a seed with g != 0 has q^(d - 1) extensions at every level and
 contributes q^((d - 1)(I - 1)) prefixes in closed form, while a seed with
 g = 0 is all-or-nothing at each level: all q^d extensions when base
 meets the target, none otherwise.  One depth-first walk evaluates base
 only on the prefixes no closed form settles and keeps just the current
-path, O(I) memory; the order strata ride on the same walk.  A naive full
-enumeration is kept alongside as an independent check for tiny
-instances.  Counts are exact integers.
+path, O(I) memory; the order strata ride on the same walk.  Its node
+count is the level-1 candidates plus every prefix whose coefficient is
+evaluated, settled ones included.  A naive full enumeration is kept
+alongside as an independent check for tiny instances.  Counts are exact
+integers.
 """
 
 from __future__ import annotations
@@ -118,20 +127,25 @@ def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> t
 # depth-first walk
 
 class _Budget:
+    """Nodes spent against the cap, with a progress line every PROGRESS_EVERY."""
+
     def __init__(self, cap: int):
         self.cap = cap
         self.nodes = 0
         self._next_report = PROGRESS_EVERY
 
-    def spend(self, n: int = 1):
-        self.nodes += n
-        if self.nodes > self.cap:
-            raise ResourceLimitError(
-                f"enumeration budget exceeded ({self.nodes} > {self.cap} partial nodes)"
-            )
-        if self.nodes >= self._next_report:
-            LOGGER.info("jet enumeration: %d partial nodes", self.nodes)
+    def reach(self, nodes: int) -> int:
+        """Take a new running total; returns the total at which to call again."""
+        self.nodes = nodes
+        if nodes > self.cap:
+            raise ResourceLimitError(f"enumeration budget exceeded ({nodes} > {self.cap} partial nodes)")
+        while nodes >= self._next_report:
+            LOGGER.info("jet enumeration: %d partial nodes", nodes)
             self._next_report += PROGRESS_EVERY
+        return min(self.cap + 1, self._next_report)
+
+    def spend(self, n: int = 1) -> int:
+        return self.reach(self.nodes + n)
 
 
 def _factors(exps: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -148,26 +162,26 @@ def _point_value(terms, a: Sequence[int], q: int) -> int:
     return total % q
 
 
-def _shifted_coefficient(shifted, packed: Sequence[int], top: int, bits: int) -> int:
-    """Coefficient of t^top in the sum of value * t^excess * prod delta_c^e.
+def _field(terms, packed: Sequence[int], mask: int) -> int:
+    """Sum over (value, factors, shift) of value * the field at bit
+    ``shift`` of prod packed_c^e.
 
-    With gamma_c = t * delta_c and excess = deg - mu this is the
-    coefficient of t^(top + mu) of f(gamma); terms whose excess exceeds
-    top cannot reach it.  Each delta_c comes packed as one integer, its
-    coefficients in ``bits``-wide fields (Kronecker substitution), wide
-    enough that no coefficient of a product overflows into the next.
+    Each delta_c comes packed as one integer, its coefficients in fields of
+    a fixed width (Kronecker substitution), wide enough that no coefficient
+    of a product overflows into the next; ``mask`` keeps one field.
     """
-    mask = (1 << bits) - 1
     total = 0
-    for excess, value, factors in shifted:
-        k = top - excess
-        if k < 0:
-            break
+    for value, factors, shift in terms:
         prod = 1
         for c, e in factors:
             prod *= packed[c] ** e
-        total += value * ((prod >> (bits * k)) & mask)
+        total += value * ((prod >> shift) & mask)
     return total
+
+
+def _partials(terms, d: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The (value, exps) terms of df/dx_c for each coordinate c."""
+    return [[(v * e[c], e[:c] + (e[c] - 1,) + e[c + 1 :]) for v, e in terms if e[c]] for c in range(d)]
 
 
 def _nonzero_solutions(n: int, rhs: int, q: int) -> int:
@@ -175,6 +189,29 @@ def _nonzero_solutions(n: int, rhs: int, q: int) -> int:
     if rhs % q:
         return ((q - 1) ** n - (-1) ** n) // q
     return ((q - 1) ** n + (-1) ** n * (q - 1)) // q
+
+
+def _seeds(cone, mu: int, target: int, q: int, d: int) -> list[tuple[int, ...]]:
+    """The a in F_q^d with f_mu(a) = target, f_mu homogeneous of degree mu.
+
+    f_mu is evaluated once per line through the origin, at the point p
+    whose first nonzero coordinate is 1: lambda * p is a seed when
+    lambda^mu f_mu(p) = target.  The origin is a seed when target = 0.
+    """
+    roots: dict[int, list[int]] = {}  # lambda^mu -> [lambda]
+    for lam in range(1, q):
+        roots.setdefault(pow(lam, mu, q), []).append(lam)
+    seeds = [] if target else [(0,) * d]
+    for k in range(d):
+        for rest in itertools.product(range(q), repeat=d - k - 1):
+            p = (0,) * k + (1,) + rest
+            value = _point_value(cone, p, q)
+            if target:
+                scales = roots.get(pow(value, -1, q), ()) if value else ()
+            else:
+                scales = () if value else range(1, q)
+            seeds += [tuple(lam * x % q for x in p) for lam in scales]
+    return seeds
 
 
 def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple[dict, int]:
@@ -201,11 +238,10 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
     def advance(orders, i, a):
         return tuple([o or (x and i) for o, x in zip(orders, a)]) if strata else orders
 
-    budget.spend(q**d)  # the level-1 candidates
+    stop = budget.spend(q**d)  # the level-1 candidates
+    nodes = budget.nodes
     tangent = [(v, exps) for v, exps in terms if sum(exps) == mu]
-    cone = [(v, _factors(exps)) for v, exps in tangent]
-    target = 1 if mu == m else 0
-    seeds = [a for a in itertools.product(range(q), repeat=d) if _point_value(cone, a, q) == target]
+    seeds = _seeds([(v, _factors(e)) for v, e in tangent], mu, 1 if mu == m else 0, q, d)
     unset = (0 if strata else 1,) * d
     if depth == 1:  # no constrained level beyond the seeds
         for a in seeds:
@@ -213,54 +249,93 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
         return groups, depth
 
     # only terms of excess below the depth reach a tested coefficient; a
-    # delta_c has at most depth - 1 coefficients below q when packed
+    # delta_c has at most depth - 1 coefficients below q when packed.  The
+    # coefficient of t^(top + mu) of f(gamma), gamma_c = t * delta_c, is
+    # field top of sum value * t^excess * prod delta_c^e: levels[top] lists
+    # the terms that reach it with the shift of their field
     shifted = sorted((sum(exps) - mu, v, _factors(exps)) for v, exps in terms if sum(exps) - mu < depth)
     bits = max(((q - 1) ** (mu + x) * (depth - 1) ** (mu + x - 1)).bit_length() for x, _, _ in shifted)
+    mask = (1 << bits) - 1
+    levels = [[(v, f, bits * (top - x)) for x, v, f in shifted if x <= top] for top in range(depth)]
+    # h, the t^mu coefficient of grad f(gamma), is field mu - deg of the
+    # partials' terms of degree deg <= mu; it only sees levels 1 and 2
+    slope = [
+        [(v % q, _factors(e), bits * (mu - sum(e))) for v, e in partial if sum(e) <= mu and v % q]
+        for partial in _partials(terms, d)
+    ]
+    points = list(itertools.product(range(q), repeat=d))
+    free_points: dict[frozenset, list] = {}
+    closed_records: dict[tuple, list] = {}
 
-    def child(packed, orders, i, a):
-        shift = bits * (i - 1)
-        return tuple(p | x << shift for p, x in zip(packed, a)), advance(orders, i, a), i + 1
+    def closed(orders, i, support, rhs):
+        # g != 0 with its support among the coordinates still zero: the
+        # extensions at level i that fix an order in the support (at the
+        # depth, all of them) are counted in closed form
+        key = (orders, i, support, rhs != 0)
+        out = closed_records.get(key)
+        if out is None:
+            out = closed_records[key] = []
+            unknown = [c for c in range(d) if not orders[c]]
+            for pattern in itertools.product((0, 1), repeat=len(unknown)):
+                hit = sum(1 for c, nz in zip(unknown, pattern) if nz and c in support)
+                if not hit and i < depth:
+                    continue
+                n = (q - 1) ** (sum(pattern) - hit) * q ** (d - len(unknown)) * _nonzero_solutions(hit, rhs, q)
+                if n:
+                    a = [0] * d
+                    for c, nz in zip(unknown, pattern):
+                        a[c] = nz
+                    out.append(((advance(orders, i, a), i + 1, 1), n))
+        for group, n in out:
+            groups[group] = groups.get(group, 0) + n
+
+    def leaf(orders, support, rhs):
+        # the choice of the last level: with g = 0 all q^d pass or none does
+        if support:
+            closed(orders, depth, support, rhs)
+        elif not rhs:
+            record(orders, depth, 0, 1)
 
     def visit(packed, orders, i, support):
         # the coefficient of t^(i + mu - 1) is base + g . a_i at level i
-        budget.spend()
-        target = 1 if i + mu - 1 == m else 0
-        rhs = (target - _shifted_coefficient(shifted, packed, i - 1, bits)) % q
-        if not support:  # g = 0: all q^d extensions or none
-            if rhs:
-                return
-            if i == depth:
-                record(orders, depth, 0, 1)
-                return
-            for a in itertools.product(range(q), repeat=d):
-                visit(*child(packed, orders, i, a), support)
+        nonlocal nodes, stop
+        nodes += 1
+        if nodes >= stop:
+            stop = budget.reach(nodes)
+        rhs = ((i == depth) - _field(levels[i - 1], packed, mask)) % q
+        if i == depth:
+            return leaf(orders, support, rhs)
+        if support:
+            closed(orders, i, support, rhs)
+        if rhs:
             return
-        # g != 0 with its support among the coordinates still zero: extensions
-        # leaving the support zero need the next level; the others fix an
-        # order in the support, after which every level is uniform
-        if rhs == 0 and i < depth:
-            free = [c for c in range(d) if c not in support]
-            for values in itertools.product(range(q), repeat=len(free)):
-                a = [0] * d
-                for c, x in zip(free, values):
-                    a[c] = x
-                visit(*child(packed, orders, i, a), support)
-        unknown = [c for c in range(d) if not orders[c]]
-        for pattern in itertools.product((0, 1), repeat=len(unknown)):
-            hit = sum(1 for c, nz in zip(unknown, pattern) if nz and c in support)
-            if not hit and i < depth:
-                continue
-            n = (q - 1) ** (sum(pattern) - hit) * q ** (d - len(unknown)) * _nonzero_solutions(hit, rhs, q)
-            if n:
-                a = [0] * d
-                for c, nz in zip(unknown, pattern):
-                    a[c] = nz
-                record(advance(orders, i, a), i + 1, 1, n)
+        # with g = 0 every extension goes on; with g != 0 those leaving the
+        # support zero (the others fixed an order in it above)
+        children = points
+        if support:
+            children = free_points.get(support)
+            if children is None:
+                children = free_points[support] = [a for a in points if not any(a[c] for c in support)]
+        if i + 1 < depth or i < 3:
+            shift = bits * (i - 1)
+            for a in children:
+                visit(tuple([p | x << shift for p, x in zip(packed, a)]), advance(orders, i, a), i + 1, support)
+            return
+        # the children sit at the last level, and from level 3 on the
+        # quadratic terms in a_i land above their coefficient, which is
+        # therefore base + h . a_i: settle them here
+        nodes += len(children)
+        if nodes >= stop:
+            stop = budget.reach(nodes)
+        s = 1 - _field(levels[i], packed, mask)
+        h = [_field(dh, packed, mask) % q for dh in slope]
+        for a in children:
+            rhs = (s - sum([x * y for x, y in zip(h, a)])) % q
+            if support or not rhs:
+                leaf(advance(orders, i, a), support, rhs)
 
     # g = grad f_mu(a_1) is the gradient of every later level
-    grad = [
-        [(v * e[c], _factors(e[:c] + (e[c] - 1,) + e[c + 1 :])) for v, e in tangent if e[c]] for c in range(d)
-    ]
+    grad = [[(v, _factors(e)) for v, e in partial] for partial in _partials(tangent, d)]
     for a in seeds:
         orders = advance(unset, 1, a)
         support = frozenset(c for c, dt in enumerate(grad) if _point_value(dt, a, q))
@@ -268,6 +343,7 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
             record(orders, 2, 1, 1)
         else:
             visit(a, orders, 2, support)
+    budget.reach(nodes)
     return groups, depth
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import SncConfiguration, euler_open_stratum, require_valid
-from .spectral import e1_page
+from .spectral import E1Page, e1_page
 from .weights import WeightVector
 
 
@@ -115,14 +115,17 @@ def cross_check_euler(
     covers=None,
     *,
     lefschetz_cfg: SncConfiguration | None = None,
+    page: E1Page | None = None,
 ) -> EulerCrossCheck:
     """Compare the page Euler characteristic with the Lefschetz number.
 
     ``lefschetz_cfg`` lets the caller evaluate the A'Campo side on an
     unseparated configuration (the number is a blowup invariant), keeping
-    the two code paths on independent inputs as well.
+    the two code paths on independent inputs as well.  ``page`` is the
+    caller's E1 page of (cfg, w, m), when it has one; otherwise it is built.
     """
-    page = e1_page(cfg, w, m, covers)
+    if page is None:
+        page = e1_page(cfg, w, m, covers)
     other = lefschetz_cfg if lefschetz_cfg is not None else cfg
     return EulerCrossCheck(
         m=m,

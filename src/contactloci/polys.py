@@ -156,7 +156,9 @@ class _Parser:
     factor := atom ['^' INT]
     atom   := INT | VAR | '(' expr ')'
 
-    Polynomials are built as {exponent tuple: Fraction} over ``names``.
+    Polynomials are built as {exponent tuple: int} over ``names``: the
+    grammar has no division, and ``SparsePolynomial.from_terms`` makes the
+    coefficients Fractions once.
     """
 
     def __init__(self, tokens: list[tuple[str, str]], names: tuple[str, ...]):
@@ -179,7 +181,7 @@ class _Parser:
         factors = []
         if self.peek() == ("op", "-"):
             self.take()
-            factors.append(({self.zero: Fraction(-1)}, 1))
+            factors.append(({self.zero: -1}, 1))
         factors += self.term()
         result, multiplicands = self.product(factors), tuple(factors)
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
@@ -213,9 +215,9 @@ class _Parser:
     def atom(self):
         kind, value = self.take()
         if kind == "int":
-            return {self.zero: Fraction(value)}
+            return {self.zero: int(value)}
         if kind == "var":
-            return {self.units[value]: Fraction(1)}
+            return {self.units[value]: 1}
         if (kind, value) == ("op", "("):
             inner, _ = self.expr()
             if self.take() != ("op", ")"):
@@ -227,7 +229,7 @@ class _Parser:
         if len(a) == 1:
             ((key, coeff),) = a.items()
             return {tuple(k * e for k in key): coeff ** e}
-        out = {self.zero: Fraction(1)}
+        out = {self.zero: 1}
         while e:  # square and multiply
             if e & 1:
                 out = _mul(out, a)
@@ -245,14 +247,14 @@ def _mul(a, b):
     for ka, ca in a.items():
         for kb, cb in b.items():
             key = tuple(map(operator.add, ka, kb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out.get(key, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
 
 
 def _add(a, b):
     out = dict(a)
     for k, c in b.items():
-        out[k] = out.get(k, Fraction(0)) + c
+        out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
 
 

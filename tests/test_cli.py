@@ -192,6 +192,22 @@ def test_report_validates_each_configuration_once(capsys, monkeypatch):
     assert scanned == [4, len(data["configuration"]["divisors"])]
 
 
+def test_report_builds_the_page_once(capsys, monkeypatch):
+    from contactloci import cli, lefschetz
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return e1_page(*args, **kwargs)
+
+    e1_page = cli.e1_page
+    monkeypatch.setattr(cli, "e1_page", counting)
+    monkeypatch.setattr(lefschetz, "e1_page", counting)
+    code, _, _ = run(capsys, "report", "--poly", "x^2+y^3", "--m", "6", "--format", "json")
+    assert code == 0 and built == [6]
+
+
 @pytest.mark.parametrize(
     "poly,m,primes", [("x^2+y^127", 6, ["--primes", "3,5,7"]), ("x^64+y^65", 64, [])]
 )

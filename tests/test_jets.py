@@ -318,11 +318,12 @@ def reference_prefixes(poly, m, q):
     return survivors, depth
 
 
-def reference_strata(poly, m, l, q):
-    """Order strata of level-l contact jets from the materialized prefixes,
-    with the free levels beyond the depth expanded combinatorially."""
+def reference_strata(poly, m, l, q, prefixes=None):
+    """Order strata of level-l contact jets from the materialized prefixes
+    (``reference_prefixes`` unless given), with the free levels beyond the
+    depth expanded combinatorially."""
     d = poly.nvars
-    survivors, depth = reference_prefixes(poly, m, q)
+    survivors, depth = prefixes or reference_prefixes(poly, m, q)
     strata = {}
     for prefix in survivors:
         known = [next((n for n, c in enumerate(prefix[i], start=1) if c), None) for i in range(d)]
@@ -386,3 +387,108 @@ def test_walk_matches_reference_on_node_family(m, l, q):
         report = stratified_count(poly, m, l, q)
         assert report.strata == strata and report.total > 0
         assert contact_count(poly, m, l, q).total == report.total
+
+
+# ---------------------------------------------------------------------------
+# deep walks: the last constrained level is settled inside its parent
+
+
+def _settled_kinds(poly, q, survivors, depth):
+    """How the surviving prefixes of depth >= 4 reached the last level: "g=0"
+    from a seed whose tangent-cone gradient vanishes, "g!=0" from a seed whose
+    gradient support stayed zero through level depth - 1."""
+    d = poly.nvars
+    terms = _poly_mod_q(poly, q)
+    mu = min(sum(exps) for _, exps in terms)
+    tangent = [(value, exps) for value, exps in terms if sum(exps) == mu]
+    kinds = set()
+    for prefix in survivors:
+        seed = [prefix[c][0] for c in range(d)]
+        grad = [
+            sum(
+                value * exps[c] * math.prod(seed[k] ** (e - (k == c)) for k, e in enumerate(exps))
+                for value, exps in tangent
+                if exps[c]
+            )
+            % q
+            for c in range(d)
+        ]
+        support = [c for c in range(d) if grad[c]]
+        if not support:
+            kinds.add("g=0")
+        elif not any(any(prefix[c][: depth - 1]) for c in support):
+            kinds.add("g!=0")
+    return kinds
+
+
+def _mu2_polynomial(rng, d, q):
+    """A germ of multiplicity 2 over F_q: a random quadratic form plus higher terms."""
+    squares = [tuple(int(k == c) + int(k == c2) for k in range(d)) for c in range(d) for c2 in range(c, d)]
+    terms = {exps: rng.randrange(1, q) for exps in rng.sample(squares, rng.randint(1, 2))}
+    for _ in range(rng.randint(1, 2)):
+        exps = [0] * d
+        for _ in range(rng.randint(3, 4)):
+            exps[rng.randrange(d)] += 1
+        terms[tuple(exps)] = rng.randint(1, 6)
+    return SparsePolynomial.from_terms(d, terms)
+
+
+def test_deep_walk_matches_reference_enumeration():
+    rng = random.Random(20260512)
+    cases = 0
+    kinds = {"g=0": 0, "g!=0": 0}
+    while cases < 30:
+        d = rng.choice((2, 2, 3))
+        m = 5 if d == 3 else rng.choice((5, 6))
+        q = rng.choice((2, 3, 5))
+        poly = _mu2_polynomial(rng, d, q)
+        try:  # the cap keeps the materialized reference small
+            report = stratified_count(poly, m, m, q, node_cap=300)
+        except ResourceLimitError:
+            continue
+        survivors, depth = reference_prefixes(poly, m, q)
+        assert depth >= 4
+        strata = reference_strata(poly, m, m, q, (survivors, depth))
+        assert (report.total, report.strata) == (sum(n for _, n in strata), strata), (poly.render(), m, q)
+        assert contact_count(poly, m, m, q).total == report.total, (poly.render(), m, q)
+        for kind in _settled_kinds(poly, q, survivors, depth):
+            kinds[kind] += 1
+        cases += 1
+    assert kinds["g=0"] >= 10 and kinds["g!=0"] >= 8, kinds
+
+
+@pytest.mark.parametrize(
+    "text,m,q,count_nodes,strata_nodes",
+    [
+        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 11, 2784, 5444),
+        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 17, 10116, 19940),
+        ("x*y + x^3 + 2*y^4", 6, 5, 1901, 1929),
+        ("x*y*z", 5, 3, 223, 343),
+        ("x^2+y^3", 6, 7, 17255, 17255),
+    ],
+)
+def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, strata_nodes):
+    # a settled child still counts as a node: its coefficient is evaluated
+    count, strata = contact_count(text, m, m, q), stratified_count(text, m, m, q)
+    assert (count.nodes, strata.nodes) == (count_nodes, strata_nodes)
+    assert count.total == strata.total == sum(n for _, n in strata.strata)
+
+
+@pytest.mark.parametrize("count", [contact_count, stratified_count])
+def test_node_cap_is_exact_on_settled_walks(count):
+    text, m, q = "x*y + x^3 + 2*y^4", 6, 5
+    nodes = count(text, m, m, q).nodes
+    assert count(text, m, m, q, node_cap=nodes).nodes == nodes
+    with pytest.raises(ResourceLimitError):
+        count(text, m, m, q, node_cap=nodes - 1)
+
+
+@pytest.mark.parametrize("every", [1, 7, 100])
+def test_progress_lines_follow_the_node_count(monkeypatch, caplog, every):
+    import contactloci.jets as jets
+
+    monkeypatch.setattr(jets, "PROGRESS_EVERY", every)
+    with caplog.at_level("INFO", logger="contactloci.jets"):
+        report = stratified_count("x*y + x^3 + 2*y^4", 6, 6, 5)
+    lines = [r for r in caplog.records if r.name == "contactloci.jets"]
+    assert len(lines) == report.nodes // every

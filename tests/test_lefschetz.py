@@ -8,6 +8,7 @@ from contactloci.lefschetz import (
     zeta_factorization,
 )
 from contactloci.separation import separate
+from contactloci.spectral import e1_page
 from contactloci.weights import solve_weights
 
 from conftest import hand_built_cusp, hand_built_node
@@ -77,6 +78,8 @@ def test_cross_check_cusp(m):
     assert check.passed
     expected = [0, 2, 3, 2, 0, -1][m - 1]
     assert check.page_euler == expected
+    # a page the caller already built gives the same check
+    assert cross_check_euler(sep, w, m, lefschetz_cfg=cusp, page=e1_page(sep, w, m)) == check
 
 
 def test_cross_check_node_m2():

@@ -308,6 +308,9 @@ def test_parser_matches_the_reference_on_random_expressions():
         assert poly.terms == want[0].terms, text
         assert [(g.terms, e) for g, e in poly.multiplicands] == [(g.terms, e) for g, e in want[1]], text
         assert names_out == want[2], text
+        # the parser works in ints; the polynomials hold Fractions all the same
+        for g in (poly, *(g for g, _ in poly.multiplicands)):
+            assert all(type(c) is Fraction for _, c in g.terms), text
         seen["product"] += len(poly.multiplicands) >= 2
         seen["sum"] += not poly.multiplicands
     assert min(seen.values()) >= 100, seen
