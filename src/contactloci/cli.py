@@ -73,11 +73,12 @@ def _congruence(text: str) -> tuple[int, int]:
     return values[0], values[1]
 
 
-def _add_input_options(parser: argparse.ArgumentParser, need_m: bool = False):
+def _add_input_options(parser: argparse.ArgumentParser, need_m: bool = False, config: bool = True):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--poly", help="polynomial expression, e.g. 'x^2 + y^3'")
     group.add_argument("--poly-json", help="path to a sparse-monomial JSON document")
-    group.add_argument("--config", help="path to a configuration JSON file")
+    if config:
+        group.add_argument("--config", help="path to a configuration JSON file")
     if need_m:
         parser.add_argument("--m", type=_positive_int, required=True, help="contact order m >= 1")
 
@@ -126,16 +127,14 @@ def _prepare_pipeline(args, m: int | None, poly: SparsePolynomial | None = None)
     by --scale and checked.  Shared by weights/e1/hc/report."""
     cfg, file_weights, desc = _load_input(args, poly)
     sep, records = (cfg, []) if m is None else separate(cfg, m)
-    override = getattr(args, "weights", None)
-    if override:
-        w = WeightVector.from_json_dict(json.loads(override))
+    if args.weights:
+        w = WeightVector.from_json_dict(json.loads(args.weights))
     elif file_weights is not None:
         w = file_weights
     else:
         w = solve_weights(sep)
-    scale = getattr(args, "scale", 1)
-    if scale != 1:
-        w = w.scaled(scale)
+    if args.scale != 1:
+        w = w.scaled(args.scale)
     if not validate_weights(sep, w):
         raise ContactLociError("the weight vector fails the ampleness constraints")
     return cfg, sep, records, w, desc
@@ -317,7 +316,7 @@ def _pool(args) -> list[int]:
     if args.primes:
         return args.primes
     pool = list(DEFAULT_PRIME_POOL)
-    if getattr(args, "congruence", None):
+    if args.congruence:
         r, mod = args.congruence
         pool = [q for q in pool if q % mod == r % mod]
     return pool
@@ -384,7 +383,7 @@ def build_report(args, m: int) -> dict:
 
     oracle = None
     oracle_pass = True
-    if getattr(args, "primes", None) or getattr(args, "congruence", None):
+    if args.primes or args.congruence:
         if args.config is not None:
             raise ContactLociError("the jet oracle needs a polynomial input, not a configuration")
         level = args.level if args.level is not None else m
@@ -480,11 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("resolve", help="resolve a plane curve germ by point blowups")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--poly")
-    group.add_argument("--poly-json")
+    _add_input_options(p, config=False)
     _add_format_option(p)
-    p.set_defaults(func=_cmd_resolve, config=None)
+    p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("separate", help="make a configuration m-separating")
     _add_input_options(p, need_m=True)
@@ -533,22 +530,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_euler)
 
     p = sub.add_parser("oracle-count", help="exact finite-field jet count")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--poly")
-    group.add_argument("--poly-json")
-    p.add_argument("--m", type=_positive_int, required=True)
+    _add_input_options(p, need_m=True, config=False)
     p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--level", type=_positive_int, default=None)
     p.add_argument("--strata", action="store_true", help="stratify by vanishing orders")
     p.add_argument("--node-cap", type=_positive_int, default=None)
     _add_format_option(p)
-    p.set_defaults(func=_cmd_oracle_count, config=None)
+    p.set_defaults(func=_cmd_oracle_count)
 
     p = sub.add_parser("oracle-chi", help="polynomial fit of counts and chi at q = 1")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--poly")
-    group.add_argument("--poly-json")
-    p.add_argument("--m", type=_positive_int, required=True)
+    _add_input_options(p, need_m=True, config=False)
     p.add_argument("--level", type=_positive_int, default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--primes", type=_int_list, help="comma separated primes, default pool 3,5,7,11,13")
@@ -557,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write (q, count) samples to this file")
     p.add_argument("--node-cap", type=_positive_int, default=None)
     _add_format_option(p)
-    p.set_defaults(func=_cmd_oracle_chi, config=None)
+    p.set_defaults(func=_cmd_oracle_chi)
 
     p = sub.add_parser("verify-fibration", help="check the blowup chart fibration on jets")
     p.add_argument("--m", type=_positive_int, required=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import (
     DomainError,
@@ -60,16 +59,6 @@ class CoverHomology:
             "torsion": [list(t) for t in self.torsion],
             "source": self.source,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CoverHomology":
-        return cls(
-            divisor_id=int(data["divisor_id"]),
-            components=int(data["components"]),
-            betti=tuple(int(b) for b in data["betti"]),
-            torsion=tuple(tuple(int(t) for t in row) for row in data.get("torsion", ())),
-            source=str(data.get("source", "computed")),
-        )
 
 
 def cover_component_count(cfg: SncConfiguration, i: int) -> int:

@@ -39,11 +39,10 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .polys import SparsePolynomial, parse_polynomial
@@ -52,22 +51,6 @@ LOGGER = logging.getLogger(__name__)
 
 DEFAULT_NODE_CAP = 1_000_000_000
 PROGRESS_EVERY = 10_000_000
-NODE_CAP_ENV = "CONTACTLOCI_NODE_CAP"
-
-
-def _node_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    text = os.environ.get(NODE_CAP_ENV)
-    if text is None:
-        return DEFAULT_NODE_CAP
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise DomainError(f"{NODE_CAP_ENV} must be a positive integer, not {text!r}")
-    return cap
 
 
 def _ser_mul(a: Sequence[int], b: Sequence[int], level: int, q: int) -> tuple[int, ...]:
@@ -374,7 +357,7 @@ def _expand(groups: dict, depth: int, l: int, q: int) -> dict[tuple[int, ...], i
 
 @dataclass(frozen=True)
 class CountReport:
-    poly_text: str
+    poly: SparsePolynomial
     m: int
     level: int
     q: int
@@ -385,7 +368,7 @@ class CountReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "poly": self.poly_text,
+            "poly": self.poly.render(),
             "m": self.m,
             "level": self.level,
             "q": self.q,
@@ -394,19 +377,6 @@ class CountReport:
             "elapsed": self.elapsed,
             "nodes": self.nodes,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CountReport":
-        return cls(
-            poly_text=str(data["poly"]),
-            m=int(data["m"]),
-            level=int(data["level"]),
-            q=int(data["q"]),
-            total=int(data["total"]),
-            strata=tuple((tuple(int(o) for o in orders), int(count)) for orders, count in data.get("strata", ())),
-            elapsed=float(data.get("elapsed", 0.0)),
-            nodes=int(data.get("nodes", 0)),
-        )
 
 
 def _is_prime(q: int) -> bool:
@@ -440,13 +410,13 @@ def _prepare(f, m, l, q):
 def _count(f, m: int, l: int, q: int, node_cap: int | None, strata: bool) -> CountReport:
     start = time.perf_counter()
     f, terms = _prepare(f, m, l, q)
-    budget = _Budget(_node_cap(node_cap))
+    budget = _Budget(DEFAULT_NODE_CAP if node_cap is None else node_cap)
     cells: dict[tuple[int, ...], int] = {}
     if terms is not None:
         cells = _expand(*_walk(terms, m, q, f.nvars, budget, strata), l, q)
     table = tuple(sorted(cells.items())) if strata else ()
     elapsed = time.perf_counter() - start
-    return CountReport(f.render(), m, l, q, sum(cells.values()), table, elapsed, budget.nodes)
+    return CountReport(f, m, l, q, sum(cells.values()), table, elapsed, budget.nodes)
 
 
 def contact_count(
@@ -571,18 +541,6 @@ class ChiFit:
             "fit": self.render(),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ChiFit":
-        return cls(
-            chi=None if data["chi"] is None else int(data["chi"]),
-            degree=None if data["degree"] is None else int(data["degree"]),
-            q_power=int(data["q_power"]),
-            coefficients=tuple(Fraction(c) for c in data["coefficients"]),
-            residual_zero=bool(data["residual_zero"]),
-            conclusive=bool(data["conclusive"]),
-            message=str(data["message"]),
-        )
-
 
 def interpolate_chi(counts: Sequence[tuple[int, int]], expected_dim: int | None = None) -> ChiFit:
     """Fit the least-degree polynomial through exact (q, N(q)) samples.
@@ -690,21 +648,6 @@ class FibrationReport:
             "n_images": self.n_images,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "FibrationReport":
-        return cls(
-            passed=bool(data["passed"]),
-            m=int(data["m"]),
-            level=int(data["level"]),
-            q=int(data["q"]),
-            d=int(data["d"]),
-            nu=int(data["nu"]),
-            expected_fiber=int(data["expected_fiber"]),
-            fiber_histogram=tuple((int(a), int(b)) for a, b in data["fiber_histogram"]),
-            n_source=int(data["n_source"]),
-            n_images=int(data["n_images"]),
-        )
-
 
 def verify_chart_fibration(
     m: int,
@@ -729,7 +672,7 @@ def verify_chart_fibration(
     if not _is_prime(q):
         raise DomainError(f"{q} is not prime")
     n_source = q ** ((d - 1) * (l + 1)) * (q - 1) * q ** (l - m)
-    cap = _node_cap(node_cap)
+    cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     if n_source > cap:
         raise ResourceLimitError(f"{n_source} source jets exceed the cap {cap}")
 

@@ -16,7 +16,6 @@ cross check: this module never touches the covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .model import SncConfiguration, euler_open_stratum, require_valid
 from .spectral import E1Page, e1_page
@@ -54,10 +53,6 @@ class ZetaFactorization:
 
     def to_json_dict(self) -> dict:
         return {"factors": [[length, exp] for length, exp in self.factors]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ZetaFactorization":
-        return cls(tuple((int(a), int(b)) for a, b in data["factors"]))
 
 
 def lefschetz_number(cfg: SncConfiguration, m: int) -> int:
@@ -99,20 +94,11 @@ class EulerCrossCheck:
             "passed": self.passed,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "EulerCrossCheck":
-        return cls(
-            m=int(data["m"]),
-            page_euler=int(data["page_euler"]),
-            lefschetz=int(data["lefschetz"]),
-        )
-
 
 def cross_check_euler(
     cfg: SncConfiguration,
     w: WeightVector,
     m: int,
-    covers=None,
     *,
     lefschetz_cfg: SncConfiguration | None = None,
     page: E1Page | None = None,
@@ -125,7 +111,7 @@ def cross_check_euler(
     caller's E1 page of (cfg, w, m), when it has one; otherwise it is built.
     """
     if page is None:
-        page = e1_page(cfg, w, m, covers)
+        page = e1_page(cfg, w, m)
     other = lefschetz_cfg if lefschetz_cfg is not None else cfg
     return EulerCrossCheck(
         m=m,

@@ -17,7 +17,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .model import _json_field
@@ -96,8 +96,11 @@ class SparsePolynomial:
                 raise DomainError(f"{what}: key 'terms' has a bad coefficient {coeff!r}") from None
         return cls.from_terms(nvars, terms)
 
-    def render(self, names: Iterable[str] = ("x", "y", "z", "w")) -> str:
-        names = list(names)[: self.nvars]
+    def render(self, names: Sequence[str] = ("x", "y", "z", "w")) -> str:
+        """The polynomial as text; with fewer names than variables, the
+        variables are named x1..xn instead."""
+        if len(names) < self.nvars:
+            names = [f"x{i}" for i in range(1, self.nvars + 1)]
 
         def order(term):
             exps, _ = term

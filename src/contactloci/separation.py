@@ -38,17 +38,6 @@ class SubdivisionRecord:
             "over_sigma": self.over_sigma,
         }
 
-    @classmethod
-    def from_json_dict(cls, data) -> "SubdivisionRecord":
-        return cls(
-            pair=tuple(int(i) for i in data["pair"]),
-            point_index=int(data["point_index"]),
-            new_id=int(data["new_id"]),
-            mult=int(data["mult"]),
-            disc=int(data["disc"]),
-            over_sigma=bool(data["over_sigma"]),
-        )
-
 
 def is_m_separating(cfg: SncConfiguration, m: int) -> bool:
     least = cfg.min_pair_multiplicity

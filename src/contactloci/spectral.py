@@ -93,26 +93,6 @@ class E1Page:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "E1Page":
-        entries = tuple(
-            (
-                (int(item["p"]), int(item["q"])),
-                PageEntry(
-                    rank=int(item["rank"]),
-                    torsion=tuple(int(t) for t in item.get("torsion", ())),
-                    contributors=tuple((int(i), int(n)) for i, n in item.get("contributors", ())),
-                ),
-            )
-            for item in data["entries"]
-        )
-        return cls(
-            m=int(data["m"]),
-            ambient_dim=int(data["ambient_dim"]),
-            entries=tuple(sorted(entries)),
-            total_shift=int(data.get("total_shift", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class DegreeStatus:
@@ -162,28 +142,6 @@ class HcReport:
             "rational_window_forced": self.rational_window_forced,
             "statuses": [s.to_json_dict() for s in self.statuses],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "HcReport":
-        return cls(
-            m=int(data["m"]),
-            ambient_dim=int(data["ambient_dim"]),
-            statuses=tuple(
-                DegreeStatus(
-                    degree=int(s["degree"]),
-                    kind=str(s["kind"]),
-                    rank=int(s["rank"]),
-                    lo=int(s["lo"]),
-                    hi=int(s["hi"]),
-                    torsion=tuple(int(t) for t in s.get("torsion", ())),
-                    graded_only=bool(s.get("graded_only", False)),
-                )
-                for s in data["statuses"]
-            ),
-            euler=int(data["euler"]),
-            integral_forced=bool(data["integral_forced"]),
-            rational_window_forced=bool(data["rational_window_forced"]),
-        )
 
 
 def contributing_set(cfg: SncConfiguration, w: WeightVector, m: int) -> ContributingSet:
@@ -361,15 +319,13 @@ def degeneration_analysis(page: E1Page) -> HcReport:
     )
 
 
-def mclean_relabel(page: E1Page, *, inverse: bool = False) -> E1Page:
+def mclean_relabel(page: E1Page) -> E1Page:
     """Shift the total degree by -(2 d m + d - 1), keeping columns fixed.
 
     This aligns the page with the fixed-point Floer grading of the m-th
-    monodromy iterate; ``inverse`` undoes the shift.
+    monodromy iterate.
     """
     shift = 2 * page.ambient_dim * page.m + page.ambient_dim - 1
-    if inverse:
-        shift = -shift
     entries = tuple(((p, q - shift), e) for (p, q), e in page.entries)
     return replace(page, entries=tuple(sorted(entries)), total_shift=page.total_shift - shift)
 

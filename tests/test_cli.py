@@ -255,6 +255,16 @@ def test_oracle_count_cli(capsys):
     assert code == 0 and "count = 18" in out
 
 
+@pytest.mark.parametrize(
+    "poly,rendered",
+    [("a*b*c*d", "x*y*z*w"), ("a*b*c*d*e", "x1*x2*x3*x4*x5"), ("a^2*b + c*d*e*f", "x1^2*x2 + x3*x4*x5*x6")],
+)
+def test_oracle_count_names_every_variable(capsys, poly, rendered):
+    code, out, _ = run(capsys, "oracle-count", "--poly", poly, "--m", "5", "--q", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["poly"] == rendered
+
+
 def test_oracle_chi_congruence_pool(capsys):
     code, out, _ = run(
         capsys, "oracle-chi", "--poly", "x^2+y^3", "--m", "3", "--level", "3",
@@ -358,19 +368,12 @@ def test_oracle_chi_csv_export(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "q,count"
 
 
-def test_node_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CONTACTLOCI_NODE_CAP", "5")
-    code, _, err = run(capsys, "oracle-count", "--poly", "x^2+y^3", "--m", "3", "--q", "13")
-    assert code == 2
-    assert "budget" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "", "0", "-3"])
-def test_bad_node_cap_env_var_is_a_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("CONTACTLOCI_NODE_CAP", value)
-    code, out, err = run(capsys, "oracle-count", "--poly", "x*y", "--m", "2", "--q", "5")
+def test_exceeded_node_cap_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys, "oracle-count", "--poly", "x^2+y^3", "--m", "3", "--q", "13", "--node-cap", "5"
+    )
     assert code == 2 and not out
-    assert err.startswith("error: ") and err.count("\n") == 1 and "CONTACTLOCI_NODE_CAP" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
 
 def _positive_options():
@@ -543,40 +546,17 @@ def test_line_configuration_is_separating_at_every_m(tmp_path, capsys):
         assert json.loads(out)["page"]["m"] == m
 
 
-def test_report_roundtrips_through_json(capsys):
-    from contactloci.lefschetz import EulerCrossCheck
-    from contactloci.model import SncConfiguration
-    from contactloci.separation import SubdivisionRecord
-    from contactloci.spectral import E1Page, HcReport
-    from contactloci.weights import WeightVector
-
-    code, out, _ = run(
-        capsys, "report", "--poly", "x^2+y^3", "--m", "7", "--format", "json"
-    )
+def test_report_json_reads_back_as_a_config(tmp_path, capsys):
+    code, out, _ = run(capsys, "report", "--poly", "x^2+y^3", "--m", "7", "--format", "json")
     assert code == 0
-    data = json.loads(out)
-    cfg = SncConfiguration.from_json_dict(data["configuration"])
-    assert cfg.to_json_dict() == data["configuration"]
-    page = E1Page.from_json_dict(data["page"])
-    assert page.to_json_dict() == data["page"]
-    hc = HcReport.from_json_dict(data["hc"])
-    assert hc.to_json_dict() == data["hc"]
-    w = WeightVector.from_json_dict(data["weights"])
-    assert w.to_json_dict() == data["weights"]
-    assert data["subdivisions"]  # m = 7 forces one separating blowup
-    for rec in data["subdivisions"]:
-        assert SubdivisionRecord.from_json_dict(rec).to_json_dict() == rec
-    check = EulerCrossCheck.from_json_dict(data["euler_cross_check"])
-    assert check.to_json_dict() == data["euler_cross_check"]
-
-
-def test_fit_and_fibration_json_roundtrips(capsys):
-    from contactloci.jets import ChiFit, FibrationReport, interpolate_chi, verify_chart_fibration
-
-    fit = interpolate_chi([(3, 18), (5, 100), (7, 294)])
-    assert ChiFit.from_json_dict(fit.to_json_dict()) == fit
-    report = verify_chart_fibration(1, 1, 3)
-    assert FibrationReport.from_json_dict(report.to_json_dict()) == report
+    report = json.loads(out)
+    assert report["subdivisions"]  # m = 7 forces one separating blowup
+    path = tmp_path / "cusp_m7.json"
+    path.write_text(json.dumps({**report["configuration"], "weights": report["weights"]}))
+    for command, key in (("e1", "page"), ("hc", "hc")):
+        code, out, err = run(capsys, command, "--config", str(path), "--m", "7", "--format", "json")
+        assert code == 0 and not err, command
+        assert json.loads(out)[key] == report[key], command
 
 
 @pytest.mark.parametrize(
@@ -805,9 +785,8 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch):
     from collections import Counter
 
     from contactloci.cli import build_parser
-    from contactloci.jets import NODE_CAP_ENV
 
-    monkeypatch.setenv(NODE_CAP_ENV, "20000")
+    monkeypatch.setattr("contactloci.jets.DEFAULT_NODE_CAP", 20000)
     subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
     codes = Counter()
     for command in sorted(subparsers):  # --csv is left out: it writes a file

@@ -132,10 +132,3 @@ def test_covers_for_resolved_curves():
         over = [d.id for d in cfg.divisors if d.over_sigma]
         data = covers_for(cfg, over)
         assert set(data) == set(over)
-
-
-def test_cover_json_roundtrip():
-    from contactloci.covers import CoverHomology
-
-    cover = cover_betti(hand_built_cusp(), 2)
-    assert CoverHomology.from_json_dict(cover.to_json_dict()) == cover

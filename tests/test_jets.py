@@ -235,13 +235,6 @@ def test_chart_fibration_d3():
     assert report.passed and report.expected_fiber == 9
 
 
-def test_count_report_json_roundtrip():
-    from contactloci.jets import CountReport
-
-    report = stratified_count("x*y", 2, 3, 3)
-    assert CountReport.from_json_dict(report.to_json_dict()) == report
-
-
 def test_csv_export(tmp_path):
     from contactloci.jets import export_counts_csv
 

@@ -2,7 +2,6 @@ import pytest
 
 from contactloci.curves import point_configuration, resolve_plane_curve
 from contactloci.lefschetz import (
-    ZetaFactorization,
     cross_check_euler,
     lefschetz_number,
     zeta_factorization,
@@ -51,11 +50,6 @@ def test_zeta_power():
     zeta = zeta_factorization(point_configuration(4))
     assert zeta.factors == ((4, -1),)
     assert zeta.render() == "1 / (1 - t^4)"
-
-
-def test_zeta_json_roundtrip():
-    zeta = zeta_factorization(hand_built_cusp())
-    assert ZetaFactorization.from_json_dict(zeta.to_json_dict()) == zeta
 
 
 def test_zeta_invariant_under_extra_blowups():
