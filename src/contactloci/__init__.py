@@ -7,7 +7,7 @@ results against two independent oracles: A'Campo Lefschetz numbers and
 brute-force jet counts over small prime fields.
 """
 
-from .covers import CoverHomology, cover_betti, cover_component_count, covers_for
+from .covers import CoverHomology, cover_betti, covers_for
 from .curves import (
     ResolutionLog,
     as_plane_curve,

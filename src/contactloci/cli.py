@@ -92,12 +92,19 @@ def _add_format_option(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("table", "json"), default="table")
 
 
+def _read_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ContactLociError(f"{source}: JSON nests too deeply") from None
+
+
 def _load_poly(args) -> SparsePolynomial:
     if args.poly is not None:
         poly, _ = parse_polynomial(args.poly)
         return poly
     with open(args.poly_json) as handle:
-        return SparsePolynomial.from_json_dict(json.load(handle))
+        return SparsePolynomial.from_json_dict(_read_json(handle.read(), args.poly_json))
 
 
 def _load_input(
@@ -107,7 +114,7 @@ def _load_input(
     ``poly`` is the already loaded polynomial input, if any."""
     if args.config is not None:
         with open(args.config) as handle:
-            data = json.load(handle)
+            data = _read_json(handle.read(), args.config)
         cfg = SncConfiguration.from_json_dict(data)
         w = None
         if "weights" in data and data["weights"] is not None:
@@ -128,7 +135,7 @@ def _prepare_pipeline(args, m: int | None, poly: SparsePolynomial | None = None)
     cfg, file_weights, desc = _load_input(args, poly)
     sep, records = (cfg, []) if m is None else separate(cfg, m)
     if args.weights:
-        w = WeightVector.from_json_dict(json.loads(args.weights))
+        w = WeightVector.from_json_dict(_read_json(args.weights, "--weights"))
     elif file_weights is not None:
         w = file_weights
     else:
@@ -395,10 +402,8 @@ def build_report(args, m: int) -> dict:
         expected_dim = max(dims) if dims else None
         fit = interpolate_chi(counts, expected_dim)
         chi_match = fit.conclusive and fit.chi == check.lefschetz
-        if any(n for _, n in counts):
-            degree_match = fit.conclusive and fit.degree == expected_dim
-        else:
-            degree_match = not cset.members  # an empty S_m must mean an empty locus
+        # all-zero counts fit degree None, and expected_dim is None exactly when S_m is empty
+        degree_match = fit.conclusive and fit.degree == expected_dim
         oracle_pass = chi_match and degree_match
         oracle = {
             "level": level,
@@ -552,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-fibration", help="check the blowup chart fibration on jets")
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--level", "--l", dest="level", type=_positive_int, required=True)
+    p.add_argument("--level", type=_positive_int, required=True)
     p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--nu", type=int, default=2)

@@ -61,27 +61,6 @@ class CoverHomology:
         }
 
 
-def cover_component_count(cfg: SncConfiguration, i: int) -> int:
-    """gcd of m_i with the multiplicities at the punctures of E_i°.
-
-    Point counts are irrelevant: every puncture against the same adjacent
-    component contributes the same monodromy class.  With no punctures the
-    cover splits completely, c = m_i.
-    """
-    div = cfg.divisor(i)
-    cover = _supplied_cover(cfg, i)
-    if cover is not None:
-        return cover.components
-    if cfg.ambient_dim == 2 and (div.genus or 0) > 0:
-        raise MissingCoverDataError(
-            f"divisor {i} has genus {div.genus}; its cover is not combinatorially "
-            "determined, supply cover_betti"
-        )
-    if cfg.ambient_dim > 2:
-        raise MissingCoverDataError(f"divisor {i}: supply cover_betti for ambient_dim >= 3")
-    return math.gcd(div.mult, *cfg.adjacent_multiplicities(i))
-
-
 def _supplied_cover(cfg: SncConfiguration, i: int) -> CoverHomology | None:
     div = cfg.divisor(i)
     if div.cover_betti is None:
@@ -107,7 +86,13 @@ def _supplied_cover(cfg: SncConfiguration, i: int) -> CoverHomology | None:
 
 
 def cover_betti(cfg: SncConfiguration, i: int) -> CoverHomology:
-    """Betti data of the cyclic cover of E_i°, computed or supplied."""
+    """Betti data of the cyclic cover of E_i°, computed or supplied.
+
+    The computed cover has c = gcd(m_i, multiplicities at the punctures)
+    components: every puncture against the same adjacent component
+    contributes the same monodromy class, and with no punctures the cover
+    splits completely, c = m_i.
+    """
     supplied = _supplied_cover(cfg, i)
     if supplied is not None:
         return supplied
@@ -115,11 +100,18 @@ def cover_betti(cfg: SncConfiguration, i: int) -> CoverHomology:
     if cfg.ambient_dim == 1:
         # E_i° is a point; the cover is m_i points
         return CoverHomology(divisor_id=i, components=div.mult, betti=(div.mult,))
-    c = cover_component_count(cfg, i)
+    if cfg.ambient_dim > 2:
+        raise MissingCoverDataError(f"divisor {i}: supply cover_betti for ambient_dim >= 3")
+    if (div.genus or 0) > 0:
+        raise MissingCoverDataError(
+            f"divisor {i} has genus {div.genus}; its cover is not combinatorially "
+            "determined, supply cover_betti"
+        )
     k = cfg.puncture_count(i)
     m = div.mult
     if k == 0:
         return CoverHomology(divisor_id=i, components=m, betti=(m, 0, m))
+    c = math.gcd(m, *cfg.adjacent_multiplicities(i))
     b1 = c * (1 - (m // c) * (2 - k))
     if b1 < 0:
         raise InconsistentConfigurationError(

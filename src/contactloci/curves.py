@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -254,30 +254,7 @@ def _sort_key(factor: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# resolution state
-
-@dataclass
-class _ExcDivisor:
-    index: int  # creation order
-    mult: int
-    disc: int
-    self_int: int
-
-
-@dataclass(frozen=True)
-class LocalProblem:
-    """Germ of the total transform at one point over the origin."""
-
-    axes: tuple[tuple[str, int], ...]  # ("u"|"v", exceptional index), sorted
-    stricts: dict[int, Poly2]  # factor index -> strict transform, by index
-    site: str  # human readable position, for the log
-
-    @classmethod
-    def make(cls, axes: Mapping[str, int], stricts: Mapping[int, Poly2], site: str) -> "LocalProblem":
-        """The problem at a point; strict transforms that miss it are dropped."""
-        through = {j: g for j, g in sorted(stricts.items()) if _vanishes_at_origin(g)}
-        return cls(tuple(sorted(axes.items())), through, site)
-
+# resolution
 
 @dataclass(frozen=True)
 class BlowupRecord:
@@ -295,148 +272,25 @@ class ResolutionLog:
     blowups: tuple[BlowupRecord, ...]
 
 
-class ResolutionState:
-    """Mutable worklist state of a resolution in progress."""
+def _is_snc(axes: tuple[int | None, int | None], stricts: dict[int, Poly2]) -> bool:
+    """Simple normal crossing test for the germ at a point of a new divisor.
 
-    def __init__(self, factor_exponents: dict[int, int]):
-        self.factor_exponents = dict(factor_exponents)
-        self.exceptional: list[_ExcDivisor] = []
-        self.cells: dict[tuple, int] = {}  # key: sorted pair of handles
-        self.records: list[BlowupRecord] = []
-        self.worklist: deque[LocalProblem] = deque()
-
-    # handles: ("E", index) for exceptional, ("D", factor index) for stricts
-    def _record_cell(self, ha, hb, count=1):
-        key = tuple(sorted((ha, hb)))
-        self.cells[key] = self.cells.get(key, 0) + count
-
-
-def is_snc_problem(problem: LocalProblem) -> bool:
-    """Simple normal crossing test for the germ at the problem's point."""
-    stricts = problem.stricts
-    mults = {j: _mult0(g) for j, g in stricts.items()}
-    if any(mu >= 2 for mu in mults.values()):
-        return False
-    curves = len(problem.axes) + len(stricts)
-    if curves > 2:
-        return False
-    if curves < 2:
-        return True
-    # exactly two smooth curves: check transversality
-    axes = dict(problem.axes)
-    if len(axes) == 2:
-        return True
-    polys = list(stricts.values())
-    if len(axes) == 1:
-        (axis, _), = axes.items()
-        cu, cv = _linear_part(polys[0])
-        # tangent to {u = 0} iff the v-coefficient vanishes, and dually
-        return cv != 0 if axis == "u" else cu != 0
-    (au, av), (bu, bv) = _linear_part(polys[0]), _linear_part(polys[1])
-    return au * bv - av * bu != 0
-
-
-def blowup_numeric_rules(axis_data: list[tuple[int, int]], weighted_strict_mult: int) -> tuple[int, int]:
-    """Additivity rules for a point blowup.
-
-    For a center lying on exceptional divisors with data (m_i, nu_i) and on
-    the strict transform with total multiplicity mu (weighted by component
-    multiplicities in f):
-
-        m_new  = mu + sum m_i
-        nu_new = 2 + sum (nu_i - 1)
+    The point lies on the new divisor and on at least one more curve, an
+    old axis or a strict transform.  So the germ is simple normal crossing
+    exactly when it has two curves, both smooth, and a strict transform
+    among them is transverse to the axis.
     """
-    m_new = weighted_strict_mult + sum(m for m, _ in axis_data)
-    nu_new = 2 + sum(nu - 1 for _, nu in axis_data)
-    return m_new, nu_new
-
-
-def blowup_step(state: ResolutionState, problem: LocalProblem) -> int:
-    """Blow up the point of ``problem``; returns the new divisor's index.
-
-    Updates multiplicities, discrepancies and self-intersections, records
-    the blowup, and enqueues one child problem per special point of the
-    new divisor (or a terminal cluster cell where nothing further is
-    needed).
-    """
-    axes = dict(problem.axes)
-    stricts = problem.stricts
-    if not axes and not stricts:
-        raise DomainError("blowup center does not lie on the total transform")
-    mults = {j: _mult0(g) for j, g in stricts.items()}
-
-    axis_divs = [state.exceptional[idx] for _, idx in sorted(axes.items())]
-    weighted = sum(state.factor_exponents[j] * mu for j, mu in mults.items())
-    m_new, nu_new = blowup_numeric_rules([(d.mult, d.disc) for d in axis_divs], weighted)
-
-    new_index = len(state.exceptional)
-    state.exceptional.append(_ExcDivisor(new_index, m_new, nu_new, -1))
-    for d in axis_divs:
-        d.self_int -= 1
-    state.records.append(
-        BlowupRecord(
-            new_index,
-            problem.site,
-            tuple(idx for _, idx in sorted(axes.items())),
-            tuple(sorted(mults.items())),
-            m_new,
-            nu_new,
-        )
-    )
-
-    # chart I: new divisor {s = 0}, old v-axis at t = 0
-    chart1 = {j: _chart1(g, mults[j]) for j, g in stricts.items()}
-    restricted = {j: _restrict_u0(g) for j, g in chart1.items()}
-    root_keys: dict[tuple[Fraction, ...], dict[int, int]] = {}
-    for j, rest in restricted.items():
-        for monic, exp in _uni_factorization(rest):
-            root_keys.setdefault(monic, {})[j] = exp
-    t_key = (Fraction(0), Fraction(1))  # the polynomial t
-    if "v" in axes:
-        root_keys.setdefault(t_key, {})
-
-    for monic in sorted(root_keys, key=lambda mk: (len(mk), mk)):
-        participants = root_keys[monic]
-        degree = len(monic) - 1
-        if degree == 1:
-            tau = -monic[0]
-            child_axes = {"u": new_index}
-            if tau == 0 and "v" in axes:
-                child_axes["v"] = axes["v"]
-            child_stricts = {j: _translate_v(chart1[j], tau) for j in participants}
-            state.worklist.append(
-                LocalProblem.make(child_axes, child_stricts, f"E{new_index + 1} chart at t={tau}")
-            )
-            continue
-        # irreducible cluster of conjugate points
-        simple = len(participants) == 1 and next(iter(participants.values())) == 1
-        if simple:
-            (j,) = participants
-            state._record_cell(("E", new_index), ("D", j), degree)
-        else:
-            raise DomainError(
-                "resolution needs a blowup at a non-rational point cluster "
-                f"(degree {degree}); only rational centers are supported"
-            )
-
-    # chart II: new divisor {q = 0}, old u-axis at p = 0
-    chart2 = {j: _chart2(g, mults[j]) for j, g in stricts.items()}
-    through = {j: g for j, g in chart2.items() if _vanishes_at_origin(g)}
-    if "u" in axes or through:
-        child_axes = {"v": new_index}
-        if "u" in axes:
-            child_axes["u"] = axes["u"]
-        state.worklist.append(
-            LocalProblem.make(child_axes, through, f"E{new_index + 1} chart at infinity")
-        )
-    return new_index
-
-
-def _terminal_cells(state: ResolutionState, problem: LocalProblem) -> None:
-    handles = [("E", idx) for _, idx in problem.axes]
-    handles += [("D", j) for j in problem.stricts]
-    if len(handles) == 2:
-        state._record_cell(handles[0], handles[1])
+    u, v = axes
+    if any(_mult0(g) >= 2 for g in stricts.values()):
+        return False
+    if len(stricts) + (u is not None) + (v is not None) > 2:
+        return False
+    if not stricts:
+        return True
+    (g,) = stricts.values()
+    cu, cv = _linear_part(g)
+    # tangent to {u = 0} iff the v-coefficient vanishes, and dually
+    return cv != 0 if u is not None else cu != 0
 
 
 def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, ResolutionLog]:
@@ -478,33 +332,79 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
         text = SparsePolynomial.from_terms(2, factor_polys[j]).render(("x", "y"))
         factor_texts.append((j, text, merged[factor]))
 
-    state = ResolutionState(factor_exponents)
-    blowup_step(state, LocalProblem.make({}, factor_polys, "origin"))
-    while state.worklist:
-        problem = state.worklist.popleft()
-        if is_snc_problem(problem):
-            _terminal_cells(state, problem)
-        else:
-            blowup_step(state, problem)
+    # a local problem is (axes, stricts, site): the exceptional curves along
+    # {u = 0} and {v = 0} (None where there is none), the strict transforms
+    # through the point by factor index, and the point's name for the log
+    exceptional: list[list[int]] = []  # [mult, disc, self_int] in creation order
+    cell_counts: Counter = Counter()  # sorted pair of ("E", index) / ("D", factor index) -> count
+    records: list[BlowupRecord] = []
+    worklist = deque([((None, None), factor_polys, "origin")])
+    while worklist:
+        axes, stricts, site = worklist.popleft()
+        if exceptional and _is_snc(axes, stricts):  # the origin is always blown up
+            handles = [("E", i) for i in axes if i is not None] + [("D", j) for j in stricts]
+            cell_counts[tuple(sorted(handles))] += 1
+            continue
+        new_index = len(exceptional)
+        mults = {j: _mult0(g) for j, g in stricts.items()}
+        on = [i for i in axes if i is not None]
+        # m_new = sum e_j mu_j + sum m_i and nu_new = 2 + sum (nu_i - 1), over
+        # the factors j through the centre and the exceptional curves i on it
+        m_new = sum(factor_exponents[j] * mu for j, mu in mults.items()) + sum(exceptional[i][0] for i in on)
+        nu_new = 2 + sum(exceptional[i][1] - 1 for i in on)
+        for i in on:
+            exceptional[i][2] -= 1
+        exceptional.append([m_new, nu_new, -1])
+        records.append(BlowupRecord(new_index, site, tuple(on), tuple(sorted(mults.items())), m_new, nu_new))
+
+        # chart I: new divisor {s = 0}, old v-axis at t = 0
+        u, v = axes
+        chart1 = {j: _chart1(g, mults[j]) for j, g in stricts.items()}
+        root_keys: dict[tuple[Fraction, ...], dict[int, int]] = {}
+        for j, g in chart1.items():
+            for monic, exp in _uni_factorization(_restrict_u0(g)):
+                root_keys.setdefault(monic, {})[j] = exp
+        if v is not None:
+            root_keys.setdefault((Fraction(0), Fraction(1)), {})  # the polynomial t
+        for monic in sorted(root_keys, key=lambda mk: (len(mk), mk)):
+            participants = root_keys[monic]
+            degree = len(monic) - 1
+            if degree == 1:
+                tau = -monic[0]
+                child_stricts = {j: _translate_v(chart1[j], tau) for j in participants}
+                child_axes = (new_index, v if tau == 0 else None)
+                worklist.append((child_axes, child_stricts, f"E{new_index + 1} chart at t={tau}"))
+            elif list(participants.values()) == [1]:  # a simple, unshared conjugate cluster
+                (j,) = participants
+                cell_counts[("D", j), ("E", new_index)] += degree
+            else:
+                raise DomainError(
+                    "resolution needs a blowup at a non-rational point cluster "
+                    f"(degree {degree}); only rational centers are supported"
+                )
+
+        # chart II: new divisor {q = 0}, old u-axis at p = 0
+        chart2 = {j: _chart2(g, mults[j]) for j, g in stricts.items()}
+        through = {j: g for j, g in chart2.items() if _vanishes_at_origin(g)}
+        if u is not None or through:
+            worklist.append(((u, new_index), through, f"E{new_index + 1} chart at infinity"))
 
     # assemble the configuration: exceptional divisors first, strict factors after
-    n_exc = len(state.exceptional)
+    n_exc = len(exceptional)
     divisors = [
         Divisor(
-            id=d.index,
-            label=f"E{d.index + 1}",
-            mult=d.mult,
-            disc=d.disc,
+            id=index,
+            label=f"E{index + 1}",
+            mult=mult,
+            disc=disc,
             exceptional=True,
             over_sigma=True,
             genus=0,
-            self_int=d.self_int,
+            self_int=self_int,
         )
-        for d in state.exceptional
+        for index, (mult, disc, self_int) in enumerate(exceptional)
     ]
-    strict_ids = {}
     for j, text, exp in factor_texts:
-        strict_ids[j] = n_exc + j
         divisors.append(
             Divisor(
                 id=n_exc + j,
@@ -520,7 +420,7 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
 
     def _resolve_handle(handle):
         kind, idx = handle
-        return idx if kind == "E" else strict_ids[idx]
+        return idx if kind == "E" else n_exc + idx
 
     cells = tuple(
         IntersectionCell(
@@ -528,11 +428,11 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
             count=count,
             over_sigma=True,
         )
-        for (ha, hb), count in sorted(state.cells.items())
+        for (ha, hb), count in sorted(cell_counts.items())
     )
 
     cfg = SncConfiguration(ambient_dim=2, divisors=tuple(divisors), cells=cells)
-    log = ResolutionLog(factors=tuple(factor_texts), blowups=tuple(state.records))
+    log = ResolutionLog(factors=tuple(factor_texts), blowups=tuple(records))
     return cfg, log
 
 

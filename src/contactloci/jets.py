@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,6 +214,11 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
     if m < mu:
         return groups, 0
     depth = m - mu + 1
+    # visit recurses once per level; leave room for the frames of its callers
+    if depth > sys.getrecursionlimit() - 100:
+        raise ResourceLimitError(
+            f"the jet walk would nest {depth} = m - mu + 1 levels deep, past Python's recursion limit"
+        )
 
     def record(orders, start, rank, n):
         key = (orders, start, rank)

@@ -281,7 +281,10 @@ def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> tup
     unknown = sorted(seen - set(variables))
     # unknown names get slots too, so that a syntax error is reported first
     parser = _Parser(tokens, (*variables, *unknown))
-    raw, factors = parser.expr()
+    try:
+        raw, factors = parser.expr()
+    except RecursionError:
+        raise DomainError("the polynomial nests too deeply") from None
     if parser.pos != len(tokens):
         raise DomainError(f"trailing input after position {parser.pos}")
     if unknown:

@@ -281,6 +281,12 @@ def test_verify_fibration_cli(capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_level_option_accepts_a_prefix(capsys):
+    # argparse takes a unique prefix of an option, so --l still means --level
+    code, out, _ = run(capsys, "verify-fibration", "--m", "2", "--l", "2", "--q", "3")
+    assert code == 0 and "PASS" in out
+
+
 def test_mclean_cli(capsys):
     code, out, _ = run(
         capsys, "mclean", "--poly", "x^2+y^3", "--m", "2", "--format", "json"
@@ -401,6 +407,76 @@ def test_nonpositive_integer_options_are_usage_errors(capsys, command, option, v
     assert exc.value.code == 2 and not captured.out
     assert f"error: argument {option}" in captured.err.splitlines()[-1]
     assert "expected a positive integer" in captured.err
+
+
+def test_report_on_an_empty_locus_passes(capsys):
+    # at m = 1 the cusp's S_m is empty and every count is zero
+    code, out, _ = run(
+        capsys, "report", "--poly", "x^2+y^3", "--m", "1", "--primes", "3,5,7", "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "PASS"
+    assert data["oracle"]["expected_dim"] is None and data["oracle"]["degree_match"] is True
+
+
+@pytest.mark.parametrize(
+    "poly,named",
+    [
+        ("(x^2+y^2)^2+x^5", "non-rational point cluster"),
+        ("(x^2+y^2)*(x^2+y^2+x^3)", "non-rational point cluster"),
+        ("x*y*z", "two variables"),
+    ],
+)
+def test_unresolvable_germs_are_input_errors(capsys, poly, named):
+    code, out, err = run(capsys, "resolve", "--poly", poly)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["resolve", "--poly", "(" * 260 + "x+y" + ")" * 260], "nests too deeply"),
+        (["validate", "--config", "deep.json"], "nests too deeply"),
+        (["oracle-count", "--poly", "x*y", "--m", "1000", "--q", "3"], "recursion limit"),
+    ],
+)
+def test_deep_inputs_are_input_errors(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def _validate_case(edit):
+    data = hand_built_cusp().to_json_dict()
+    edit(data, data["divisors"][0], data["cells"][0])
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda c, d, x: c.update(ambient_dim=0), "ambient_dim must be >= 1"),
+        (lambda c, d, x: c["divisors"][1].update(id=0), "duplicate id"),
+        (lambda c, d, x: d.update(mult=0), "mult >= 1 required"),
+        (lambda c, d, x: d.pop("genus"), "genus required in the curve case"),
+        (lambda c, d, x: d.update(genus=-1), "genus must be nonnegative"),
+        (lambda c, d, x: d.pop("self_int"), "exceptional curves need a self-intersection"),
+        (lambda c, d, x: d.update(cover_betti=[2, -1]), "cover_betti must be nonempty and nonnegative"),
+        (lambda c, d, x: x.update(ids=[2, 2]), "cell needs >= 2 distinct divisor ids"),
+        (lambda c, d, x: x.update(ids=[0, 1, 2]), "curve-case cells are pairs"),
+        (lambda c, d, x: x.update(count=0), "count must be positive"),
+    ],
+)
+def test_validate_reports_each_issue(tmp_path, capsys, edit, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_validate_case(edit)))
+    code, out, _ = run(capsys, "validate", "--config", str(path))
+    assert code == 1
+    assert message in out
 
 
 def test_resolve_univariate_cli(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from contactloci.covers import cover_betti, cover_component_count, covers_for
+from contactloci.covers import cover_betti, covers_for
 from contactloci.curves import point_configuration, resolve_plane_curve
 from contactloci.errors import InconsistentConfigurationError, MissingCoverDataError
 from contactloci.model import Divisor, IntersectionCell, SncConfiguration, euler_open_stratum
@@ -10,9 +10,9 @@ from conftest import hand_built_cusp, hand_built_node
 
 def test_component_counts_cusp():
     cusp = hand_built_cusp()
-    assert cover_component_count(cusp, 0) == 2  # gcd(2, 6)
-    assert cover_component_count(cusp, 1) == 3  # gcd(3, 6)
-    assert cover_component_count(cusp, 2) == 1  # gcd(6, 2, 3, 1)
+    assert cover_betti(cusp, 0).components == 2  # gcd(2, 6)
+    assert cover_betti(cusp, 1).components == 3  # gcd(3, 6)
+    assert cover_betti(cusp, 2).components == 1  # gcd(6, 2, 3, 1)
 
 
 def test_component_count_no_punctures():
@@ -20,7 +20,7 @@ def test_component_count_no_punctures():
         ambient_dim=2,
         divisors=(Divisor(0, "E", 5, 2, True, True, 0, -1),),
     )
-    assert cover_component_count(cfg, 0) == 5
+    assert cover_betti(cfg, 0).components == 5
     assert cover_betti(cfg, 0).betti == (5, 0, 5)
 
 
@@ -64,7 +64,7 @@ def test_disconnected_cover_of_twice_punctured_stratum():
             IntersectionCell((0, 2), 1, True),
         ),
     )
-    assert cover_component_count(cfg, 0) == 2
+    assert cover_betti(cfg, 0).components == 2
     cover = cover_betti(cfg, 0)
     assert cover.betti == (2, 2)
     assert cover.euler() == 4 * euler_open_stratum(cfg, 0) == 0

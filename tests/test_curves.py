@@ -10,7 +10,6 @@ from contactloci.curves import (
     _plane_factorization,
     _primitive,
     _uni_factorization,
-    blowup_numeric_rules,
     point_configuration,
     resolve_plane_curve,
     resolve_univariate,
@@ -96,18 +95,27 @@ def test_discrepancy_growth():
             assert rec.disc - 1 >= len(rec.axis_indices)
 
 
+def _cusp_blowups():
+    _, log = resolve_plane_curve("x^2 + y^3")
+    return [(r.mult, r.disc, r.axis_indices) for r in log.blowups]
+
+
 def test_blowup_rule_first_center():
-    assert blowup_numeric_rules([], 2) == (2, 2)
+    # m_new = sum e_j mu_j + sum m_i and nu_new = 2 + sum (nu_i - 1): the
+    # origin lies on no divisor yet
+    blowups = _cusp_blowups()
+    assert len(blowups) == 3
+    assert blowups[0] == (2, 2, ())
 
 
 def test_blowup_rule_on_one_divisor():
     # cusp step two: center on E1 (m=2, nu=2) with strict multiplicity 1
-    assert blowup_numeric_rules([(2, 2)], 1) == (3, 3)
+    assert _cusp_blowups()[1] == (3, 3, (0,))
 
 
 def test_blowup_rule_triple_point():
-    # cusp step three: center on E1, E2 and the strict transform
-    assert blowup_numeric_rules([(2, 2), (3, 3)], 1) == (6, 5)
+    # cusp step three: center on E2, E1 and the strict transform
+    assert _cusp_blowups()[2] == (6, 5, (1, 0))
 
 
 def test_conjugate_intersection_clusters():
@@ -153,15 +161,6 @@ def test_rejects_nonvanishing_germ():
         resolve_plane_curve("x + 1")
     with pytest.raises(DomainError):
         resolve_plane_curve("0")
-
-
-def test_blowup_step_rejects_empty_center():
-    from contactloci.curves import LocalProblem, ResolutionState, blowup_step
-
-    state = ResolutionState({})
-    problem = LocalProblem.make({}, {}, "nowhere")
-    with pytest.raises(DomainError):
-        blowup_step(state, problem)
 
 
 def test_point_configuration():

@@ -25,3 +25,29 @@ def test_every_traced_name_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing
+
+
+def test_traced_counters_read_the_returned_objects(capsys):
+    # every counter reads attributes of a traced call's result; a renamed
+    # attribute would fail inside the tracer, not here, so run them all
+    from contactloci.cli import main
+
+    tracing = _tracing_module()
+    with tracing.Tracer() as tracer:
+        assert main(["report", "--poly", "x*y", "--m", "3", "--primes", "3,5,7", "--format", "json"]) == 0
+        assert main(["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata"]) == 0
+    capsys.readouterr()
+    counts = {k: v for k, v in tracing.summarize(tracer.spans).items() if not k.endswith("_s")}
+    assert counts == {
+        "curves.blowups": 1,
+        "separation.subdivisions": 2,
+        "weights.exc_divisors": 3,
+        "weights.weight_sum": 11,
+        "spectral.page_entries": 2,
+        "jets.count_nodes": 86,
+        "jets.fits": 1,
+        "jets.fits_conclusive": 1,
+        "jets.strata_nodes": 9,
+        "jets.strata_cells": 1,
+        "cli.calls": 0,
+    }
