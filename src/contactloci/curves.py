@@ -24,12 +24,22 @@ Blowing up the origin of a chart (u, v) produces two standard charts:
 
 Points of the new divisor needing further work are read off from the
 roots of the strict transforms restricted to {s = 0}; the root at t = 0
-and the chart II origin host the old axes.  Rational roots become child
-problems; a Q-irreducible root cluster of degree e that is a simple,
-unshared intersection is already simple normal crossing and is recorded
-as a cell of count e.  Singular or shared clusters would need blowups at
-non-rational centers, which this builder refuses (the exact arithmetic
-stays in Q); inputs for the shipped suites keep all centers rational.
+and the chart II origin host the old axes.  A Q-irreducible root cluster
+of degree e that is a simple root of one strict transform, away from an
+old axis, is already simple normal crossing (the strict transform is
+smooth and transverse to the new divisor there) and is recorded as a
+cell of count e where it is found; this includes simple rational roots.
+Other rational roots become child problems.  Other clusters would need
+blowups at non-rational centers, which the resolver refuses; inputs for
+the shipped suites keep all centers rational.
+
+Strict transforms are integer polynomials up to a nonzero scalar.  A
+factor enters with the integer coefficients that ``_primitive`` or sympy
+give it, the chart maps only move exponents, and moving a root t = p/r
+to the origin multiplies by r^B, B the top degree in t.  Multiplicities,
+linear parts, the simple normal crossing test and the roots of the
+restrictions do not change under scaling, so only the roots and the
+monic root keys are Fractions.
 
 The factors of f are found one written multiplicand at a time (f itself
 when it is written as a sum).  The monomial content x^i y^j is read off;
@@ -57,7 +67,7 @@ from .errors import DomainError
 from .model import Divisor, IntersectionCell, SncConfiguration
 from .polys import SparsePolynomial, parse_polynomial
 
-Poly2 = dict  # {(a, b): Fraction}, internal mutable representation
+Poly2 = dict  # {(a, b): int}, a strict transform up to a nonzero scalar
 
 
 class _LazySympy:
@@ -112,27 +122,31 @@ def _chart2(g: Poly2, mu: int) -> Poly2:
     return {(a, a + b - mu): c for (a, b), c in g.items()}
 
 
-def _restrict_u0(g: Poly2) -> dict[int, Fraction]:
+def _restrict_u0(g: Poly2) -> dict[int, int]:
     return {b: c for (a, b), c in g.items() if a == 0}
 
 
 def _translate_v(g: Poly2, tau: Fraction) -> Poly2:
-    # g(u, v + tau)
+    """r^B g(u, v + p/r) for tau = p/r in lowest terms, B the top v-degree
+    of g: the term c u^a v^b gives c C(b, k) p^(b-k) r^(B-b+k) u^a v^k."""
     if not tau:
-        return dict(g)
+        return g
+    p, r = tau.numerator, tau.denominator
+    top = max(b for _, b in g)
+    p_pow, r_pow = [1], [1]
+    for _ in range(top):
+        p_pow.append(p_pow[-1] * p)
+        r_pow.append(r_pow[-1] * r)
     out: Poly2 = {}
     for (a, b), c in g.items():
-        # (v + tau)^b expanded binomially
-        for k in range(b, -1, -1):
-            coeff = c * math.comb(b, k) * tau ** (b - k)
-            if coeff:
-                key = (a, k)
-                out[key] = out.get(key, Fraction(0)) + coeff
+        for k in range(b + 1):
+            key = (a, k)
+            out[key] = out.get(key, 0) + c * math.comb(b, k) * p_pow[b - k] * r_pow[top - b + k]
     return {k: c for k, c in out.items() if c}
 
 
-def _linear_part(g: Poly2) -> tuple[Fraction, Fraction]:
-    return g.get((1, 0), Fraction(0)), g.get((0, 1), Fraction(0))
+def _linear_part(g: Poly2) -> tuple[int, int]:
+    return g.get((1, 0), 0), g.get((0, 1), 0)
 
 
 def _vanishes_at_origin(g: Poly2) -> bool:
@@ -157,13 +171,13 @@ def _fraction(c) -> Fraction:
     return Fraction(c.p, c.q)  # c is a sympy Rational
 
 
-def _uni_factorization(u: dict[int, Fraction]) -> list[tuple[tuple[Fraction, ...], int]]:
+def _uni_factorization(u: dict[int, int]) -> list[tuple[tuple[Fraction, ...], int]]:
     """Q-irreducible factors of a univariate polynomial given as {deg: coeff}.
 
     Returns (monic coefficient tuple, exponent) pairs, constant factors
     dropped, sorted deterministically by (degree, coefficients).  The power
     of t is read off, and so is a rest of degree k = hi - lo that is linear
-    or a pure power c (t + s)^k, where s can only be u[hi-1] / (k u[hi]);
+    or a pure power c (t + s)^k, where s = p/r can only be u[hi-1] / (k u[hi]);
     only any other rest is handed to sympy.
     """
     u = {d: c for d, c in u.items() if c}
@@ -175,8 +189,10 @@ def _uni_factorization(u: dict[int, Fraction]) -> list[tuple[tuple[Fraction, ...
     if k == 0:
         return out
     top = u[hi]
-    s = u.get(hi - 1, 0) / (k * top)
-    if all(u.get(lo + d, 0) == top * math.comb(k, d) * s ** (k - d) for d in range(k - 1)):
+    s = Fraction(u.get(hi - 1, 0), k * top)
+    p, r = s.numerator, s.denominator
+    # u[lo + d] = top C(k, d) s^(k-d), times r^(k-d) to stay in the integers
+    if all(u.get(lo + d, 0) * r ** (k - d) == top * math.comb(k, d) * p ** (k - d) for d in range(k - 1)):
         out.append(((s, Fraction(1)), k))
     else:
         _, factors = sympy.factor_list(_sympy_poly({(d - lo,): c for d, c in u.items()}, _gens()[0]))
@@ -187,7 +203,7 @@ def _uni_factorization(u: dict[int, Fraction]) -> list[tuple[tuple[Fraction, ...
     return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
 
 
-def _primitive(terms: Poly2) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+def _primitive(terms: Mapping[tuple[int, int], Fraction]) -> tuple[tuple[tuple[int, int], int], ...]:
     """A polynomial as sympy writes an irreducible factor over QQ: integer
     coefficients with gcd 1 and a positive lex-leading coefficient (x
     first), as a term tuple in lex-descending order."""
@@ -196,10 +212,10 @@ def _primitive(terms: Poly2) -> tuple[tuple[tuple[int, int], Fraction], ...]:
     content = math.gcd(*nums.values())
     if nums[max(nums)] < 0:
         content = -content
-    return tuple((k, Fraction(nums[k] // content)) for k in sorted(nums, reverse=True))
+    return tuple((k, nums[k] // content) for k in sorted(nums, reverse=True))
 
 
-def _plane_factorization(g: Poly2) -> list[tuple[tuple, int]]:
+def _plane_factorization(g: Mapping[tuple[int, int], Fraction]) -> list[tuple[tuple, int]]:
     """The Q-irreducible factors through the origin of a bivariate
     polynomial, as (term tuple, exponent) pairs normalised by ``_primitive``.
 
@@ -209,14 +225,15 @@ def _plane_factorization(g: Poly2) -> list[tuple[tuple, int]]:
     and is its own factor; only the remaining rests are handed to sympy.
     """
     i, j = min(a for a, _ in g), min(b for _, b in g)
-    out = [(((mono, Fraction(1)),), e) for mono, e in (((1, 0), i), ((0, 1), j)) if e]
+    out = [(((mono, 1),), e) for mono, e in (((1, 0), i), ((0, 1), j)) if e]
     rest = {(a - i, b - j): c for (a, b), c in g.items()}
     if (0, 0) in rest:
         return out
     if not newton.is_decomposable(rest):
         return out + [(_primitive(rest), 1)]
     for poly, exp in sympy.factor_list(_sympy_poly(rest, *_gens()[1:]))[1]:
-        terms = tuple((mono, _fraction(c)) for mono, c in poly.terms())
+        # sympy's factors are primitive over Z already; this makes them ints
+        terms = _primitive({mono: _fraction(c) for mono, c in poly.terms()})
         if terms[-1][0] != (0, 0):  # terms are lex-descending, so a unit ends in its constant
             out.append((terms, int(exp)))
     return out
@@ -369,14 +386,17 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
         for monic in sorted(root_keys, key=lambda mk: (len(mk), mk)):
             participants = root_keys[monic]
             degree = len(monic) - 1
-            if degree == 1:
+            if list(participants.values()) == [1] and not (v is not None and monic == (0, 1)):
+                # a simple root (or conjugate cluster) of one strict transform
+                # and no old axis: the strict transform is smooth and transverse
+                # to the new divisor there, so the germ is already SNC
+                (j,) = participants
+                cell_counts[("D", j), ("E", new_index)] += degree
+            elif degree == 1:
                 tau = -monic[0]
                 child_stricts = {j: _translate_v(chart1[j], tau) for j in participants}
                 child_axes = (new_index, v if tau == 0 else None)
                 worklist.append((child_axes, child_stricts, f"E{new_index + 1} chart at t={tau}"))
-            elif list(participants.values()) == [1]:  # a simple, unshared conjugate cluster
-                (j,) = participants
-                cell_counts[("D", j), ("E", new_index)] += degree
             else:
                 raise DomainError(
                     "resolution needs a blowup at a non-rational point cluster "

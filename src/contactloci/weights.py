@@ -111,10 +111,15 @@ def _solve_positive_definite(rows: Mapping[int, Mapping[int, int]]) -> dict[int,
     """x = A^-1 . 1 for a symmetric A given as sparse rows with their
     diagonal, or None when A is not positive definite (some pivot <= 0).
 
-    Exact elimination in minimum-degree order, ties broken by id: on a tree
-    this removes leaves first with no fill-in."""
-    rest = {i: {j: Fraction(v) for j, v in row.items()} for i, row in rows.items()}
-    rhs = {i: Fraction(1) for i in rest}
+    Fraction-free elimination over the integers in minimum-degree order,
+    ties broken by id: on a tree this removes leaves first with no
+    fill-in.  Eliminating k replaces each neighbour row i (right-hand side
+    included) by pivot * row_i - a_ik * row_k and divides it by its
+    content.  Each row is then a positive multiple of the row that exact
+    rational elimination gives, so the pivots keep their signs; only the
+    back-substitution works in Fractions."""
+    rest = {i: dict(row) for i, row in rows.items()}
+    rhs = dict.fromkeys(rest, 1)
     heap = sorted((len(row) - 1, i) for i, row in rest.items())
     eliminated = []
     while heap:
@@ -125,17 +130,25 @@ def _solve_positive_definite(rows: Mapping[int, Mapping[int, int]]) -> dict[int,
         pivot = row.pop(k)
         if pivot <= 0:
             return None
-        for i, a_ik in row.items():
-            del rest[i][k]
-            factor = a_ik / pivot
-            rhs[i] -= factor * rhs[k]
+        for i in row:
+            row_i = rest[i]
+            a_ik = row_i.pop(k)
+            for j in row_i:
+                row_i[j] *= pivot
             for j, a_kj in row.items():
-                rest[i][j] = rest[i].get(j, 0) - factor * a_kj
-            heapq.heappush(heap, (len(rest[i]) - 1, i))
+                row_i[j] = row_i.get(j, 0) - a_ik * a_kj
+            rhs_i = pivot * rhs[i] - a_ik * rhs[k]
+            content = math.gcd(rhs_i, *row_i.values())
+            if content > 1:
+                for j in row_i:
+                    row_i[j] //= content
+                rhs_i //= content
+            rhs[i] = rhs_i
+            heapq.heappush(heap, (len(row_i) - 1, i))
         eliminated.append((k, pivot, row))
     x: dict[int, Fraction] = {}
     for k, pivot, row in reversed(eliminated):
-        x[k] = (rhs[k] - sum(a_kj * x[j] for j, a_kj in row.items())) / pivot
+        x[k] = Fraction(rhs[k] - sum(a_kj * x[j] for j, a_kj in row.items()), pivot)
     return x
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 import sympy
 
 from contactloci import curves, newton
+from contactloci.cli import main
 from contactloci.curves import (
     _plane_factorization,
     _primitive,
@@ -506,3 +508,164 @@ def test_sort_key_matches_sympy():
 )
 def test_newton_polygon_decomposability(points, decomposable):
     assert newton.is_decomposable(points) == decomposable
+
+
+# ---------------------------------------------------------------------------
+# strict transforms as integer polynomials up to a nonzero scalar
+
+
+def reference_translate_v(g, tau):
+    """g(u, v + tau) in Fractions and unscaled, as the resolver translated
+    before it held its strict transforms in integers."""
+    if not tau:
+        return dict(g)
+    out = {}
+    for (a, b), c in g.items():
+        for k in range(b, -1, -1):
+            coeff = c * math.comb(b, k) * tau ** (b - k)
+            if coeff:
+                out[(a, k)] = out.get((a, k), Fraction(0)) + coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def test_translate_v_is_the_fraction_translation_scaled_by_r_to_the_top_degree():
+    rng = random.Random(20196)
+    non_integer = 0
+    for _ in range(400):
+        monomials = rng.sample([(a, b) for a in range(5) for b in range(7)], rng.randint(1, 6))
+        g = {mono: rng.choice([-1, 1]) * rng.randint(1, 9) for mono in monomials}
+        tau = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        top = max(b for _, b in g)
+        got = curves._translate_v(g, tau)
+        assert got == {k: tau.denominator**top * c for k, c in reference_translate_v(g, tau).items()}, (g, tau)
+        assert all(type(c) is int for c in got.values()), (g, tau)
+        non_integer += tau.denominator > 1
+    assert non_integer >= 250, non_integer
+
+
+def random_sheared_germ(rng):
+    """A product of one or two branches (a x - b y)^k + c y^n with gcd(k, n)
+    = 1, some mirrored (x and y swapped); their tangents x = (b/a) y put
+    the first centres at rational, mostly non-integer, points t = b/a."""
+    branches = []
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(2, 4)
+        n = rng.choice([e for e in range(k + 1, 16) if math.gcd(k, e) == 1])
+        a, b, c = rng.randint(1, 4), rng.randint(1, 9), rng.choice([-3, -2, -1, 1, 2, 5])
+        x, y = ("x", "y") if rng.random() < 0.7 else ("y", "x")
+        branches.append(f"(({a}*{x}-{b}*{y})^{k}{c:+d}*{y}^{n})")
+    return "*".join(branches)
+
+
+def test_integer_strict_transforms_resolve_as_fraction_ones(monkeypatch):
+    # the resolver reads nothing that scaling a strict transform changes, so
+    # translating in Fractions without the factor r^B gives the same output
+    rng = random.Random(20197)
+    translate = curves._translate_v
+    taus = []
+
+    def recording(g, tau):
+        taus.append(tau)
+        return translate(g, tau)
+
+    non_integer = 0
+    for _ in range(120):
+        text = random_sheared_germ(rng)
+        monkeypatch.setattr(curves, "_translate_v", reference_translate_v)
+        expected = resolve_plane_curve(text)
+        monkeypatch.setattr(curves, "_translate_v", recording)
+        taus.clear()
+        assert resolve_plane_curve(text) == expected, text
+        non_integer += any(tau.denominator > 1 for tau in taus)
+    assert non_integer >= 60, non_integer
+
+
+# (sheared germ, unsheared germ, D labels of the unsheared germ by the sheared
+# one's): the first two are the same germ after a linear change of
+# coordinates; the product has the same branches, each with its own tangent
+SHEARED = [
+    ("(x-2*y)^2+y^127", "x^2+y^127", {}),
+    ("(3*x-y)^2+y^101", "x^2+y^101", {}),
+    ("((x-2*y)^3+y^64)*((3*x-y)^2+y^101)", "(x^3+y^64)*(y^2+x^101)", {"D1": "D2", "D2": "D1"}),
+]
+
+
+@pytest.mark.parametrize("sheared, plain, relabel", SHEARED)
+def test_sheared_germs_resolve_as_their_unsheared_forms(monkeypatch, capsys, sheared, plain, relabel):
+    translate = curves._translate_v
+    calls = []  # (tau, order of tau as a root of the strict transform on the new divisor)
+
+    def recording(g, tau):
+        out = translate(g, tau)
+        calls.append((tau, min(k for a, k in out if a == 0)))
+        return out
+
+    monkeypatch.setattr(curves, "_translate_v", recording)
+    cfg, _ = resolve_plane_curve(sheared)
+    plain_cfg, _ = resolve_plane_curve(plain)
+
+    def divisors(c, names):
+        return sorted((names.get(d.label, d.label), d.mult, d.disc, d.self_int) for d in c.divisors)
+
+    assert divisors(cfg, {}) == divisors(plain_cfg, relabel)
+    assert cells_by_labels(cfg) == {
+        tuple(sorted(relabel.get(label, label) for label in pair)): count
+        for pair, count in cells_by_labels(plain_cfg).items()
+    }
+    # a simple root of one strict transform is settled where it is found;
+    # it is translated only at t = 0, where an old axis meets it
+    assert calls and all(order > 1 or tau == 0 for tau, order in calls), calls
+
+    assert main(["report", "--poly", sheared, "--m", "6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
+
+
+# germs with rational coefficients as --poly-json documents, with the output
+# the resolver gave them when it worked in Fractions: the certified factor
+# of -3/2 (x - 3/2 y)^2 + y^5 (its polygon is indecomposable), the two
+# factors 2x - 3y -+ 2y^3 that sympy finds, and one sympy factor whose last
+# centre is a conjugate pair
+POLY_JSON = [
+    (
+        [[[2, 0], "-3/2"], [[1, 1], "9/2"], [[0, 2], "-27/8"], [[0, 5], "1"]],
+        0,
+        [("D1", "12*x^2 - 36*x*y + 27*y^2 - 8*y^5", 1)],
+        ["origin", "E1 chart at t=2/3", "E2 chart at t=0", "E3 chart at infinity"],
+        [("E1", 2, 2, -2), ("E2", 4, 3, -3), ("E3", 5, 4, -2), ("E4", 10, 7, -1), ("D1", 1, 1, None)],
+        [((3, 4), 1), ((0, 1), 1), ((1, 3), 1), ((2, 3), 1)],
+    ),
+    (
+        [[[2, 0], "-3/2"], [[1, 1], "9/2"], [[0, 2], "-27/8"], [[0, 6], "3/2"]],
+        1,
+        [("D1", "2*x - 3*y - 2*y^3", 1), ("D2", "2*x - 3*y + 2*y^3", 1)],
+        ["origin", "E1 chart at t=2/3", "E2 chart at t=0"],
+        [("E1", 2, 2, -2), ("E2", 4, 3, -2), ("E3", 6, 4, -1), ("D1", 1, 1, None), ("D2", 1, 1, None)],
+        [((2, 3), 1), ((2, 4), 1), ((0, 1), 1), ((1, 2), 1)],
+    ),
+    (
+        [[[2, 0], "-3/2"], [[1, 1], "9/2"], [[0, 2], "-27/8"], [[0, 4], "-3/2"]],
+        1,
+        [("D1", "4*x^2 - 12*x*y + 9*y^2 + 4*y^4", 1)],
+        ["origin", "E1 chart at t=2/3"],
+        [("E1", 2, 2, -2), ("E2", 4, 3, -1), ("D1", 1, 1, None)],
+        [((1, 2), 2), ((0, 1), 1)],
+    ),
+]
+
+
+@pytest.mark.parametrize("terms, plane_calls, factors, sites, divisors, cells", POLY_JSON)
+def test_rational_poly_json_germs_resolve_as_before(
+    monkeypatch, capsys, tmp_path, terms, plane_calls, factors, sites, divisors, cells
+):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps({"nvars": 2, "terms": terms}))
+    assert main(["resolve", "--poly-json", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert counting.plane_calls == plane_calls
+    assert [(d["label"], d["poly"], d["mult"]) for d in data["factors"]] == factors
+    assert [b["site"] for b in data["blowups"]] == sites
+    config = data["configuration"]
+    assert [(d["label"], d["mult"], d["disc"], d.get("self_int")) for d in config["divisors"]] == divisors
+    assert [(tuple(c["ids"]), c["count"]) for c in config["cells"]] == cells

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from contactloci.model import Divisor, IntersectionCell, SncConfiguration
 from contactloci.separation import separate
 from contactloci.weights import (
     WeightVector,
+    _solve_positive_definite,
     intersection_matrix,
     is_negative_definite,
     solve_weights,
@@ -256,3 +258,66 @@ def test_negative_definiteness_matches_sylvester():
         assert verdict == reference_is_negative_definite(matrix), matrix
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def reference_solve_positive_definite(rows, fill=None):
+    """The elimination in Fractions that the fraction-free one replaced:
+    x = A^-1 . 1, or None when a pivot is <= 0.  ``fill``, when given,
+    collects the entries the elimination creates."""
+    rest = {i: {j: Fraction(v) for j, v in row.items()} for i, row in rows.items()}
+    rhs = {i: Fraction(1) for i in rest}
+    heap = sorted((len(row) - 1, i) for i, row in rest.items())
+    eliminated = []
+    while heap:
+        degree, k = heapq.heappop(heap)
+        if k not in rest or len(rest[k]) - 1 != degree:
+            continue
+        row = rest.pop(k)
+        pivot = row.pop(k)
+        if pivot <= 0:
+            return None
+        for i, a_ik in row.items():
+            del rest[i][k]
+            factor = a_ik / pivot
+            rhs[i] -= factor * rhs[k]
+            for j, a_kj in row.items():
+                if fill is not None and j not in rest[i]:
+                    fill.append((i, j))
+                rest[i][j] = rest[i].get(j, 0) - factor * a_kj
+            heapq.heappush(heap, (len(rest[i]) - 1, i))
+        eliminated.append((k, pivot, row))
+    x = {}
+    for k, pivot, row in reversed(eliminated):
+        x[k] = (rhs[k] - sum(a_kj * x[j] for j, a_kj in row.items())) / pivot
+    return x
+
+
+def random_sparse_rows(rng):
+    """A random symmetric n x n matrix, n <= 12, as sparse rows with their
+    diagonal: diagonal entries of 1..20 (a few <= 0) and off-diagonal
+    entries of -4..4 on a random share of the pairs."""
+    n, density = rng.randint(1, 12), rng.uniform(0.1, 0.5)
+    rows = {i: {i: rng.choice([rng.randint(1, 20)] * 15 + [rng.randint(-2, 0)])} for i in range(n)}
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    return rows
+
+
+def test_fraction_free_elimination_matches_the_fraction_one():
+    rng = random.Random(20191119)
+    definite = indefinite = with_fill = 0
+    for _ in range(800):
+        rows = random_sparse_rows(rng)
+        fill = []
+        expected = reference_solve_positive_definite(rows, fill)
+        got = _solve_positive_definite(rows)
+        assert got == expected, rows
+        if got is None:
+            indefinite += 1
+            continue
+        assert all(type(v) is Fraction for v in got.values()), rows
+        definite += 1
+        with_fill += bool(fill)
+    assert definite >= 300 and indefinite >= 300 and with_fill >= 40, (definite, indefinite, with_fill)
