@@ -20,7 +20,10 @@ beyond I are free and contribute a power of q.
   t^(i + mu), which is base' + h . a_i: the terms quadratic in a_i sit at
   t^(2i - 2 + mu), above it.  h is the t^mu coefficient of grad f(gamma)
   and only sees levels 1 and 2.  So when those children sit at the last
-  level I, they are settled in their parent's loop, one dot product each.
+  level I, they are settled in their parent: a child matters only through
+  which undecided coordinates it makes nonzero and whether h . a_i meets
+  the target, so each such class is counted in closed form, O(2^d) work
+  per parent instead of q^d.  Each settled child still counts as a node.
 
 So a seed with g != 0 has q^(d - 1) extensions at every level and
 contributes q^((d - 1)(I - 1)) prefixes in closed form, while a seed with
@@ -198,6 +201,34 @@ def _seeds(cone, mu: int, target: int, q: int, d: int) -> list[tuple[int, ...]]:
     return seeds
 
 
+def _settle_last_level(orders, support, h, s, i: int, q: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The last-level children a of a prefix at level i (the a in F_q^d that
+    vanish on ``support``) as classes (orders, rhs, n): n children with
+    those orders and s - h . a zero (rhs 0) or not (rhs 1).
+
+    A class fixes which undecided coordinates outside the support are
+    nonzero, a set P; the decided ones, none in the support, are free.  Of
+    its q^free (q - 1)^|P| children, 1/q meet h . a = s when some free
+    h_c != 0, and otherwise those whose k coordinates in P with h_c != 0
+    solve it in nonzero values.
+    """
+    undecided = [c for c, o in enumerate(orders) if not o and c not in support]
+    free = sum(1 for o in orders if o)
+    lifted = any(x for x, o in zip(h, orders) if o)
+    out = []
+    for pattern in itertools.product((0, 1), repeat=len(undecided)):
+        nonzero = [c for c, nz in zip(undecided, pattern) if nz]
+        n = q**free * (q - 1) ** len(nonzero)
+        if lifted:  # one value of a free coordinate with h_c != 0 meets s
+            hits = n // q
+        else:
+            k = sum(1 for c in nonzero if h[c])
+            hits = q**free * (q - 1) ** (len(nonzero) - k) * _nonzero_solutions(k, s, q)
+        child = tuple([i if c in nonzero else o for c, o in enumerate(orders)])
+        out += [(child, rhs, count) for rhs, count in ((0, hits), (1, n - hits)) if count]
+    return out
+
+
 def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple[dict, int]:
     """Contact prefixes of depth I = m - mu + 1, grouped for counting.
 
@@ -208,6 +239,9 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
     when every constrained level from ``start`` on takes q^(d - 1) of the
     q^d extensions, and 0 when it takes all of them.  Without ``strata``
     every coordinate counts as decided, so groups only carry the count.
+    The children at the last level of a prefix at level >= 3 are counted
+    per class by ``_settle_last_level``; the node count still adds one per
+    child, as if each were visited.
     """
     mu = min(sum(exps) for _, exps in terms)
     groups: dict[tuple[tuple[int, ...], int, int], int] = {}
@@ -256,10 +290,10 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
     free_points: dict[frozenset, list] = {}
     closed_records: dict[tuple, list] = {}
 
-    def closed(orders, i, support, rhs):
+    def closed(orders, i, support, rhs, mult=1):
         # g != 0 with its support among the coordinates still zero: the
         # extensions at level i that fix an order in the support (at the
-        # depth, all of them) are counted in closed form
+        # depth, all of them) are counted in closed form, mult times over
         key = (orders, i, support, rhs != 0)
         out = closed_records.get(key)
         if out is None:
@@ -276,14 +310,14 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
                         a[c] = nz
                     out.append(((advance(orders, i, a), i + 1, 1), n))
         for group, n in out:
-            groups[group] = groups.get(group, 0) + n
+            groups[group] = groups.get(group, 0) + n * mult
 
-    def leaf(orders, support, rhs):
+    def leaf(orders, support, rhs, mult=1):
         # the choice of the last level: with g = 0 all q^d pass or none does
         if support:
-            closed(orders, depth, support, rhs)
+            closed(orders, depth, support, rhs, mult)
         elif not rhs:
-            record(orders, depth, 0, 1)
+            record(orders, depth, 0, mult)
 
     def visit(packed, orders, i, support):
         # the coefficient of t^(i + mu - 1) is base + g . a_i at level i
@@ -312,16 +346,14 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
             return
         # the children sit at the last level, and from level 3 on the
         # quadratic terms in a_i land above their coefficient, which is
-        # therefore base + h . a_i: settle them here
+        # therefore base + h . a_i: settle them here, one class at a time
         nodes += len(children)
         if nodes >= stop:
             stop = budget.reach(nodes)
         s = 1 - _field(levels[i], packed, mask)
         h = [_field(dh, packed, mask) % q for dh in slope]
-        for a in children:
-            rhs = (s - sum([x * y for x, y in zip(h, a)])) % q
-            if support or not rhs:
-                leaf(advance(orders, i, a), support, rhs)
+        for child, rhs, n in _settle_last_level(orders, support, h, s, i, q):
+            leaf(child, support, rhs, n)
 
     # g = grad f_mu(a_1) is the gradient of every later level
     grad = [[(v, _factors(e)) for v, e in partial] for partial in _partials(tangent, d)]
@@ -370,7 +402,9 @@ class CountReport:
     total: int
     strata: tuple[tuple[tuple[int, ...], int], ...] = ()
     elapsed: float = 0.0
-    nodes: int = 0  # level-1 candidates plus prefixes whose coefficient was evaluated
+    # level-1 candidates plus prefixes whose coefficient was evaluated,
+    # each settled last-level child included although its class is counted whole
+    nodes: int = 0
 
     def to_json_dict(self) -> dict:
         return {

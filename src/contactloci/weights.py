@@ -107,7 +107,7 @@ def _exceptional_rows(cfg: SncConfiguration) -> dict[int, dict[int, int]]:
     return rows
 
 
-def _solve_positive_definite(rows: Mapping[int, Mapping[int, int]]) -> dict[int, Fraction] | None:
+def _solve_positive_definite(rows: Mapping[int, Mapping[int, int]]) -> dict[int, int | Fraction] | None:
     """x = A^-1 . 1 for a symmetric A given as sparse rows with their
     diagonal, or None when A is not positive definite (some pivot <= 0).
 
@@ -116,8 +116,10 @@ def _solve_positive_definite(rows: Mapping[int, Mapping[int, int]]) -> dict[int,
     fill-in.  Eliminating k replaces each neighbour row i (right-hand side
     included) by pivot * row_i - a_ik * row_k and divides it by its
     content.  Each row is then a positive multiple of the row that exact
-    rational elimination gives, so the pivots keep their signs; only the
-    back-substitution works in Fractions."""
+    rational elimination gives, so the pivots keep their signs.  The
+    back-substitution leaves an entry an int when its pivot divides it, as
+    it always does on the unimodular matrices of point blowups, and makes
+    it a Fraction otherwise."""
     rest = {i: dict(row) for i, row in rows.items()}
     rhs = dict.fromkeys(rest, 1)
     heap = sorted((len(row) - 1, i) for i, row in rest.items())
@@ -146,9 +148,10 @@ def _solve_positive_definite(rows: Mapping[int, Mapping[int, int]]) -> dict[int,
             rhs[i] = rhs_i
             heapq.heappush(heap, (len(row_i) - 1, i))
         eliminated.append((k, pivot, row))
-    x: dict[int, Fraction] = {}
+    x: dict[int, int | Fraction] = {}
     for k, pivot, row in reversed(eliminated):
-        x[k] = Fraction(rhs[k] - sum(a_kj * x[j] for j, a_kj in row.items()), pivot)
+        v = rhs[k] - sum(a_kj * x[j] for j, a_kj in row.items())
+        x[k] = v // pivot if type(v) is int and not v % pivot else Fraction(v, pivot)
     return x
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from contactloci.jets import (
     sum_strata,
     verify_chart_fibration,
 )
+import contactloci.jets as jets
 from contactloci.jets import _eval_terms, _poly_mod_q, _ser_mul, _ser_pow
 from contactloci.polys import SparsePolynomial, parse_polynomial
 
@@ -469,11 +471,11 @@ def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, strata_nodes):
 
 @pytest.mark.parametrize("count", [contact_count, stratified_count])
 def test_node_cap_is_exact_on_settled_walks(count):
-    text, m, q = "x*y + x^3 + 2*y^4", 6, 5
-    nodes = count(text, m, m, q).nodes
-    assert count(text, m, m, q, node_cap=nodes).nodes == nodes
-    with pytest.raises(ResourceLimitError):
-        count(text, m, m, q, node_cap=nodes - 1)
+    for text, m, q in (("x*y + x^3 + 2*y^4", 6, 5), ("x^2+y^3", 5, 13)):
+        nodes = count(text, m, m, q).nodes
+        assert count(text, m, m, q, node_cap=nodes).nodes == nodes
+        with pytest.raises(ResourceLimitError):
+            count(text, m, m, q, node_cap=nodes - 1)
 
 
 @pytest.mark.parametrize("every", [1, 7, 100])
@@ -485,3 +487,89 @@ def test_progress_lines_follow_the_node_count(monkeypatch, caplog, every):
         report = stratified_count("x*y + x^3 + 2*y^4", 6, 6, 5)
     lines = [r for r in caplog.records if r.name == "contactloci.jets"]
     assert len(lines) == report.nodes // every
+
+
+# ---------------------------------------------------------------------------
+# the last level settled per class against the per-child loop it replaced
+
+
+def reference_settle_last_level(orders, support, h, s, i, q):
+    """The per-child loop: every child a vanishing on the support tests
+    s - h . a on its own; classes are summed only afterwards."""
+    classes = collections.Counter()
+    for a in itertools.product(range(q), repeat=len(orders)):
+        if support and any(a[c] for c in support):
+            continue
+        rhs = (s - sum([x * y for x, y in zip(h, a)])) % q
+        if support or not rhs:
+            classes[tuple([o or (x and i) for o, x in zip(orders, a)]), int(rhs != 0)] += 1
+    return [(child, rhs, n) for (child, rhs), n in classes.items()]
+
+
+def _walk_with(monkeypatch, settle, terms, m, q, d, strata, cap):
+    """(groups, depth, nodes) of the walk with ``settle`` at the last level."""
+    monkeypatch.setattr(jets, "_settle_last_level", settle)
+    budget = jets._Budget(cap)
+    try:
+        groups, depth = jets._walk(terms, m, q, d, budget, strata)
+    finally:
+        monkeypatch.undo()
+    return groups, depth, budget.nodes
+
+
+def _parent_kind(orders, support, h, s, q):
+    if support:
+        return "support"
+    if any(x for x, o in zip(h, orders) if o):
+        return "lifted"
+    if any(h):
+        return "h on undecided"
+    return "h=0, s=0" if s % q == 0 else "h=0, s!=0"
+
+
+def test_settle_per_class_matches_the_per_child_loop(monkeypatch):
+    rng = random.Random(20261019)
+    kinds = dict.fromkeys(["support", "lifted", "h on undecided", "h=0, s=0", "h=0, s!=0", "q=2"], 0)
+    settle = jets._settle_last_level
+
+    def reference(orders, support, h, s, i, q):
+        kinds[_parent_kind(orders, support, h, s, q)] += 1
+        kinds["q=2"] += q == 2
+        return reference_settle_last_level(orders, support, h, s, i, q)
+
+    cases, seen = 0, set()
+    while cases < 40:
+        d, q = rng.choice((2, 2, 3)), rng.choice((2, 3, 5, 7, 11, 13))
+        if rng.random() < 0.5:
+            poly, m = _mu2_polynomial(rng, d, q), rng.randint(5, 6)
+        else:
+            poly, m = _random_polynomial(rng, d), rng.randint(4, 6)
+        strata = rng.random() < 0.5
+        terms = poly and jets._prepare(poly, m, m, q)[1]
+        if not terms:
+            continue
+        try:
+            got = _walk_with(monkeypatch, settle, terms, m, q, d, strata, 3000)
+        except ResourceLimitError:
+            continue
+        expected = _walk_with(monkeypatch, reference, terms, m, q, d, strata, 3000)
+        assert got == expected, (poly.render(), m, q, strata)
+        cases += 1
+        seen.add((d, strata))
+    assert min(kinds.values()) >= 30 and len(seen) == 4, (kinds, seen)
+
+
+@pytest.mark.parametrize(
+    "count,text,m,q,total,nodes",
+    [
+        (contact_count, "x^2+y^3", 6, 19, 9832589129, 2483699),
+        (stratified_count, "x^2+y^3", 6, 13, 690233687, 373841),
+        (stratified_count, "x^3+y^4", 7, 13, 0, 400205),
+    ],
+)
+def test_large_q_walks_keep_their_totals_and_nodes(monkeypatch, count, text, m, q, total, nodes):
+    report = count(text, m, m, q)
+    assert (report.total, report.nodes) == (total, nodes)
+    if count is stratified_count and total:
+        monkeypatch.setattr(jets, "_settle_last_level", reference_settle_last_level)
+        assert report.strata == count(text, m, m, q).strata

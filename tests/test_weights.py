@@ -10,6 +10,7 @@ from contactloci.model import Divisor, IntersectionCell, SncConfiguration
 from contactloci.separation import separate
 from contactloci.weights import (
     WeightVector,
+    _exceptional_rows,
     _solve_positive_definite,
     intersection_matrix,
     is_negative_definite,
@@ -206,6 +207,9 @@ def test_solver_matches_reference_loop_on_germ_families(text):
         # every resolution over a point is negative definite; the random
         # cases below compare the definiteness decisions themselves
         assert solve_weights(sep) == reference_solve_weights(sep, check_definite=False), (text, m)
+        # point blowups give a unimodular matrix, so x = A^-1 . 1 stays in ints
+        x = _solve_positive_definite(_exceptional_rows(sep))
+        assert all(type(v) is int for v in x.values()), (text, m)
 
 
 def random_configuration(rng: random.Random) -> SncConfiguration:
@@ -317,7 +321,7 @@ def test_fraction_free_elimination_matches_the_fraction_one():
         if got is None:
             indefinite += 1
             continue
-        assert all(type(v) is Fraction for v in got.values()), rows
+        assert all(type(v) in (int, Fraction) for v in got.values()), rows
         definite += 1
         with_fill += bool(fill)
     assert definite >= 300 and indefinite >= 300 and with_fill >= 40, (definite, indefinite, with_fill)
