@@ -45,12 +45,15 @@ The factors of f are found one written multiplicand at a time (f itself
 when it is written as a sum).  The monomial content x^i y^j is read off;
 a rest with a constant term is a unit at the origin and is skipped, and
 any other rest whose Newton polygon is integrally indecomposable is
-irreducible (``newton``).  A restriction to a new divisor loses its power
-of t, and a rest that is linear or a pure power c (t + s)^k is read off.
-Only the remaining rests reach ``sympy.factor_list``, and factors are
-ordered by a stdlib copy of sympy's ``default_sort_key``.  ``sympy`` is
-imported the first time a rest reaches it, so resolving a germ that needs
-no real factorisation leaves it out of ``sys.modules``.
+irreducible (``newton``).  A rest of degree 1-3 in x (or in y) loses its
+content c(y) (or c(x)), a unit at the origin, and what is left is
+certified irreducible when it is linear, or when one specialisation
+S(x, y0) has no rational root.  A restriction to a new divisor loses its
+power of t, and a rest that is linear or a pure power c (t + s)^k is read
+off.  Only the remaining rests reach ``sympy.factor_list``, and factors
+are ordered by a stdlib copy of sympy's ``default_sort_key``.  ``sympy``
+is imported the first time a rest reaches it, so resolving a germ that
+needs no real factorisation leaves it out of ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -215,6 +218,104 @@ def _primitive(terms: Mapping[tuple[int, int], Fraction]) -> tuple[tuple[tuple[i
     return tuple((k, nums[k] // content) for k in sorted(nums, reverse=True))
 
 
+# the y0 the specialisation certificate tries, and the largest |leading| or
+# |constant| coefficient of a cubic S(x, y0) whose divisors it enumerates
+_SPECIALISATIONS = (1, -1, 2, -2, 3, -3)
+_COEFF_BOUND = 10**3
+
+
+def _divmod_poly(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of univariate polynomials given as coefficient
+    lists, constant first, with no trailing zero; b is not zero."""
+    a, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift, c = len(a) - len(b), Fraction(a[-1], b[-1])
+        q[shift] = c
+        for k, bk in enumerate(b):
+            a[shift + k] -= c * bk
+        while a and not a[-1]:
+            a.pop()
+    return q, a
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
+
+
+def _may_have_rational_root(c: list[int]) -> bool:
+    """Whether c[0] + c[1] x + ... may have a rational root, for degree 2
+    or 3 and c[0] != 0: a square discriminant, or a root p/q with p | c[0]
+    and q | c[-1] (the rational root theorem); a cubic with c[0] or c[-1]
+    above the bound is not searched."""
+    if len(c) == 3:
+        disc = c[1] ** 2 - 4 * c[0] * c[2]
+        return disc >= 0 and math.isqrt(disc) ** 2 == disc
+    if max(abs(c[0]), abs(c[3])) > _COEFF_BOUND:
+        return True
+    numerators = _divisors(c[0])
+    numerators += [-p for p in numerators]
+    return any(
+        ((c[3] * p + c[2] * q) * p + c[1] * q * q) * p + c[0] * q**3 == 0
+        for q in _divisors(c[3])
+        for p in numerators
+    )
+
+
+def _irreducible_in_x(rest: dict[tuple[int, int], int]) -> dict | None:
+    """S = R / c(y) when it is certified irreducible, else None.
+
+    R is a primitive integer polynomial through the origin with no
+    monomial content, of degree d in x; c(y) is its content over Q[y].
+    c(0) != 0 (y does not divide R), so c is a unit at the origin and R
+    has the factors of S there.  S is primitive over Q[y], so it is
+    irreducible when it is over Q(y): always for d = 1, and for d = 2, 3
+    when some S(x, y0) of degree d has no rational root (Hilbert's
+    argument), since a factorisation would specialise to one with a
+    linear factor.
+    """
+    d = max(a for a, _ in rest)
+    if d > 3:
+        return None
+    columns = [[0] * (max(b for _, b in rest) + 1) for _ in range(d + 1)]
+    for (a, b), c in rest.items():
+        columns[a][b] = c
+    for col in columns:
+        while col and not col[-1]:
+            col.pop()
+    content = columns[d]  # Euclid over the columns, until the gcd is constant
+    for col in filter(None, columns):
+        while col and len(content) > 1:
+            content, col = col, _divmod_poly(content, col)[1]
+    if len(content) > 1:
+        rest = {
+            (a, b): c for a, col in enumerate(columns) if col for b, c in enumerate(_divmod_poly(col, content)[0]) if c
+        }
+        rest = dict(_primitive(rest))
+    if d == 1:
+        return rest
+    for y0 in _SPECIALISATIONS:
+        special = [0] * (d + 1)
+        for (a, b), c in rest.items():
+            special[a] += c * y0**b
+        if special[0] and special[d] and not _may_have_rational_root(special):
+            return rest
+    return None
+
+
+def _swapped(g: dict) -> dict:
+    return {(b, a): c for (a, b), c in g.items()}
+
+
+def _irreducible_by_specialisation(rest: dict[tuple[int, int], int]) -> dict | None:
+    """``_irreducible_in_x`` of R, or failing that of R with x and y swapped."""
+    certified = _irreducible_in_x(rest)
+    if certified is None and (certified := _irreducible_in_x(_swapped(rest))) is not None:
+        certified = _swapped(certified)
+    return certified
+
+
 def _plane_factorization(g: Mapping[tuple[int, int], Fraction]) -> list[tuple[tuple, int]]:
     """The Q-irreducible factors through the origin of a bivariate
     polynomial, as (term tuple, exponent) pairs normalised by ``_primitive``.
@@ -222,7 +323,11 @@ def _plane_factorization(g: Mapping[tuple[int, int], Fraction]) -> list[tuple[tu
     The monomial content x^i y^j is read off.  A rest with a constant term
     is a unit at the origin and is not factored.  Any other rest whose
     Newton polygon is integrally indecomposable is irreducible (``newton``)
-    and is its own factor; only the remaining rests are handed to sympy.
+    and is its own factor.  Otherwise a rest of degree 1-3 in x (or in y)
+    whose content c over Q[y] (or Q[x]) leaves an irreducible S = R / c is
+    certified by specialisation, and S is its one factor through the
+    origin (``_irreducible_in_x``); only the remaining rests are handed to
+    sympy.
     """
     i, j = min(a for a, _ in g), min(b for _, b in g)
     out = [(((mono, 1),), e) for mono, e in (((1, 0), i), ((0, 1), j)) if e]
@@ -231,6 +336,9 @@ def _plane_factorization(g: Mapping[tuple[int, int], Fraction]) -> list[tuple[tu
         return out
     if not newton.is_decomposable(rest):
         return out + [(_primitive(rest), 1)]
+    certified = _irreducible_by_specialisation(dict(_primitive(rest)))
+    if certified is not None:
+        return out + [(_primitive(certified), 1)]
     for poly, exp in sympy.factor_list(_sympy_poly(rest, *_gens()[1:]))[1]:
         # sympy's factors are primitive over Z already; this makes them ints
         terms = _primitive({mono: _fraction(c) for mono, c in poly.terms()})

@@ -5,9 +5,9 @@ tuples to nonzero rational coefficients.  This is the exchange format for
 curve germs ("x^2 + y^3") and for the polynomials handed to the finite
 field jet enumerator.  Nothing here factors, and nothing here imports
 sympy: the resolver certifies most multiplicands irreducible from their
-Newton polygon (``newton``), and imports sympy only for a rest through the
-origin whose polygon is decomposable, or for a restriction to a new
-divisor that is no pure power (``curves``).
+Newton polygon (``newton``) or by one specialisation, and imports sympy
+only for a rest through the origin that neither certifies, or for a
+restriction to a new divisor that is no pure power (``curves``).
 """
 
 from __future__ import annotations

@@ -523,6 +523,9 @@ print(json.dumps({"seen": seen, "factors": [f["poly"] for f in resolved["factors
 """
 
 LADDER_FAMILIES = ("x^2+y^3", "x^2+y^5", "x*y", "x^3+y^4", "x^2*y+y^4", "(x^2-y^3)*(x^3-y^2)")
+# decomposable polygons whose rests are certified irreducible by specialisation,
+# the second after its unit content 1 - y is split off
+CERTIFIED_RESTS = ("x^2 - 8*y^3 - 4*y^4 - 4*x^2*y", "x^3 + y^4 - y^5 - x^3*y")
 
 
 def test_sympy_is_imported_only_for_a_decomposable_polygon():
@@ -538,12 +541,12 @@ def test_sympy_is_imported_only_for_a_decomposable_polygon():
     # decomposable polygon and goes to sympy, which splits off the unit
     decomposable = "x^3*y-x*y^3+x^4*y-x^2*y^3"
     proc = subprocess.run(
-        [sys.executable, "-c", SYMPY_PROBE, decomposable, *LADDER_FAMILIES],
+        [sys.executable, "-c", SYMPY_PROBE, decomposable, *LADDER_FAMILIES, *CERTIFIED_RESTS],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    expected = {key: False for key in ("import", "warm-up", *LADDER_FAMILIES)}
+    expected = {key: False for key in ("import", "warm-up", *LADDER_FAMILIES, *CERTIFIED_RESTS)}
     assert result["seen"] == {**expected, "decomposable": True}
     assert result["factors"] == ["x", "y", "x - y", "x + y"]
 

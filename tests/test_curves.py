@@ -301,11 +301,18 @@ class _CountingSympy:
         return getattr(sympy, name)
 
 
+def decomposable_rest(g):
+    """Whether g without its monomial content is a rest through the origin
+    whose polygon is decomposable, so that no Newton certificate applies."""
+    i, j = min(a for a, _ in g), min(b for _, b in g)
+    return (i, j) not in g and newton.is_decomposable(g)
+
+
 def test_plane_factor_lists_match_expression_path(monkeypatch):
     counting = _CountingSympy()
     monkeypatch.setattr(curves, "sympy", counting)
     rng = random.Random(20190)
-    dropped = repeated = rational = certified = by_sympy = 0
+    dropped = repeated = rational = certified = specialised = by_sympy = 0
     for _ in range(200):
         f = random_germ(rng)
         before = counting.plane_calls
@@ -316,8 +323,11 @@ def test_plane_factor_lists_match_expression_path(monkeypatch):
         repeated += any(e > 1 for _, _, e in log.factors)
         rational += any(c.denominator > 1 for _, c in f.terms)
         certified += counting.plane_calls == before
+        specialised += counting.plane_calls == before and decomposable_rest(f.as_dict())
         by_sympy += counting.plane_calls > before
     assert min(dropped, repeated, rational, certified, by_sympy) >= 20, (certified, by_sympy)
+    # most decomposable rests here are products of branches
+    assert specialised >= 3, specialised
 
 
 def test_univariate_factorizations_match_expression_path(monkeypatch):
@@ -414,7 +424,7 @@ def test_certified_factors_match_sympy(monkeypatch):
     counting = _CountingSympy()
     monkeypatch.setattr(curves, "sympy", counting)
     rng = random.Random(20193)
-    certified = by_sympy = unit_rests = 0
+    certified = specialised = by_sympy = unit_rests = 0
     for _ in range(600):
         g = random_sparse_germ(rng)
         before = counting.calls
@@ -423,6 +433,7 @@ def test_certified_factors_match_sympy(monkeypatch):
         assert sorted(got) == as_term_tuples(reference), g
         if counting.calls == before:
             certified += 1
+            specialised += decomposable_rest(g)
             # one factor besides the monomial content, none when the rest
             # is a unit at the origin
             unit_rest = (min(a for a, _ in g), min(b for _, b in g)) in g
@@ -433,17 +444,87 @@ def test_certified_factors_match_sympy(monkeypatch):
             # sympy's factors are already in the certificate's normal form,
             # so factors from either path merge
             assert all(factor == _primitive(dict(factor)) for factor, _ in got), g
-    assert certified >= 300 and by_sympy >= 20 and unit_rests >= 20, (certified, by_sympy, unit_rests)
+    assert certified >= 300 and specialised >= 20 and by_sympy >= 20 and unit_rests >= 20, (
+        certified, specialised, by_sympy, unit_rests
+    )
 
 
-@pytest.mark.parametrize("text", ["x^2-y^4", "x^2+y^4", "x^4-y^6"])
+# the last has coefficients -1000033 y0^3 and -1000033 in every
+# specialisation, above the bound for trial division
+@pytest.mark.parametrize("text", ["x^2-y^4", "x^4-y^6", "x^3-1000033*y^3"])
 def test_decomposable_polygons_reach_sympy(monkeypatch, text):
     counting = _CountingSympy()
     monkeypatch.setattr(curves, "sympy", counting)
+    sizes = []
+    divisors = curves._divisors
+    monkeypatch.setattr(curves, "_divisors", lambda n: sizes.append(abs(n)) or divisors(n))
     g = parse_polynomial(text, ("x", "y"))[0].as_dict()
     assert newton.is_decomposable(g)
     assert sorted(_plane_factorization(g)) == as_term_tuples(reference_factor_list(g, (_X, _Y)))
     assert counting.plane_calls == 1
+    assert all(n <= curves._COEFF_BOUND for n in sizes), sizes
+
+
+# irreducible rests with decomposable polygons; the last two are (1 - y) and
+# (8 + y) times an irreducible S, so S is certified after the content split
+@pytest.mark.parametrize(
+    "text", ["x^2+y^4", "x^2-8*y^3-4*y^4-4*x^2*y", "x^3+y^4-y^5-x^3*y", "-8*x^3+16*y^4+2*y^5-x^3*y"]
+)
+def test_specialisation_certifies_decomposable_rests(monkeypatch, text):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    g = parse_polynomial(text, ("x", "y"))[0].as_dict()
+    assert newton.is_decomposable(g)
+    assert sorted(_plane_factorization(g)) == as_term_tuples(
+        [(t, e) for t, e in reference_factor_list(g, (_X, _Y)) if (0, 0) not in t]
+    )
+    assert counting.plane_calls == 0
+
+
+def random_rest(rng, d):
+    """A rest through the origin of degree d in x or in y, without monomial
+    content: c x^d + c' y^e and up to two more terms, half of them times a
+    unit content c0 + c1 y^k, and with x and y swapped half the time.
+    Returns the terms and whether there is a content and a swap."""
+    terms = {(d, 0): _rational(rng), (0, rng.randint(1, 4)): _rational(rng)}
+    for _ in range(rng.randint(0, 2)):
+        mono = (rng.randint(0, d), rng.randint(0, 4))
+        if mono != (0, 0):
+            terms[mono] = _rational(rng)
+    content, swap = rng.random() < 0.5, rng.random() < 0.5
+    if content:
+        terms = _times(terms, {(0, 0): _rational(rng), (0, rng.randint(1, 2)): _rational(rng)})
+    if swap:
+        terms = {(b, a): c for (a, b), c in terms.items()}
+    return terms, content, swap
+
+
+def test_specialisation_certificate_matches_sympy(monkeypatch):
+    counting = _CountingSympy()
+    monkeypatch.setattr(curves, "sympy", counting)
+    rng = random.Random(20196)
+    counts = dict.fromkeys(["d = 1", "d = 2", "d = 3", "unit content", "in y", "reducible"], 0)
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        g, content, swap = random_rest(rng, d)
+        if not newton.is_decomposable(g):
+            continue
+        before = counting.plane_calls
+        got = _plane_factorization(g)
+        reference = [(t, e) for t, e in reference_factor_list(g, (_X, _Y)) if (0, 0) not in t]
+        assert sorted(got) == as_term_tuples(reference), g
+        if counting.plane_calls == before:
+            counts[f"d = {d}"] += 1
+            counts["unit content"] += content
+            counts["in y"] += swap
+    # a product of two rests through the origin is never certified; this
+    # needs no sympy, so it is checked on more of them
+    for _ in range(200):
+        g = _times(random_rest(rng, 1)[0], random_rest(rng, rng.randint(1, 2))[0])
+        if newton.is_decomposable(g):
+            assert curves._irreducible_by_specialisation(dict(_primitive(g))) is None, g
+            counts["reducible"] += 1
+    assert min(counts.values()) >= 8, counts
 
 
 def test_indecomposable_polygon_is_certified(monkeypatch):
@@ -623,7 +704,8 @@ def test_sheared_germs_resolve_as_their_unsheared_forms(monkeypatch, capsys, she
 # germs with rational coefficients as --poly-json documents, with the output
 # the resolver gave them when it worked in Fractions: the certified factor
 # of -3/2 (x - 3/2 y)^2 + y^5 (its polygon is indecomposable), the two
-# factors 2x - 3y -+ 2y^3 that sympy finds, and one sympy factor whose last
+# factors 2x - 3y -+ 2y^3 that sympy finds, and one factor certified by
+# specialisation (4x^2 - 12x + 13 at y = 1 has no rational root) whose last
 # centre is a conjugate pair
 POLY_JSON = [
     (
@@ -644,7 +726,7 @@ POLY_JSON = [
     ),
     (
         [[[2, 0], "-3/2"], [[1, 1], "9/2"], [[0, 2], "-27/8"], [[0, 4], "-3/2"]],
-        1,
+        0,
         [("D1", "4*x^2 - 12*x*y + 9*y^2 + 4*y^4", 1)],
         ["origin", "E1 chart at t=2/3"],
         [("E1", 2, 2, -2), ("E2", 4, 3, -1), ("D1", 1, 1, None)],

@@ -66,6 +66,12 @@ def test_cusp_and_node_counts():
     assert contact_count("x*y", 2, 2, 3).total == 18  # (q-1) q^2
     for q in (7, 13):
         assert contact_count("x^2+y^3", 3, 3, q).total == 3 * q ** 4
+    # m = 6: q^7 times the affine points of the genus-1 curve X^2 + Y^3 = 1,
+    # q of them where q = 5 mod 6 (a conclusive fit with chi 1, not Lambda =
+    # -1) and 11 at q = 7, 13: no polynomial in q, so report --primes cannot
+    # pass there
+    for q, points in ((5, 5), (11, 11), (17, 17), (7, 11), (13, 11)):
+        assert contact_count("x^2+y^3", 6, 6, q).total == points * q**7
 
 
 def test_counts_against_naive_enumeration():
