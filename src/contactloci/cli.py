@@ -88,8 +88,14 @@ def _add_weight_options(parser: argparse.ArgumentParser):
     parser.add_argument("--scale", type=_positive_int, default=1, help="scale factor applied to the weights")
 
 
-def _add_format_option(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", choices=("table", "json"), default="table")
+def _add_oracle_options(parser: argparse.ArgumentParser):
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--primes", type=_int_list, help="comma separated primes for the jet oracle")
+    group.add_argument(
+        "--congruence", type=_congruence, help="filter the default pool 3,5,7,11,13: 'r,mod'"
+    )
+    parser.add_argument("--level", type=_positive_int, default=None)
+    parser.add_argument("--node-cap", type=_positive_int, default=None)
 
 
 def _read_json(text: str, source: str):
@@ -158,11 +164,8 @@ def _hc_table(hc) -> str:
     lines = []
     for s in hc.statuses:
         if s.kind == "exact":
-            group = f"Z^{s.rank}" if s.rank != 1 else "Z"
-            if s.rank == 0:
-                group = "0"
-            for t in s.torsion:
-                group += f" + Z/{t}"
+            parts = [f"Z^{s.rank}" if s.rank != 1 else "Z"] if s.rank else []
+            group = " + ".join(parts + [f"Z/{t}" for t in s.torsion]) or "0"
             suffix = " (graded)" if s.graded_only else ""
             lines.append(f"H_c^{s.degree} = {group}{suffix}")
         elif s.kind == "rational_exact":
@@ -170,15 +173,12 @@ def _hc_table(hc) -> str:
         else:
             lines.append(f"H_c^{s.degree}: rational rank in [{s.lo}, {s.hi}]")
     lines.append(f"euler characteristic: {hc.euler}")
-    lines.append(
-        "degeneration: integral page forced"
-        if hc.integral_forced
-        else (
-            "degeneration: rational window forced"
-            if hc.rational_window_forced
-            else "degeneration: differentials possible"
-        )
-    )
+    if hc.integral_forced:
+        lines.append("degeneration: integral page forced")
+    elif hc.rational_window_forced:
+        lines.append("degeneration: rational window forced")
+    else:
+        lines.append("degeneration: differentials possible")
     return "\n".join(lines)
 
 
@@ -259,9 +259,14 @@ def _cmd_weights(args) -> int:
     return 0
 
 
-def _cmd_e1(args) -> int:
+def _page(args):
+    """The separated configuration and its E1 page at --m (e1/hc/mclean)."""
     _, sep, _, w, _ = _prepare_pipeline(args, args.m)
-    page = e1_page(sep, w, args.m)
+    return sep, e1_page(sep, w, args.m)
+
+
+def _cmd_e1(args) -> int:
+    sep, page = _page(args)
     data = {"page": page.to_json_dict(), "euler": page.euler_characteristic()}
     table = render_page_table(page, sep) + f"\neuler characteristic: {page.euler_characteristic()}"
     _emit(args, data, table)
@@ -269,8 +274,7 @@ def _cmd_e1(args) -> int:
 
 
 def _cmd_hc(args) -> int:
-    _, sep, _, w, _ = _prepare_pipeline(args, args.m)
-    page = e1_page(sep, w, args.m)
+    _, page = _page(args)
     hc = degeneration_analysis(page)
     data = {"hc": hc.to_json_dict()}
     table = _hc_table(hc)
@@ -286,8 +290,8 @@ def _cmd_hc(args) -> int:
 
 
 def _cmd_mclean(args) -> int:
-    _, sep, _, w, _ = _prepare_pipeline(args, args.m)
-    page = mclean_relabel(e1_page(sep, w, args.m))
+    sep, page = _page(args)
+    page = mclean_relabel(page)
     data = {"page": page.to_json_dict(), "total_shift": page.total_shift}
     table = render_page_table(page, sep) + f"\ntotal degree shift: {page.total_shift}"
     _emit(args, data, table)
@@ -329,9 +333,19 @@ def _pool(args) -> list[int]:
     return pool
 
 
+def _oracle_fit(args, poly: SparsePolynomial, level: int, expected_dim: int | None):
+    """Jet counts of ``poly`` at contact order --m and ``level`` over the
+    prime pool, and their fit at q = 1 (oracle-chi and report --primes)."""
+    counts = [
+        (q, contact_count(poly, args.m, level, q, node_cap=args.node_cap).total)
+        for q in _pool(args)
+    ]
+    return counts, interpolate_chi(counts, expected_dim)
+
+
 def _cmd_oracle_count(args) -> int:
     poly = _load_poly(args)
-    level = args.level if args.level is not None else args.m
+    level = args.level or args.m
     if args.strata:
         report = stratified_count(poly, args.m, level, args.q, node_cap=args.node_cap)
     else:
@@ -344,12 +358,7 @@ def _cmd_oracle_count(args) -> int:
 
 
 def _cmd_oracle_chi(args) -> int:
-    poly = _load_poly(args)
-    level = args.level if args.level is not None else args.m
-    counts = []
-    for q in _pool(args):
-        counts.append((q, contact_count(poly, args.m, level, q, node_cap=args.node_cap).total))
-    fit = interpolate_chi(counts, args.expected_dim)
+    counts, fit = _oracle_fit(args, _load_poly(args), args.level or args.m, args.expected_dim)
     if args.csv:
         export_counts_csv(args.csv, counts)
     # all-zero counts fit no degree: an empty locus matches no stated dimension
@@ -378,7 +387,8 @@ def _cmd_verify_fibration(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_report(args, m: int) -> dict:
+def _cmd_report(args) -> int:
+    m = args.m
     poly = _load_poly(args) if args.config is None else None
     cfg, sep, records, w, desc = _prepare_pipeline(args, m, poly)
     cset = contributing_set(sep, w, m)
@@ -387,24 +397,29 @@ def build_report(args, m: int) -> dict:
     hc = degeneration_analysis(page)
     zeta = zeta_factorization(cfg)
     check = cross_check_euler(sep, w, m, lefschetz_cfg=cfg, page=page)
+    table = [
+        f"input: {desc}  m={m}",
+        f"weights: {w.to_json_dict()} ({AMPLE_NOTE})",
+        f"zeta: {zeta.render()}",
+        f"lefschetz: Lambda = {check.lefschetz}",
+        _hc_table(hc),
+        f"euler cross check: page {check.page_euler} vs lefschetz {check.lefschetz}: "
+        + ("PASS" if check.passed else "FAIL"),
+    ]
 
     oracle = None
-    oracle_pass = True
+    passed = check.passed
     if args.primes or args.congruence:
         if args.config is not None:
             raise ContactLociError("the jet oracle needs a polynomial input, not a configuration")
-        level = args.level if args.level is not None else m
-        counts = [
-            (q, contact_count(poly, m, level, q, node_cap=args.node_cap).total)
-            for q in _pool(args)
-        ]
+        level = args.level or m
         dims = [stratum_dimension(sep, i, m, jet_level=level) for i in cset.ids()]
         expected_dim = max(dims) if dims else None
-        fit = interpolate_chi(counts, expected_dim)
+        counts, fit = _oracle_fit(args, poly, level, expected_dim)
         chi_match = fit.conclusive and fit.chi == check.lefschetz
         # all-zero counts fit degree None, and expected_dim is None exactly when S_m is empty
         degree_match = fit.conclusive and fit.degree == expected_dim
-        oracle_pass = chi_match and degree_match
+        passed = passed and chi_match and degree_match
         oracle = {
             "level": level,
             "counts": [[q, n] for q, n in counts],
@@ -413,9 +428,12 @@ def build_report(args, m: int) -> dict:
             "chi_match": chi_match,
             "degree_match": degree_match,
         }
+        table.append(f"oracle counts: {oracle['counts']}")
+        table.append(f"oracle fit: {fit.render()} (chi {fit.chi}, match {chi_match})")
 
-    verdict = check.passed and oracle_pass
-    return {
+    verdict = "PASS" if passed else "FAIL"
+    table.append(f"verdict: {verdict}")
+    data = {
         "input": desc,
         "m": m,
         "configuration": sep.to_json_dict(),
@@ -430,42 +448,10 @@ def build_report(args, m: int) -> dict:
         "lefschetz": check.lefschetz,
         "euler_cross_check": check.to_json_dict(),
         "oracle": oracle,
-        "verdict": "PASS" if verdict else "FAIL",
+        "verdict": verdict,
     }
-
-
-def _cmd_report(args) -> int:
-    data = build_report(args, args.m)
-    if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        hc = data["hc"]
-        lines = [f"input: {data['input']}  m={data['m']}"]
-        lines.append(f"weights: {data['weights']} ({data['weights_note']})")
-        lines.append(f"zeta: {data['zeta']['rendered']}")
-        lines.append(f"lefschetz: Lambda = {data['lefschetz']}")
-        for s in hc["statuses"]:
-            if s["kind"] == "exact":
-                group = "0" if s["rank"] == 0 else ("Z" if s["rank"] == 1 else f"Z^{s['rank']}")
-                lines.append(f"H_c^{s['degree']} = {group}")
-            else:
-                lines.append(f"H_c^{s['degree']}: rank in [{s['lo']}, {s['hi']}] ({s['kind']})")
-        lines.append(f"euler: {hc['euler']}")
-        check = data["euler_cross_check"]
-        lines.append(
-            f"euler cross check: page {check['page_euler']} vs lefschetz "
-            f"{check['lefschetz']}: {'PASS' if check['passed'] else 'FAIL'}"
-        )
-        if data["oracle"]:
-            fit = data["oracle"]["fit"]
-            lines.append(f"oracle counts: {data['oracle']['counts']}")
-            lines.append(
-                f"oracle fit: {fit['fit']} (chi {fit['chi']}, "
-                f"match {data['oracle']['chi_match']})"
-            )
-        lines.append(f"verdict: {data['verdict']}")
-        print("\n".join(lines))
-    return 0 if data["verdict"] == "PASS" else 1
+    _emit(args, data, "\n".join(table))
+    return 0 if passed else 1
 
 
 @functools.cache
@@ -478,103 +464,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a configuration against the structural invariants")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("validate", _cmd_validate, "check a configuration against the structural invariants")
     _add_input_options(p)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("resolve", help="resolve a plane curve germ by point blowups")
+    p = command("resolve", _cmd_resolve, "resolve a plane curve germ by point blowups")
     _add_input_options(p, config=False)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_resolve)
 
-    p = sub.add_parser("separate", help="make a configuration m-separating")
+    p = command("separate", _cmd_separate, "make a configuration m-separating")
     _add_input_options(p, need_m=True)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("weights", help="solve for a relatively ample weight vector")
+    p = command("weights", _cmd_weights, "solve for a relatively ample weight vector")
     _add_input_options(p)
     p.add_argument("--m", type=_positive_int, default=None, help="separate at m before solving")
     _add_weight_options(p)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_weights)
 
-    helps = {
-        "e1": "assemble the first page for the m-th contact locus",
-        "hc": "exact values and rank bounds for H_c",
-        "mclean": "the page in the Floer-style total grading",
-    }
-    for name, func, extra in (
-        ("e1", _cmd_e1, None),
-        ("hc", _cmd_hc, "gap"),
-        ("mclean", _cmd_mclean, None),
+    for name, func, help in (
+        ("e1", _cmd_e1, "assemble the first page for the m-th contact locus"),
+        ("hc", _cmd_hc, "exact values and rank bounds for H_c"),
+        ("mclean", _cmd_mclean, "the page in the Floer-style total grading"),
+        ("check-euler", _cmd_check_euler, "two-path Euler characteristic cross check"),
     ):
-        p = sub.add_parser(name, help=helps[name])
+        p = command(name, func, help)
         _add_input_options(p, need_m=True)
         _add_weight_options(p)
-        _add_format_option(p)
-        if extra == "gap":
+        if name == "hc":
             p.add_argument("--gap-analysis", action="store_true")
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("zeta", help="monodromy zeta function from the resolution data")
+    p = command("zeta", _cmd_zeta, "monodromy zeta function from the resolution data")
     _add_input_options(p)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("lefschetz", help="Lefschetz number of the m-th monodromy iterate")
+    p = command("lefschetz", _cmd_lefschetz, "Lefschetz number of the m-th monodromy iterate")
     _add_input_options(p, need_m=True)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_lefschetz)
 
-    p = sub.add_parser("check-euler", help="two-path Euler characteristic cross check")
-    _add_input_options(p, need_m=True)
-    _add_weight_options(p)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_check_euler)
-
-    p = sub.add_parser("oracle-count", help="exact finite-field jet count")
+    p = command("oracle-count", _cmd_oracle_count, "exact finite-field jet count")
     _add_input_options(p, need_m=True, config=False)
     p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--level", type=_positive_int, default=None)
     p.add_argument("--strata", action="store_true", help="stratify by vanishing orders")
     p.add_argument("--node-cap", type=_positive_int, default=None)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_oracle_count)
 
-    p = sub.add_parser("oracle-chi", help="polynomial fit of counts and chi at q = 1")
+    p = command("oracle-chi", _cmd_oracle_chi, "polynomial fit of counts and chi at q = 1")
     _add_input_options(p, need_m=True, config=False)
-    p.add_argument("--level", type=_positive_int, default=None)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--primes", type=_int_list, help="comma separated primes, default pool 3,5,7,11,13")
-    group.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
+    _add_oracle_options(p)
     p.add_argument("--expected-dim", type=_nonnegative_int, default=None)
     p.add_argument("--csv", help="write (q, count) samples to this file")
-    p.add_argument("--node-cap", type=_positive_int, default=None)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_oracle_chi)
 
-    p = sub.add_parser("verify-fibration", help="check the blowup chart fibration on jets")
+    p = command("verify-fibration", _cmd_verify_fibration, "check the blowup chart fibration on jets")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--level", type=_positive_int, required=True)
     p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--nu", type=int, default=2)
     p.add_argument("--node-cap", type=_positive_int, default=None)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_verify_fibration)
 
-    p = sub.add_parser("report", help="full pipeline with cross checks")
+    p = command("report", _cmd_report, "full pipeline with cross checks")
     _add_input_options(p, need_m=True)
     _add_weight_options(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--primes", type=_int_list, help="comma separated primes for the oracle")
-    group.add_argument("--congruence", type=_congruence, help="filter the default pool: 'r,mod'")
-    p.add_argument("--level", type=_positive_int, default=None)
-    p.add_argument("--node-cap", type=_positive_int, default=None)
-    _add_format_option(p)
-    p.set_defaults(func=_cmd_report)
+    _add_oracle_options(p)
 
     return parser
 
@@ -586,10 +538,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContactLociError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ContactLociError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

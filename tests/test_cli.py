@@ -228,6 +228,46 @@ def test_report_on_config_input(tmp_path, capsys):
     assert "verdict: PASS" in out and "H_c^6 = Z^2" in out
 
 
+def test_report_prints_torsion_as_hc_does(tmp_path, capsys):
+    # one supplied stratum whose cover has H_1 = Z/3: a torsion-only degree
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2,
+        "sigma": "origin",
+        "divisors": [{
+            "id": 0, "label": "E", "mult": 2, "disc": 2, "exceptional": True,
+            "over_sigma": True, "genus": 0, "self_int": -1, "euler_open": 2,
+            "cover_betti": [2, 0, 2], "cover_torsion": [[], [3]],
+        }],
+        "cells": [],
+    }))
+    outputs = {}
+    for command in ("report", "hc"):
+        code, outputs[command], _ = run(capsys, command, "--config", str(path), "--m", "2")
+        assert code == 0
+    report, hc_block = outputs["report"].splitlines(), outputs["hc"].splitlines()
+    assert "H_c^5 = Z/3 (graded)" in report
+    # the whole H_c block of hc: every degree, euler characteristic, degeneration
+    start = report.index(hc_block[0])
+    assert report[start:start + len(hc_block)] == hc_block
+
+
+@pytest.mark.parametrize(
+    "poly,m,pool",
+    [("x*y", 2, ["--primes", "3,5,7"]), ("x^2+y^3", 3, ["--congruence", "1,3"])],
+)
+def test_report_and_oracle_chi_share_the_oracle_fit(capsys, poly, m, pool):
+    head = ["--poly", poly, "--m", str(m), *pool, "--format", "json"]
+    _, out, _ = run(capsys, "report", *head)
+    oracle = json.loads(out)["oracle"]
+    _, out, _ = run(
+        capsys, "oracle-chi", *head, "--expected-dim", str(oracle["expected_dim"])
+    )
+    chi = json.loads(out)
+    assert chi["counts"] == oracle["counts"] and chi["fit"] == oracle["fit"]
+    assert chi["degree_match"] == oracle["degree_match"]
+
+
 def test_check_euler_cli(capsys):
     code, out, _ = run(capsys, "check-euler", "--poly", "x^2+y^3", "--m", "6")
     assert code == 0 and "PASS" in out
