@@ -22,8 +22,9 @@ beyond I are free and contribute a power of q.
   and only sees levels 1 and 2.  So when those children sit at the last
   level I, they are settled in their parent: a child matters only through
   which undecided coordinates it makes nonzero and whether h . a_i meets
-  the target, so each such class is counted in closed form, O(2^d) work
-  per parent instead of q^d.  Each settled child still counts as a node.
+  the target.  ``_classes`` counts each such class in closed form, the
+  same count that settles g . a_i for a seed with g != 0: O(2^d) work per
+  parent instead of q^d.
 
 So a seed with g != 0 has q^(d - 1) extensions at every level and
 contributes q^((d - 1)(I - 1)) prefixes in closed form, while a seed with
@@ -31,10 +32,10 @@ g = 0 is all-or-nothing at each level: all q^d extensions when base
 meets the target, none otherwise.  One depth-first walk evaluates base
 only on the prefixes no closed form settles and keeps just the current
 path, O(I) memory; the order strata ride on the same walk.  Its node
-count is the level-1 candidates plus every prefix whose coefficient is
-evaluated, settled ones included.  A naive full enumeration is kept
-alongside as an independent check for tiny instances.  Counts are exact
-integers.
+count is the q^d level-1 candidates plus every prefix whose coefficient
+is evaluated, the last-level children settled per class included.  A
+naive full enumeration is kept alongside as an independent check for
+tiny instances.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -131,9 +132,6 @@ class _Budget:
             self._next_report += PROGRESS_EVERY
         return min(self.cap + 1, self._next_report)
 
-    def spend(self, n: int = 1) -> int:
-        return self.reach(self.nodes + n)
-
 
 def _factors(exps: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((c, e) for c, e in enumerate(exps) if e)
@@ -201,50 +199,44 @@ def _seeds(cone, mu: int, target: int, q: int, d: int) -> list[tuple[int, ...]]:
     return seeds
 
 
-def _settle_last_level(orders, support, h, s, i: int, q: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """The last-level children a of a prefix at level i (the a in F_q^d that
-    vanish on ``support``) as classes (orders, rhs, n): n children with
-    those orders and s - h . a zero (rhs 0) or not (rhs 1).
+def _classes(orders, zero, lin, s, q: int):
+    """The a in F_q^d that vanish on ``zero``, as classes (pattern, n, hits).
 
-    A class fixes which undecided coordinates outside the support are
-    nonzero, a set P; the decided ones, none in the support, are free.  Of
-    its q^free (q - 1)^|P| children, 1/q meet h . a = s when some free
-    h_c != 0, and otherwise those whose k coordinates in P with h_c != 0
-    solve it in nonzero values.
+    A class fixes which undecided coordinates (order 0) outside ``zero``
+    are nonzero, a set P with 0/1 indicator ``pattern``; the decided ones,
+    none in ``zero``, are free.  Of its n = q^free (q - 1)^|P| members,
+    hits solve lin . a = s: 1/q of them when some free lin_c != 0, and
+    otherwise those whose k coordinates in P with lin_c != 0 solve it in
+    nonzero values.
     """
-    undecided = [c for c, o in enumerate(orders) if not o and c not in support]
     free = sum(1 for o in orders if o)
-    lifted = any(x for x, o in zip(h, orders) if o)
-    out = []
-    for pattern in itertools.product((0, 1), repeat=len(undecided)):
-        nonzero = [c for c, nz in zip(undecided, pattern) if nz]
-        n = q**free * (q - 1) ** len(nonzero)
-        if lifted:  # one value of a free coordinate with h_c != 0 meets s
+    lifted = any(x for x, o in zip(lin, orders) if o)
+    choices = [(0,) if o or c in zero else (0, 1) for c, o in enumerate(orders)]
+    for pattern in itertools.product(*choices):
+        n = q**free * (q - 1) ** sum(pattern)
+        if lifted:  # one value of a free coordinate with lin_c != 0 meets s
             hits = n // q
         else:
-            k = sum(1 for c in nonzero if h[c])
-            hits = q**free * (q - 1) ** (len(nonzero) - k) * _nonzero_solutions(k, s, q)
-        child = tuple([i if c in nonzero else o for c, o in enumerate(orders)])
-        out += [(child, rhs, count) for rhs, count in ((0, hits), (1, n - hits)) if count]
-    return out
+            k = sum(1 for x, nz in zip(lin, pattern) if x and nz)
+            hits = q**free * (q - 1) ** (sum(pattern) - k) * _nonzero_solutions(k, s, q)
+        yield pattern, n, hits
 
 
 def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple[dict, int]:
     """Contact prefixes of depth I = m - mu + 1, grouped for counting.
 
-    Returns ({(orders, start, rank): n}, I).  Each group stands for n
-    prefixes whose coordinate orders are fixed by ``orders`` where nonzero;
-    the zero entries are still undecided at level ``start`` and behave
-    like free coordinates from there on (see ``_expand``).  ``rank`` is 1
-    when every constrained level from ``start`` on takes q^(d - 1) of the
-    q^d extensions, and 0 when it takes all of them.  Without ``strata``
-    every coordinate counts as decided, so groups only carry the count.
-    The children at the last level of a prefix at level >= 3 are counted
-    per class by ``_settle_last_level``; the node count still adds one per
-    child, as if each were visited.
+    Returns ({(orders, start): n}, I).  Each group stands for n prefixes
+    whose coordinate orders are fixed by ``orders`` where nonzero; the zero
+    entries are still undecided at level ``start`` and behave like free
+    coordinates from there on, while every constrained level from
+    ``start`` on takes q^(d - 1) of the q^d extensions (see ``_expand``).
+    Without ``strata`` every coordinate counts as decided, so groups only
+    carry the count.  The children at the last level of a prefix at level
+    >= 3 are counted per class by ``_classes``; the node count still adds
+    one per child, as if each were visited.
     """
     mu = min(sum(exps) for _, exps in terms)
-    groups: dict[tuple[tuple[int, ...], int, int], int] = {}
+    groups: dict[tuple[tuple[int, ...], int], int] = {}
     if m < mu:
         return groups, 0
     depth = m - mu + 1
@@ -254,21 +246,21 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
             f"the jet walk would nest {depth} = m - mu + 1 levels deep, past Python's recursion limit"
         )
 
-    def record(orders, start, rank, n):
-        key = (orders, start, rank)
+    def record(orders, start, n):
+        key = (orders, start)
         groups[key] = groups.get(key, 0) + n
 
     def advance(orders, i, a):
         return tuple([o or (x and i) for o, x in zip(orders, a)]) if strata else orders
 
-    stop = budget.spend(q**d)  # the level-1 candidates
-    nodes = budget.nodes
+    nodes = q**d  # the level-1 candidates
+    stop = budget.reach(nodes)
     tangent = [(v, exps) for v, exps in terms if sum(exps) == mu]
     seeds = _seeds([(v, _factors(e)) for v, e in tangent], mu, 1 if mu == m else 0, q, d)
     unset = (0 if strata else 1,) * d
     if depth == 1:  # no constrained level beyond the seeds
         for a in seeds:
-            record(advance(unset, 1, a), 2, 0, 1)
+            record(advance(unset, 1, a), 2, 1)
         return groups, depth
 
     # only terms of excess below the depth reach a tested coefficient; a
@@ -286,38 +278,24 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
         [(v % q, _factors(e), bits * (mu - sum(e))) for v, e in partial if sum(e) <= mu and v % q]
         for partial in _partials(terms, d)
     ]
-    points = list(itertools.product(range(q), repeat=d))
-    free_points: dict[frozenset, list] = {}
+    extensions: dict[frozenset, list] = {}  # support -> the a vanishing on it
     closed_records: dict[tuple, list] = {}
 
     def closed(orders, i, support, rhs, mult=1):
-        # g != 0 with its support among the coordinates still zero: the
-        # extensions at level i that fix an order in the support (at the
-        # depth, all of them) are counted in closed form, mult times over
+        # g . a = rhs, g != 0 exactly on the support, among coordinates still
+        # zero: the extensions at level i that fix an order in the support
+        # (at the depth, all of them; there g = 0 passes all or none) are
+        # counted in closed form, mult times over
         key = (orders, i, support, rhs != 0)
         out = closed_records.get(key)
         if out is None:
             out = closed_records[key] = []
-            unknown = [c for c in range(d) if not orders[c]]
-            for pattern in itertools.product((0, 1), repeat=len(unknown)):
-                hit = sum(1 for c, nz in zip(unknown, pattern) if nz and c in support)
-                if not hit and i < depth:
-                    continue
-                n = (q - 1) ** (sum(pattern) - hit) * q ** (d - len(unknown)) * _nonzero_solutions(hit, rhs, q)
-                if n:
-                    a = [0] * d
-                    for c, nz in zip(unknown, pattern):
-                        a[c] = nz
-                    out.append(((advance(orders, i, a), i + 1, 1), n))
+            lin = [c in support for c in range(d)]
+            for pattern, _, hits in _classes(orders, (), lin, rhs, q):
+                if hits and (i == depth or any(pattern[c] for c in support)):
+                    out.append(((advance(orders, i, pattern), i + 1), hits))
         for group, n in out:
             groups[group] = groups.get(group, 0) + n * mult
-
-    def leaf(orders, support, rhs, mult=1):
-        # the choice of the last level: with g = 0 all q^d pass or none does
-        if support:
-            closed(orders, depth, support, rhs, mult)
-        elif not rhs:
-            record(orders, depth, 0, mult)
 
     def visit(packed, orders, i, support):
         # the coefficient of t^(i + mu - 1) is base + g . a_i at level i
@@ -327,19 +305,18 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
             stop = budget.reach(nodes)
         rhs = ((i == depth) - _field(levels[i - 1], packed, mask)) % q
         if i == depth:
-            return leaf(orders, support, rhs)
+            return closed(orders, depth, support, rhs)
         if support:
             closed(orders, i, support, rhs)
         if rhs:
             return
         # with g = 0 every extension goes on; with g != 0 those leaving the
         # support zero (the others fixed an order in it above)
-        children = points
-        if support:
-            children = free_points.get(support)
-            if children is None:
-                children = free_points[support] = [a for a in points if not any(a[c] for c in support)]
         if i + 1 < depth or i < 3:
+            children = extensions.get(support)
+            if children is None:
+                ranges = [(0,) if c in support else range(q) for c in range(d)]
+                children = extensions[support] = list(itertools.product(*ranges))
             shift = bits * (i - 1)
             for a in children:
                 visit(tuple([p | x << shift for p, x in zip(packed, a)]), advance(orders, i, a), i + 1, support)
@@ -347,13 +324,16 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
         # the children sit at the last level, and from level 3 on the
         # quadratic terms in a_i land above their coefficient, which is
         # therefore base + h . a_i: settle them here, one class at a time
-        nodes += len(children)
+        nodes += q ** (d - len(support))
         if nodes >= stop:
             stop = budget.reach(nodes)
         s = 1 - _field(levels[i], packed, mask)
         h = [_field(dh, packed, mask) % q for dh in slope]
-        for child, rhs, n in _settle_last_level(orders, support, h, s, i, q):
-            leaf(child, support, rhs, n)
+        for pattern, n, hits in _classes(orders, support, h, s, q):
+            child = advance(orders, i, pattern)
+            for rhs, count in ((0, hits), (1, n - hits)):
+                if count:
+                    closed(child, depth, support, rhs, count)
 
     # g = grad f_mu(a_1) is the gradient of every later level
     grad = [[(v, _factors(e)) for v, e in partial] for partial in _partials(tangent, d)]
@@ -361,7 +341,7 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
         orders = advance(unset, 1, a)
         support = frozenset(c for c, dt in enumerate(grad) if _point_value(dt, a, q))
         if support and any(orders[c] for c in support):
-            record(orders, 2, 1, 1)
+            record(orders, 2, 1)
         else:
             visit(a, orders, 2, support)
     budget.reach(nodes)
@@ -369,18 +349,18 @@ def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple
 
 
 def _expand(groups: dict, depth: int, l: int, q: int) -> dict[tuple[int, ...], int]:
-    """Order strata of level-l jets from the walk's groups.
+    """Order strata of level-l jets from the walk's ``(orders, start)`` groups.
 
     The decided coordinates contribute q^known per free level and
-    q^(known - rank) per constrained level from ``start``; an undecided
-    one takes its first nonzero coefficient at a level k >= start,
+    q^(known - 1) per constrained level from ``start``; an undecided one
+    takes its first nonzero coefficient at a level k >= start,
     (q - 1) q^(l - k) ways, or stays zero (order l + 1).
     """
     strata: dict[tuple[int, ...], int] = {}
-    for (orders, start, rank), n in groups.items():
+    for (orders, start), n in groups.items():
         unknown = [c for c, o in enumerate(orders) if not o]
         known = len(orders) - len(unknown)
-        weight = n * q ** ((known - rank) * max(0, depth + 1 - start) + known * (l - depth))
+        weight = n * q ** ((known - 1) * max(0, depth + 1 - start) + known * (l - depth))
         opts = [(k, (q - 1) * q ** (l - k)) for k in range(start, l + 1)] + [(l + 1, 1)] if unknown else []
         for combo in itertools.product(opts, repeat=len(unknown)):
             key = list(orders)
@@ -477,8 +457,8 @@ def naive_contact_count(f: SparsePolynomial | str, m: int, l: int, q: int, *, ca
     if terms is None:
         return 0
     d = f.nvars
-    if q ** (d * l) > cap:
-        raise ResourceLimitError(f"naive enumeration of q^(d*l) = {q ** (d * l)} jets exceeds the cap")
+    if d * l >= cap.bit_length() or q ** (d * l) > cap:
+        raise ResourceLimitError(f"naive enumeration of q^(d*l) = {q}^{d * l} jets exceeds the cap {cap}")
     target = [0] * (m + 1)
     target[m] = 1
     target = tuple(target)
@@ -711,10 +691,12 @@ def verify_chart_fibration(
         raise DomainError("need l >= m >= 0")
     if not _is_prime(q):
         raise DomainError(f"{q} is not prime")
-    n_source = q ** ((d - 1) * (l + 1)) * (q - 1) * q ** (l - m)
+    e = (d - 1) * (l + 1) + l - m
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
+    # q >= 2, so there are at least 2^e source jets: refuse before forming q^e
+    n_source = q**e * (q - 1) if e < cap.bit_length() else cap + 1
     if n_source > cap:
-        raise ResourceLimitError(f"{n_source} source jets exceed the cap {cap}")
+        raise ResourceLimitError(f"{q}^{e} * {q - 1} source jets exceed the cap {cap}")
 
     expected = q ** ((nu - 1) * m)
     images: dict[tuple, int] = {}

@@ -161,24 +161,6 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
     return _solve_positive_definite(rows) is not None
 
 
-def ample_deficits(cfg: SncConfiguration, w: WeightVector) -> dict[int, int]:
-    """For each exceptional j, the pairing -sum_i w_i (E_i . E_j), that is
-    -s_j w_j minus count * w_i over each cell joining E_j to some E_i.
-
-    All values must be strictly positive for w to be ample.  Needs a curve
-    configuration and a weight on every divisor."""
-    require_valid(cfg)
-    values = w.as_dict()
-    out = {d.id: -d.self_int * values[d.id] for d in cfg.divisors if d.exceptional}
-    for cell in cfg.cells:
-        i, j = cell.ids
-        if i in out:
-            out[i] -= cell.count * values[j]
-        if j in out:
-            out[j] -= cell.count * values[i]
-    return out
-
-
 def validate_weights(cfg: SncConfiguration, w: WeightVector) -> bool:
     """One weight per divisor and none elsewhere, nonnegative, zero on
     non-exceptional divisors, and (curve case) strictly positive against
@@ -190,7 +172,11 @@ def validate_weights(cfg: SncConfiguration, w: WeightVector) -> bool:
         return False
     if cfg.ambient_dim != 2 or not cfg.exceptional_ids():
         return True
-    return all(v > 0 for v in ample_deficits(cfg, w).values())
+    # -sum_i w_i (E_i . E_j) for each exceptional j: the weights vanish off
+    # the exceptional divisors, so the rows of -M give the whole pairing
+    require_valid(cfg)
+    rows = _exceptional_rows(cfg).values()
+    return all(sum(a_ji * values[i] for i, a_ji in row.items()) > 0 for row in rows)
 
 
 def solve_weights(cfg: SncConfiguration) -> WeightVector:

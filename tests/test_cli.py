@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,16 @@ def test_oracle_chi_congruence_pool(capsys):
 def test_verify_fibration_cli(capsys):
     code, out, _ = run(capsys, "verify-fibration", "--m", "2", "--level", "2", "--q", "3")
     assert code == 0 and "PASS" in out
+
+
+def test_verify_fibration_refuses_a_huge_source_at_once(capsys):
+    # the source count has about 4.5 M digits; the cap is checked on its exponent
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-fibration", "--m", "1", "--level", "100", "--q", "13", "--d", "4000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) < 200, err[:200]
+    assert err == "error: 13^403998 * 12 source jets exceed the cap 1000000000\n"
 
 
 def test_level_option_accepts_a_prefix(capsys):

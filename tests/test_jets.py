@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,14 @@ def test_chart_fibration(m, q):
         sizes = dict(report.fiber_histogram)
         assert set(sizes) == {q ** m}
         assert report.n_images * q ** m == report.n_source
+
+
+def test_enumerations_refuse_from_the_exponent():
+    # neither count is formed: each has about a million digits
+    with pytest.raises(ResourceLimitError, match=r"= 3\^2000000 jets exceeds the cap 2000000$"):
+        naive_contact_count("x*y", 1, 10**6, 3)
+    with pytest.raises(ResourceLimitError, match=r"^3\^2000000 \* 2 source jets exceed the cap 1000000000$"):
+        verify_chart_fibration(1, 10**6, 3, 2, 2)
 
 
 def test_chart_fibration_m0_injective():
@@ -496,25 +505,26 @@ def test_progress_lines_follow_the_node_count(monkeypatch, caplog, every):
 
 
 # ---------------------------------------------------------------------------
-# the last level settled per class against the per-child loop it replaced
+# the closed-form class count against a brute-force enumeration
 
 
-def reference_settle_last_level(orders, support, h, s, i, q):
-    """The per-child loop: every child a vanishing on the support tests
-    s - h . a on its own; classes are summed only afterwards."""
-    classes = collections.Counter()
+def reference_classes(orders, zero, lin, s, q):
+    """Every a in F_q^d vanishing on ``zero``, grouped by which undecided
+    coordinates it makes nonzero; hits counts the a with lin . a = s."""
+    classes = collections.defaultdict(lambda: [0, 0])
     for a in itertools.product(range(q), repeat=len(orders)):
-        if support and any(a[c] for c in support):
+        if any(a[c] for c in zero):
             continue
-        rhs = (s - sum([x * y for x, y in zip(h, a)])) % q
-        if support or not rhs:
-            classes[tuple([o or (x and i) for o, x in zip(orders, a)]), int(rhs != 0)] += 1
-    return [(child, rhs, n) for (child, rhs), n in classes.items()]
+        counts = classes[tuple([int(bool(x) and not o) for x, o in zip(a, orders)])]
+        counts[0] += 1
+        counts[1] += (sum([x * y for x, y in zip(lin, a)]) - s) % q == 0
+    for pattern, (n, hits) in classes.items():
+        yield pattern, n, hits
 
 
-def _walk_with(monkeypatch, settle, terms, m, q, d, strata, cap):
-    """(groups, depth, nodes) of the walk with ``settle`` at the last level."""
-    monkeypatch.setattr(jets, "_settle_last_level", settle)
+def _walk_with(monkeypatch, classes, terms, m, q, d, strata, cap):
+    """(groups, depth, nodes) of the walk with ``classes`` as the class count."""
+    monkeypatch.setattr(jets, "_classes", classes)
     budget = jets._Budget(cap)
     try:
         groups, depth = jets._walk(terms, m, q, d, budget, strata)
@@ -523,25 +533,25 @@ def _walk_with(monkeypatch, settle, terms, m, q, d, strata, cap):
     return groups, depth, budget.nodes
 
 
-def _parent_kind(orders, support, h, s, q):
-    if support:
-        return "support"
-    if any(x for x, o in zip(h, orders) if o):
+def _call_kind(orders, zero, lin, s, q):
+    if zero:
+        return "zero"
+    if any(x for x, o in zip(lin, orders) if o):
         return "lifted"
-    if any(h):
-        return "h on undecided"
-    return "h=0, s=0" if s % q == 0 else "h=0, s!=0"
+    if any(lin):
+        return "lin on undecided"
+    return "lin=0, s=0" if s % q == 0 else "lin=0, s!=0"
 
 
 def test_settle_per_class_matches_the_per_child_loop(monkeypatch):
     rng = random.Random(20261019)
-    kinds = dict.fromkeys(["support", "lifted", "h on undecided", "h=0, s=0", "h=0, s!=0", "q=2"], 0)
-    settle = jets._settle_last_level
+    kinds = dict.fromkeys(["zero", "lifted", "lin on undecided", "lin=0, s=0", "lin=0, s!=0", "q=2"], 0)
+    classes = jets._classes
 
-    def reference(orders, support, h, s, i, q):
-        kinds[_parent_kind(orders, support, h, s, q)] += 1
+    def reference(orders, zero, lin, s, q):
+        kinds[_call_kind(orders, zero, lin, s, q)] += 1
         kinds["q=2"] += q == 2
-        return reference_settle_last_level(orders, support, h, s, i, q)
+        return reference_classes(orders, zero, lin, s, q)
 
     cases, seen = 0, set()
     while cases < 40:
@@ -555,7 +565,7 @@ def test_settle_per_class_matches_the_per_child_loop(monkeypatch):
         if not terms:
             continue
         try:
-            got = _walk_with(monkeypatch, settle, terms, m, q, d, strata, 3000)
+            got = _walk_with(monkeypatch, classes, terms, m, q, d, strata, 3000)
         except ResourceLimitError:
             continue
         expected = _walk_with(monkeypatch, reference, terms, m, q, d, strata, 3000)
@@ -577,5 +587,17 @@ def test_large_q_walks_keep_their_totals_and_nodes(monkeypatch, count, text, m, 
     report = count(text, m, m, q)
     assert (report.total, report.nodes) == (total, nodes)
     if count is stratified_count and total:
-        monkeypatch.setattr(jets, "_settle_last_level", reference_settle_last_level)
+        monkeypatch.setattr(jets, "_classes", reference_classes)
         assert report.strata == count(text, m, m, q).strata
+
+
+def test_shallow_walk_at_large_q_stays_small():
+    # a depth-2 walk settles every prefix at once and needs no extension list
+    tracemalloc.start()
+    try:
+        report = stratified_count("x^2+y^3", 3, 3, 1009)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # y_1^3 = 1 has three roots, as 1009 = 1 mod 3
+    assert report.total == 3 * 1009**4 and peak < 5_000_000, (report.total, peak)
