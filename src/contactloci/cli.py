@@ -32,6 +32,7 @@ from .spectral import (
     contributing_set,
     degeneration_analysis,
     e1_page,
+    group_text,
     mclean_relabel,
     rational_gap_analysis,
     render_page_table,
@@ -164,10 +165,8 @@ def _hc_table(hc) -> str:
     lines = []
     for s in hc.statuses:
         if s.kind == "exact":
-            parts = [f"Z^{s.rank}" if s.rank != 1 else "Z"] if s.rank else []
-            group = " + ".join(parts + [f"Z/{t}" for t in s.torsion]) or "0"
             suffix = " (graded)" if s.graded_only else ""
-            lines.append(f"H_c^{s.degree} = {group}{suffix}")
+            lines.append(f"H_c^{s.degree} = {group_text(s.rank, s.torsion, ' + ')}{suffix}")
         elif s.kind == "rational_exact":
             lines.append(f"H_c^{s.degree}: rational rank {s.rank} (integral undetermined)")
         else:

@@ -564,7 +564,7 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
     return cfg, log
 
 
-def point_configuration(r: int, label: str = "origin") -> SncConfiguration:
+def point_configuration(r: int) -> SncConfiguration:
     """The d = 1 configuration of f = x^r under the identity resolution.
 
     The zero locus is the origin with multiplicity r; it is a divisor of
@@ -572,7 +572,7 @@ def point_configuration(r: int, label: str = "origin") -> SncConfiguration:
     """
     if r < 1:
         raise DomainError("need a positive vanishing order")
-    div = Divisor(id=0, label=label, mult=r, disc=1, exceptional=False, over_sigma=True)
+    div = Divisor(id=0, label="origin", mult=r, disc=1, exceptional=False, over_sigma=True)
     return SncConfiguration(ambient_dim=1, divisors=(div,), cells=())
 
 

@@ -47,6 +47,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -55,6 +56,7 @@ from .polys import SparsePolynomial, parse_polynomial
 LOGGER = logging.getLogger(__name__)
 
 DEFAULT_NODE_CAP = 1_000_000_000
+NAIVE_CAP = 2_000_000  # jets that naive_contact_count enumerates at most
 PROGRESS_EVERY = 10_000_000
 
 
@@ -399,24 +401,25 @@ class CountReport:
         }
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            return False
-        p += 1
-    return True
+def _require_prime(q: int, cap: int) -> None:
+    """Refuse a q above the cap as over budget, then a q that is not prime.
+
+    Any walk or enumeration over F_q has at least q candidates, so the
+    first refusal needs no primality test, and the trial division never
+    runs past sqrt(cap).
+    """
+    if q > cap:
+        raise ResourceLimitError(f"enumeration budget exceeded (q = {q} > the cap {cap})")
+    if q < 2 or any(q % p == 0 for p in range(2, isqrt(q) + 1)):
+        raise DomainError(f"{q} is not prime")
 
 
-def _prepare(f, m, l, q):
+def _prepare(f, m, l, q, cap):
     """Validated (polynomial, reduced terms); terms is None when a nonzero
     constant term makes every centered contact count vanish."""
     if isinstance(f, str):
         f, _ = parse_polynomial(f)
-    if not _is_prime(q):
-        raise DomainError(f"{q} is not prime")
+    _require_prime(q, cap)
     if m < 1:
         raise DomainError("m must be positive")
     if l < m:
@@ -429,8 +432,8 @@ def _prepare(f, m, l, q):
 
 def _count(f, m: int, l: int, q: int, node_cap: int | None, strata: bool) -> CountReport:
     start = time.perf_counter()
-    f, terms = _prepare(f, m, l, q)
     budget = _Budget(DEFAULT_NODE_CAP if node_cap is None else node_cap)
+    f, terms = _prepare(f, m, l, q, budget.cap)
     cells: dict[tuple[int, ...], int] = {}
     if terms is not None:
         cells = _expand(*_walk(terms, m, q, f.nvars, budget, strata), l, q)
@@ -451,14 +454,14 @@ def contact_count(
     return _count(f, m, l, q, node_cap, strata=False)
 
 
-def naive_contact_count(f: SparsePolynomial | str, m: int, l: int, q: int, *, cap: int = 2_000_000) -> int:
+def naive_contact_count(f: SparsePolynomial | str, m: int, l: int, q: int) -> int:
     """Full enumeration over all q^(d l) centered jets; tiny instances only."""
-    f, terms = _prepare(f, m, l, q)
+    f, terms = _prepare(f, m, l, q, NAIVE_CAP)
     if terms is None:
         return 0
     d = f.nvars
-    if d * l >= cap.bit_length() or q ** (d * l) > cap:
-        raise ResourceLimitError(f"naive enumeration of q^(d*l) = {q}^{d * l} jets exceeds the cap {cap}")
+    if d * l >= NAIVE_CAP.bit_length() or q ** (d * l) > NAIVE_CAP:
+        raise ResourceLimitError(f"naive enumeration of q^(d*l) = {q}^{d * l} jets exceeds the cap {NAIVE_CAP}")
     target = [0] * (m + 1)
     target[m] = 1
     target = tuple(target)
@@ -689,10 +692,9 @@ def verify_chart_fibration(
         raise DomainError("need 2 <= nu <= d")
     if l < m or m < 0:
         raise DomainError("need l >= m >= 0")
-    if not _is_prime(q):
-        raise DomainError(f"{q} is not prime")
-    e = (d - 1) * (l + 1) + l - m
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
+    _require_prime(q, cap)
+    e = (d - 1) * (l + 1) + l - m
     # q >= 2, so there are at least 2^e source jets: refuse before forming q^e
     n_source = q**e * (q - 1) if e < cap.bit_length() else cap + 1
     if n_source > cap:

@@ -13,9 +13,9 @@ stratum of the contact locus.  Differentials d_r move (p, q) to
 carry nonzero differentials, and a differential on a later page has
 finite image, so rational rank bounds only ever involve arrows with
 1 <= r <= d.  A total degree touched by no arrow at all is therefore
-known integrally; one touched only by arrows of length > d is known
-rationally; anything else gets rank bounds with per-arrow caps
-min(source rank, target rank).
+known integrally; one where every arrow with r <= d has cap
+min(source rank, target rank) = 0 is known rationally; anything else
+gets rank bounds that subtract those caps.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 from .covers import CoverHomology, covers_for
 from .errors import DomainError, MissingCoverDataError, NotMSeparatingError
-from .model import SncConfiguration, require_valid
+from .model import Divisor, SncConfiguration, require_valid
 from .separation import first_offending_pair, is_m_separating
 from .weights import WeightVector
 
@@ -144,6 +144,11 @@ class HcReport:
         }
 
 
+def _contact_order(div: Divisor, m: int) -> int | None:
+    """k_i = m / m_i when E_i is in S_m (over Sigma with m_i | m), else None."""
+    return m // div.mult if div.over_sigma and m % div.mult == 0 else None
+
+
 def contributing_set(cfg: SncConfiguration, w: WeightVector, m: int) -> ContributingSet:
     """S_m with columns; requires the configuration to be m-separating."""
     require_valid(cfg)
@@ -154,8 +159,8 @@ def contributing_set(cfg: SncConfiguration, w: WeightVector, m: int) -> Contribu
         raise NotMSeparatingError(m, (i, j), pm)
     members = []
     for d in cfg.divisors:
-        if d.over_sigma and m % d.mult == 0:
-            k = m // d.mult
+        k = _contact_order(d, m)
+        if k is not None:
             members.append((d.id, k, -w.get(d.id) * k))
     return ContributingSet(m=m, members=tuple(members))
 
@@ -166,15 +171,14 @@ def stratum_dimension(cfg: SncConfiguration, i: int, m: int, *, jet_level: int |
     At jet level l the stratum has dimension d(l+1) - k_i nu_i - 1; the
     contact-level variant substitutes l = m.
     """
-    d = cfg.ambient_dim
     div = cfg.divisor(i)
-    if not div.over_sigma or m % div.mult:
+    k = _contact_order(div, m)
+    if k is None:
         raise DomainError(f"divisor {i} does not contribute at m = {m}")
-    k = m // div.mult
     level = m if jet_level is None else jet_level
     if level < m:
         raise DomainError("jet level must be at least m")
-    return d * (level + 1) - k * div.disc - 1
+    return cfg.ambient_dim * (level + 1) - k * div.disc - 1
 
 
 def fiber_dimension(cfg: SncConfiguration, contact_orders: Mapping[int, int]) -> int:
@@ -194,8 +198,8 @@ def stabilization_level(cfg: SncConfiguration, m: int) -> int:
     """
     levels = []
     for d in cfg.divisors:
-        if d.over_sigma and m % d.mult == 0:
-            k = m // d.mult
+        k = _contact_order(d, m)
+        if k is not None:
             levels.append(max(2 * k * (d.disc - 1), k * (d.disc - 1) + m))
     if not levels:
         raise DomainError(f"no divisor contributes at m = {m}")
@@ -215,98 +219,72 @@ def e1_page(
     missing = [i for i in cset.ids() if i not in covers]
     if missing:
         raise MissingCoverDataError(f"no cover data for divisors {missing}")
-    d = cfg.ambient_dim
-    cells: dict[tuple[int, int], dict] = {}
-    for i, k, p in cset.members:
+    cells: dict[tuple[int, int], list[tuple]] = {}  # (p, q) -> [(i, n, rank, torsion)]
+    for i, _, p in cset.members:
         cover = covers[i]
-        dim = d * (m + 1) - k * cfg.divisor(i).disc - 1
+        dim = stratum_dimension(cfg, i, m)
         for n, b in enumerate(cover.betti):
             tors = cover.torsion_in_degree(n)
-            if not b and not tors:
-                continue
-            total = 2 * dim - n
-            q = total - p
-            slot = cells.setdefault((p, q), {"rank": 0, "torsion": [], "contrib": []})
-            slot["rank"] += b
-            slot["torsion"].extend(tors)
-            slot["contrib"].append((i, n))
+            if b or tors:
+                cells.setdefault((p, 2 * dim - n - p), []).append((i, n, b, tors))
     entries = tuple(
         (
             key,
             PageEntry(
-                rank=slot["rank"],
-                torsion=tuple(sorted(slot["torsion"])),
-                contributors=tuple(sorted(slot["contrib"])),
+                rank=sum(b for _, _, b, _ in slot),
+                torsion=tuple(sorted(t for *_, tors in slot for t in tors)),
+                contributors=tuple(sorted((i, n) for i, n, _, _ in slot)),
             ),
         )
         for key, slot in sorted(cells.items())
     )
-    return E1Page(m=m, ambient_dim=d, entries=entries)
-
-
-def _arrows(page: E1Page) -> list[tuple[int, int, int, int, int]]:
-    """Pairs of nonzero entries connected by a possible differential.
-
-    Returns (source total degree, cap, r, p_source, p_target); a d_r arrow
-    maps (p, q) to (p + r, q - r + 1), raising the total degree by one.
-    """
-    nonzero = {(p, q): e.rank for p, q, e in page.nonzero()}
-    arrows = []
-    for (p, q), rank in nonzero.items():
-        for (pp, qq), rank2 in nonzero.items():
-            r = pp - p
-            if r >= 1 and (pp + qq) == (p + q) + 1 and qq == q - r + 1:
-                arrows.append((p + q, min(rank, rank2), r, p, pp))
-    return arrows
+    return E1Page(m=m, ambient_dim=cfg.ambient_dim, entries=entries)
 
 
 def degeneration_analysis(page: E1Page) -> HcReport:
     """Exact values or rank bounds for the abutment, degree by degree.
 
-    Integral exactness needs no possible differential of any page; the
-    rational rank in a degree is exact once no differential of the first
-    d pages touches it, because later arrows are rationally zero.  Rank
-    bounds subtract per-arrow caps min(source rank, target rank) from the
-    page total.
+    One pass over ordered pairs of nonzero entries finds every possible
+    arrow, (p, q) -> (p + r, q - r + 1).  It records the total degrees
+    that some arrow leaves and, per source degree, the summed caps of the
+    arrows with r <= d; each degree reads its status from the two.
     """
     d = page.ambient_dim
-    totals = page.ranks_by_total_degree()
-    torsion_by_degree: dict[int, list[int]] = {}
-    for (p, q), e in page.entries:
-        if e.torsion:
-            torsion_by_degree.setdefault(p + q, []).extend(e.torsion)
-
-    all_arrows = _arrows(page)
-    window_arrows = [arrow for arrow in all_arrows if arrow[2] <= d]  # arrow[2] is r
+    nonzero = page.nonzero()
+    rank: dict[int, int] = {}
+    torsion: dict[int, list[int]] = {}
+    for p, q, e in nonzero:
+        rank[p + q] = rank.get(p + q, 0) + e.rank
+        torsion.setdefault(p + q, []).extend(e.torsion)
+    left: set[int] = set()  # total degrees that some arrow leaves
+    caps: dict[int, int] = {}  # source degree -> summed caps of its arrows with r <= d
+    for p, q, e in nonzero:
+        for pp, qq, f in nonzero:
+            r = pp - p
+            if r >= 1 and qq == q - r + 1:
+                left.add(p + q)
+                if r <= d:
+                    caps[p + q] = caps.get(p + q, 0) + min(e.rank, f.rank)
 
     statuses = []
-    degrees = sorted(set(totals) | set(torsion_by_degree))
-    for n in degrees:
-        rank = totals.get(n, 0)
-        caps_in = sum(cap for src, cap, *_ in window_arrows if src == n - 1)
-        caps_out = sum(cap for src, cap, *_ in window_arrows if src == n)
-        touched_any = any(src in (n - 1, n) for src, *_ in all_arrows)
-        touched_window = caps_in or caps_out
-        torsion = tuple(sorted(torsion_by_degree.get(n, ())))
-        if touched_window:
+    for n in sorted(rank):
+        cut = caps.get(n - 1, 0) + caps.get(n, 0)
+        if cut:
             kind = "bounds"
-            lo = max(0, rank - caps_in - caps_out)
-            hi = rank
-        elif touched_any:
+        elif n - 1 in left or n in left:
             kind = "rational_exact"
-            lo = hi = rank
         else:
             kind = "exact"
-            lo = hi = rank
+        tors = tuple(sorted(torsion[n]))
         statuses.append(
             DegreeStatus(
                 degree=n,
                 kind=kind,
-                rank=rank,
-                lo=lo,
-                hi=hi,
-                torsion=torsion,
-                graded_only=bool(torsion) and kind == "exact",
+                rank=rank[n],
+                lo=max(0, rank[n] - cut),
+                hi=rank[n],
+                torsion=tors,
+                graded_only=bool(tors) and kind == "exact",
             )
         )
     return HcReport(
@@ -314,8 +292,8 @@ def degeneration_analysis(page: E1Page) -> HcReport:
         ambient_dim=page.ambient_dim,
         statuses=tuple(statuses),
         euler=page.euler_characteristic(),
-        integral_forced=not all_arrows,
-        rational_window_forced=not window_arrows,
+        integral_forced=not left,
+        rational_window_forced=not caps,
     )
 
 
@@ -374,6 +352,12 @@ def rational_gap_analysis(page: E1Page) -> dict:
     }
 
 
+def group_text(rank: int, torsion: Iterable[int], sep: str) -> str:
+    """"Z^r" and one "Z/t" per torsion order, joined by ``sep``; "0" when trivial."""
+    free = [f"Z^{rank}" if rank != 1 else "Z"] if rank else []
+    return sep.join(free + [f"Z/{t}" for t in torsion]) or "0"
+
+
 def render_page_table(page: E1Page, cfg: SncConfiguration | None = None) -> str:
     """Aligned text table, columns by ascending p and rows by ascending q."""
     nonzero = page.nonzero()
@@ -386,15 +370,11 @@ def render_page_table(page: E1Page, cfg: SncConfiguration | None = None) -> str:
         labels = {d.id: d.label for d in cfg.divisors}
 
     def describe(e: PageEntry) -> str:
-        group = f"Z^{e.rank}" if e.rank != 1 else "Z"
-        if not e.rank:
-            group = ""
-        for t in e.torsion:
-            group += ("+" if group else "") + f"Z/{t}"
+        group = group_text(e.rank, e.torsion, "+")
         who = ",".join(
             f"{labels.get(i, 'E?' + str(i))}:H{n}" for i, n in e.contributors
         )
-        return f"{group or '0'} ({who})" if who else (group or "0")
+        return f"{group} ({who})" if who else group
 
     grid = {}
     for p, q, e in nonzero:

@@ -332,6 +332,25 @@ def test_verify_fibration_refuses_a_huge_source_at_once(capsys):
     assert err == "error: 13^403998 * 12 source jets exceed the cap 1000000000\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle-count", "--poly", "x*y", "--m", "2"),
+        ("oracle-count", "--poly", "x^2+y^3", "--m", "1"),
+        ("verify-fibration", "--m", "1", "--level", "1"),
+    ],
+)
+def test_a_q_above_the_cap_is_refused_before_any_primality_test(capsys, argv):
+    # 2^61 - 1 is prime; trial division up to its square root would run for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--q", "2305843009213693951")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: enumeration budget exceeded (q = 2305843009213693951 > the cap 1000000000)\n"
+    code, out, err = run(capsys, *argv, "--q", "4")
+    assert code == 2 and out == "" and err == "error: 4 is not prime\n"
+
+
 def test_level_option_accepts_a_prefix(capsys):
     # argparse takes a unique prefix of an option, so --l still means --level
     code, out, _ = run(capsys, "verify-fibration", "--m", "2", "--l", "2", "--q", "3")

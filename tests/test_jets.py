@@ -561,7 +561,7 @@ def test_settle_per_class_matches_the_per_child_loop(monkeypatch):
         else:
             poly, m = _random_polynomial(rng, d), rng.randint(4, 6)
         strata = rng.random() < 0.5
-        terms = poly and jets._prepare(poly, m, m, q)[1]
+        terms = poly and jets._prepare(poly, m, m, q, 3000)[1]
         if not terms:
             continue
         try:

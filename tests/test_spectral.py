@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from contactloci.covers import covers_for
@@ -6,6 +8,10 @@ from contactloci.errors import DomainError, MissingCoverDataError, NotMSeparatin
 from contactloci.model import Divisor, SncConfiguration
 from contactloci.separation import separate
 from contactloci.spectral import (
+    DegreeStatus,
+    E1Page,
+    HcReport,
+    PageEntry,
     contributing_set,
     degeneration_analysis,
     e1_page,
@@ -303,3 +309,83 @@ def test_render_table_mentions_contributors():
     assert lines[0].index("p=-12") < lines[0].index("p=-11")
     assert lines[1].startswith("q=26") and lines[2].startswith("q=27")
     assert render_page_table(e1_page(hand_built_cusp(), CUSP_W, 5)) == "(empty page)"
+
+
+def reference_arrows(page):
+    """The per-arrow list the one-pass analysis replaced: (source degree, cap, r)."""
+    nonzero = {(p, q): e.rank for p, q, e in page.nonzero()}
+    arrows = []
+    for (p, q), rank in nonzero.items():
+        for (pp, qq), rank2 in nonzero.items():
+            r = pp - p
+            if r >= 1 and (pp + qq) == (p + q) + 1 and qq == q - r + 1:
+                arrows.append((p + q, min(rank, rank2), r))
+    return arrows
+
+
+def reference_degeneration(page):
+    """The arrow-list analysis that degeneration_analysis replaced, rescanning
+    the arrows for every total degree."""
+    d = page.ambient_dim
+    totals = page.ranks_by_total_degree()
+    torsion_by_degree = {}
+    for (p, q), e in page.entries:
+        if e.torsion:
+            torsion_by_degree.setdefault(p + q, []).extend(e.torsion)
+    all_arrows = reference_arrows(page)
+    window_arrows = [arrow for arrow in all_arrows if arrow[2] <= d]
+    statuses = []
+    for n in sorted(set(totals) | set(torsion_by_degree)):
+        rank = totals.get(n, 0)
+        caps_in = sum(cap for src, cap, _ in window_arrows if src == n - 1)
+        caps_out = sum(cap for src, cap, _ in window_arrows if src == n)
+        touched_any = any(src in (n - 1, n) for src, _, _ in all_arrows)
+        torsion = tuple(sorted(torsion_by_degree.get(n, ())))
+        if caps_in or caps_out:
+            kind, lo = "bounds", max(0, rank - caps_in - caps_out)
+        else:
+            kind, lo = ("rational_exact" if touched_any else "exact"), rank
+        statuses.append(DegreeStatus(n, kind, rank, lo, rank, torsion, bool(torsion) and kind == "exact"))
+    return HcReport(
+        m=page.m,
+        ambient_dim=d,
+        statuses=tuple(statuses),
+        euler=page.euler_characteristic(),
+        integral_forced=not all_arrows,
+        rational_window_forced=not window_arrows,
+    )
+
+
+def random_page(rng):
+    """A hand-built page on a small grid: zero, torsion-only and free entries."""
+    d = rng.randint(1, 3)
+    cells = {}
+    for _ in range(rng.randint(1, 8)):
+        rank = rng.choice((0, 0, 1, 2, 3, 5))
+        torsion = rng.choice(((), (), (2,), (3,), (2, 4)))
+        cells[(rng.randint(-6, 0), rng.randint(0, 6))] = PageEntry(rank, torsion, ((0, 0),))
+    return E1Page(m=rng.randint(1, 6), ambient_dim=d, entries=tuple(sorted(cells.items())))
+
+
+def test_one_pass_degeneration_matches_the_arrow_list():
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(
+        ("exact", "rational_exact", "bounds", "torsion-only end", "zero-cap window arrow", "only beyond d"), 0
+    )
+    for _ in range(2000):
+        page = random_page(rng)
+        expected = reference_degeneration(page)
+        assert degeneration_analysis(page).to_json_dict() == expected.to_json_dict(), page
+        for kind in {s.kind for s in expected.statuses}:
+            seen[kind] += 1
+        ranks = {(p, q): e.rank for p, q, e in page.nonzero()}
+        ends = [
+            (r, ranks[(p, q)], ranks[(p + r, q - r + 1)])
+            for p, q in ranks
+            for r in range(1, 8)
+            if (p + r, q - r + 1) in ranks
+        ]
+        seen["torsion-only end"] += any(not a or not b for _, a, b in ends)
+        seen["zero-cap window arrow"] += any(r <= page.ambient_dim and not min(a, b) for r, a, b in ends)
+        seen["only beyond d"] += bool(ends) and all(r > page.ambient_dim for r, _, _ in ends)
+    assert min(seen.values()) >= 150, seen
