@@ -1,53 +1,51 @@
 """Exact jet counts over small prime fields.
 
-For a jet gamma centered at the origin, the t^j coefficient of f(gamma)
-only involves the jet coefficients of level at most j - mu + 1, where mu
-is the multiplicity of f at 0.  The contact condition f(gamma) = t^m mod
-t^(m+1) therefore constrains levels 1..I, I = m - mu + 1; the levels
-beyond I are free and contribute a power of q.
+N(k) counts the level-l jets gamma centered at the origin with ord gamma_c
+>= k_c and f(gamma) = t^m mod t^(m+1).  As l >= m, that is q^(d (l + 1))
+times a Haar measure on F_q[[t]]^d, which Igusa's stationary phase formula
+computes by one memoised recursion (Igusa, An Introduction to the Theory
+of Local Zeta Functions, 2000; Denef, Sem. Bourbaki 741, 1991):
 
-* Level 1 faces the tangent-cone equation f_mu(a_1) = [mu == m].  f_mu
-  is homogeneous, so it is evaluated at one point p per line through the
-  origin: the seeds are the lambda p with lambda^mu f_mu(p) = [mu == m],
-  and the origin when the target is 0.
-* At level i >= 2 the newly decidable coefficient, of t^(i + mu - 1), is
-  base + g . a_i, where base is its value with a_i = 0.  The gradient g
-  is the t^(mu - 1) coefficient of the partials of f at gamma, which
-  only sees level 1: g = grad f_mu(a_1), one vector per seed.  This is
-  exact in characteristic p: the higher Taylor terms are Hasse
-  derivatives of order above the tested coefficient once i >= 2.
-* The children of a prefix at level i >= 3 test the coefficient of
-  t^(i + mu), which is base' + h . a_i: the terms quadratic in a_i sit at
-  t^(2i - 2 + mu), above it.  h is the t^mu coefficient of grad f(gamma)
-  and only sees levels 1 and 2.  So when those children sit at the last
-  level I, they are settled in their parent: a child matters only through
-  which undecided coordinates it makes nonzero and whether h . a_i meets
-  the target.  ``_classes`` counts each such class in closed form, the
-  same count that settles g . a_i for a seed with g != 0: O(2^d) work per
-  parent instead of q^d.
+* Substituting gamma = t^k y, h = f(t^k y) keeps its terms of t-degree
+  <= m and sheds their common factor t^s.  With e = m - s, N(k) =
+  q^(sum(l + 1 - k_c)) R(h, e) / q^(d (e + 1)), where R(h, e) counts the
+  y mod t^(e + 1) with h(t, y) = t^e mod t^(e + 1).
+* R splits y by the residues b of the u coordinates that h0 = h(0, .)
+  uses; the others keep their full measure.  When e = 0 each b with
+  h0(b) = 1 counts q^(d - u).  When e > 0 a b with h0(b) != 0 counts
+  nothing, a zero with a nonzero gradient counts q^((d - 1) e + d - u)
+  (Hensel), and a singular zero counts q^(d s' - u) R(h', e - s'), where
+  h' is h with y_c = b_c + t y_c on the used coordinates, truncated at
+  t^e and divided by its common t^s'.  A constant h0 counts q^d when
+  e = 0 and h0 = 1, and nothing otherwise.  R is memoised on (h mod q, e)
+  for the whole call, so every N(k) shares it.
+* h0 is k-weighted homogeneous at the first level, so it is evaluated at
+  one point per weighted line through the origin (``_points``).
+* The count is N(1, ..., 1).  The order strata are the inclusion-exclusion
+  sums E(k) = sum over T of (-1)^|T| N(k + 1_T), visited upward from
+  (1, ..., 1) while N(k) != 0.
 
-So a seed with g != 0 has q^(d - 1) extensions at every level and
-contributes q^((d - 1)(I - 1)) prefixes in closed form, while a seed with
-g = 0 is all-or-nothing at each level: all q^d extensions when base
-meets the target, none otherwise.  One depth-first walk evaluates base
-only on the prefixes no closed form settles and keeps just the current
-path, O(I) memory; the order strata ride on the same walk.  Its node
-count is the q^d level-1 candidates plus every prefix whose coefficient
-is evaluated, the last-level children settled per class included.  A
-naive full enumeration is kept alongside as an independent check for
-tiny instances.  Counts are exact integers.
+Each singular lift lowers e by at least 1, so the recursion nests at most
+m - mu + 1 deep, mu the multiplicity of f.  The ``nodes`` of a count are
+the residues it evaluates: every residue of the used coordinates in each
+subproblem, one per weighted line (and the origin) at the first level,
+and none for a memo hit.  The node cap bounds them.  A naive full
+enumeration is kept alongside as an independent check for tiny
+instances.  Counts are exact integers.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import logging
+import operator
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import comb, gcd, isqrt
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -114,56 +112,35 @@ def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> t
 
 
 # ---------------------------------------------------------------------------
-# depth-first walk
+# stationary phase
+
 
 class _Budget:
-    """Nodes spent against the cap, with a progress line every PROGRESS_EVERY."""
+    """Residues evaluated against the cap, with a progress line every PROGRESS_EVERY."""
 
     def __init__(self, cap: int):
         self.cap = cap
         self.nodes = 0
         self._next_report = PROGRESS_EVERY
 
-    def reach(self, nodes: int) -> int:
-        """Take a new running total; returns the total at which to call again."""
-        self.nodes = nodes
-        if nodes > self.cap:
-            raise ResourceLimitError(f"enumeration budget exceeded ({nodes} > {self.cap} partial nodes)")
-        while nodes >= self._next_report:
-            LOGGER.info("jet enumeration: %d partial nodes", nodes)
+    def spend(self, nodes: int) -> None:
+        self.nodes += nodes
+        if self.nodes > self.cap:
+            raise ResourceLimitError(f"enumeration budget exceeded ({self.nodes} > {self.cap} residues)")
+        while self.nodes >= self._next_report:
+            LOGGER.info("jet count: %d residues", self.nodes)
             self._next_report += PROGRESS_EVERY
-        return min(self.cap + 1, self._next_report)
 
 
-def _factors(exps: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((c, e) for c, e in enumerate(exps) if e)
-
-
-def _point_value(terms, a: Sequence[int], q: int) -> int:
-    """Value at a point of F_q^d of a list of (value, factors) terms."""
+def _value(terms, b: Sequence[int], q: int) -> int:
+    """Value mod q at the point b of a list of (value, exps) terms."""
     total = 0
-    for value, factors in terms:
-        for c, e in factors:
-            value *= a[c] ** e
-        total += value
+    for v, exps in terms:
+        for x, n in zip(b, exps):
+            if n:
+                v *= x**n
+        total += v
     return total % q
-
-
-def _field(terms, packed: Sequence[int], mask: int) -> int:
-    """Sum over (value, factors, shift) of value * the field at bit
-    ``shift`` of prod packed_c^e.
-
-    Each delta_c comes packed as one integer, its coefficients in fields of
-    a fixed width (Kronecker substitution), wide enough that no coefficient
-    of a product overflows into the next; ``mask`` keeps one field.
-    """
-    total = 0
-    for value, factors, shift in terms:
-        prod = 1
-        for c, e in factors:
-            prod *= packed[c] ** e
-        total += value * ((prod >> shift) & mask)
-    return total
 
 
 def _partials(terms, d: int) -> list[list[tuple[int, tuple[int, ...]]]]:
@@ -171,208 +148,142 @@ def _partials(terms, d: int) -> list[list[tuple[int, tuple[int, ...]]]]:
     return [[(v * e[c], e[:c] + (e[c] - 1,) + e[c + 1 :]) for v, e in terms if e[c]] for c in range(d)]
 
 
-def _nonzero_solutions(n: int, rhs: int, q: int) -> int:
-    """Number of x in (F_q^*)^n with g . x = rhs, for any g with no zero entry."""
-    if rhs % q:
-        return ((q - 1) ** n - (-1) ** n) // q
-    return ((q - 1) ** n + (-1) ** n * (q - 1)) // q
+def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _Budget):
+    """(ones, smooth, singular) over the residues b in F_q^u of h0's u coordinates.
 
-
-def _seeds(cone, mu: int, target: int, q: int, d: int) -> list[tuple[int, ...]]:
-    """The a in F_q^d with f_mu(a) = target, f_mu homogeneous of degree mu.
-
-    f_mu is evaluated once per line through the origin, at the point p
-    whose first nonzero coordinate is 1: lambda * p is a seed when
-    lambda^mu f_mu(p) = target.  The origin is a seed when target = 0.
+    ones counts the b with h0(b) = 1 (only when e = 0); otherwise smooth
+    counts the zeros with a nonzero gradient and singular lists the others.
+    h0 is weighted homogeneous of some degree s, so it is evaluated at one
+    point p per weighted line {lambda . p}, lambda . p = (lambda^w_c p_c):
+    the first nonzero coordinate c runs over coset representatives of the
+    w_c-th powers in F_q^*, of index g = gcd(w_c, q - 1), and the later ones
+    run free, so the q - 1 multiples of the representatives of c cover each
+    of their points g times.  h0(lambda . p) = lambda^s h0(p), so a table of
+    the lambda^s counts the multiples that hit 1.  With weights 0 (s = 0)
+    every line is one point: the plain loop over all q^u residues.
     """
-    roots: dict[int, list[int]] = {}  # lambda^mu -> [lambda]
-    for lam in range(1, q):
-        roots.setdefault(pow(lam, mu, q), []).append(lam)
-    seeds = [] if target else [(0,) * d]
-    for k in range(d):
-        for rest in itertools.product(range(q), repeat=d - k - 1):
-            p = (0,) * k + (1,) + rest
-            value = _point_value(cone, p, q)
-            if target:
-                scales = roots.get(pow(value, -1, q), ()) if value else ()
-            else:
-                scales = () if value else range(1, q)
-            seeds += [tuple(lam * x % q for x in p) for lam in scales]
-    return seeds
+    u = len(weights)
+    s = sum(map(operator.mul, weights, h0[0][1]))
+    table = powers.get(s)
+    if table is None:  # lambda^s -> how many lambda in F_q^* give it
+        table = powers[s] = collections.Counter(pow(lam, s, q) for lam in range(1, q))
+    slopes = _partials(h0, u) if e else ()
+    scales = [[pow(lam, w, q) for w in weights] for lam in range(1, q)] if any(weights) else [[1] * u]
+    groups = [(q - 1, [(0,) * u])]  # the origin is its own multiple
+    for i, w in enumerate(weights):
+        g = gcd(w, q - 1)
+        cosets = {pow(x, (q - 1) // g, q): x for x in range(q - 1, 0, -1)}
+        groups.append((g, itertools.product(*[(0,)] * i, cosets.values(), *[range(q)] * (u - i - 1))))
+    budget.spend(1 + sum(gcd(w, q - 1) * q ** (u - i - 1) for i, w in enumerate(weights)))
+    ones, smooth, singular = 0, 0, set()
+    for g, reps in groups:
+        hits = 0
+        for p in reps:
+            v = _value(h0, p, q)
+            if not e:
+                hits += table[pow(v, -1, q)] if v else 0
+            elif v:
+                continue
+            elif any(_value(dc, p, q) for dc in slopes):
+                smooth += (q - 1) // g
+            else:  # its distinct multiples
+                singular.update(tuple(x * y % q for x, y in zip(scale, p)) for scale in scales)
+        ones += hits // g
+    return ones, smooth, singular
 
 
-def _classes(orders, zero, lin, s, q: int):
-    """The a in F_q^d that vanish on ``zero``, as classes (pattern, n, hits).
+def _shift(h: dict, b: Sequence[int | None], e: int, q: int):
+    """h(t, y) with y_c = b_c + t y_c where b_c is not None, truncated at
+    t^e, as (h', s') with h' = that / t^s'; None when it vanishes mod
+    t^(e + 1).  h maps (t-degree, exps) to a value."""
+    out: dict[tuple[int, tuple[int, ...]], int] = {}
+    expansions: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for (j, exps), v in h.items():
+        parts = [(j, (), v)]
+        for c, n in enumerate(exps):
+            terms = expansions.get((c, n))
+            if terms is None:  # (b_c + t y_c)^n binomially, as (t-degree, exponent, value)
+                x = b[c]
+                terms = [(0, n, 1)] if x is None else [(i, i, comb(n, i) * x ** (n - i) % q) for i in range(n + 1)]
+                terms = expansions[c, n] = [term for term in terms if term[2]]
+            parts = [(deg + i, ex + (a,), w * x % q) for deg, ex, w in parts for i, a, x in terms if deg + i <= e]
+        for deg, ex, w in parts:
+            out[deg, ex] = (out.get((deg, ex), 0) + w) % q
+    lowest = min((deg for (deg, _), w in out.items() if w), default=None)
+    if lowest is None:
+        return None
+    return {(deg - lowest, ex): w for (deg, ex), w in out.items() if w}, lowest
 
-    A class fixes which undecided coordinates (order 0) outside ``zero``
-    are nonzero, a set P with 0/1 indicator ``pattern``; the decided ones,
-    none in ``zero``, are free.  Of its n = q^free (q - 1)^|P| members,
-    hits solve lin . a = s: 1/q of them when some free lin_c != 0, and
-    otherwise those whose k coordinates in P with lin_c != 0 solve it in
-    nonzero values.
-    """
-    free = sum(1 for o in orders if o)
-    lifted = any(x for x, o in zip(lin, orders) if o)
-    choices = [(0,) if o or c in zero else (0, 1) for c, o in enumerate(orders)]
-    for pattern in itertools.product(*choices):
-        n = q**free * (q - 1) ** sum(pattern)
-        if lifted:  # one value of a free coordinate with lin_c != 0 meets s
-            hits = n // q
+
+def _at_least(terms, m: int, l: int, q: int, d: int, budget: _Budget):
+    """N(k) as a function of the least orders k, through R (see the module
+    docstring); both are memoised."""
+    memo: dict = {}
+    powers: dict[int, collections.Counter] = {}
+    zero = (0,) * d
+
+    def residual(h: dict, e: int, k: Sequence[int]) -> int:
+        key = (frozenset(h.items()), e)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        h0 = [(v, exps) for (j, exps), v in h.items() if not j]
+        used = sorted({c for _, exps in h0 for c, n in enumerate(exps) if n})
+        if not used:  # h0 is a nonzero constant
+            total = q**d if e == 0 and h0[0][0] == 1 else 0
         else:
-            k = sum(1 for x, nz in zip(lin, pattern) if x and nz)
-            hits = q**free * (q - 1) ** (sum(pattern) - k) * _nonzero_solutions(k, s, q)
-        yield pattern, n, hits
+            h0 = [(v, tuple(exps[c] for c in used)) for v, exps in h0]
+            u = len(used)
+            ones, smooth, singular = _points(h0, [k[c] for c in used], e, q, powers, budget)
+            total = q ** (d - u) * (ones if not e else smooth * q ** ((d - 1) * e))
+            point: list[int | None] = [None] * d
+            for b in singular:
+                for c, x in zip(used, b):
+                    point[c] = x
+                shifted = _shift(h, point, e, q)
+                if shifted:
+                    lower, s = shifted
+                    total += q ** (d * s - u) * residual(lower, e - s, zero)
+        memo[key] = total
+        return total
+
+    counts: dict[tuple[int, ...], int] = {}
+
+    def at_least(k: tuple[int, ...]) -> int:
+        if k not in counts:
+            kept = [(sum(map(operator.mul, k, exps)), v, exps) for v, exps in terms]
+            kept = [(j, v, exps) for j, v, exps in kept if j <= m]
+            counts[k] = 0
+            if kept and max(k) <= l + 1:
+                s = min(j for j, _, _ in kept)
+                value = residual({(j - s, exps): v for j, v, exps in kept}, m - s, k)
+                counts[k] = value * q ** (d * (l + 1) - sum(k)) // q ** (d * (m - s + 1))
+        return counts[k]
+
+    return at_least
 
 
-def _walk(terms, m: int, q: int, d: int, budget: _Budget, strata: bool) -> tuple[dict, int]:
-    """Contact prefixes of depth I = m - mu + 1, grouped for counting.
-
-    Returns ({(orders, start): n}, I).  Each group stands for n prefixes
-    whose coordinate orders are fixed by ``orders`` where nonzero; the zero
-    entries are still undecided at level ``start`` and behave like free
-    coordinates from there on, while every constrained level from
-    ``start`` on takes q^(d - 1) of the q^d extensions (see ``_expand``).
-    Without ``strata`` every coordinate counts as decided, so groups only
-    carry the count.  The children at the last level of a prefix at level
-    >= 3 are counted per class by ``_classes``; the node count still adds
-    one per child, as if each were visited.
-    """
-    mu = min(sum(exps) for _, exps in terms)
-    groups: dict[tuple[tuple[int, ...], int], int] = {}
-    if m < mu:
-        return groups, 0
-    depth = m - mu + 1
-    # visit recurses once per level; leave room for the frames of its callers
-    if depth > sys.getrecursionlimit() - 100:
-        raise ResourceLimitError(
-            f"the jet walk would nest {depth} = m - mu + 1 levels deep, past Python's recursion limit"
-        )
-
-    def record(orders, start, n):
-        key = (orders, start)
-        groups[key] = groups.get(key, 0) + n
-
-    def advance(orders, i, a):
-        return tuple([o or (x and i) for o, x in zip(orders, a)]) if strata else orders
-
-    nodes = q**d  # the level-1 candidates
-    stop = budget.reach(nodes)
-    tangent = [(v, exps) for v, exps in terms if sum(exps) == mu]
-    seeds = _seeds([(v, _factors(e)) for v, e in tangent], mu, 1 if mu == m else 0, q, d)
-    unset = (0 if strata else 1,) * d
-    if depth == 1:  # no constrained level beyond the seeds
-        for a in seeds:
-            record(advance(unset, 1, a), 2, 1)
-        return groups, depth
-
-    # only terms of excess below the depth reach a tested coefficient; a
-    # delta_c has at most depth - 1 coefficients below q when packed.  The
-    # coefficient of t^(top + mu) of f(gamma), gamma_c = t * delta_c, is
-    # field top of sum value * t^excess * prod delta_c^e: levels[top] lists
-    # the terms that reach it with the shift of their field
-    shifted = sorted((sum(exps) - mu, v, _factors(exps)) for v, exps in terms if sum(exps) - mu < depth)
-    bits = max(((q - 1) ** (mu + x) * (depth - 1) ** (mu + x - 1)).bit_length() for x, _, _ in shifted)
-    mask = (1 << bits) - 1
-    levels = [[(v, f, bits * (top - x)) for x, v, f in shifted if x <= top] for top in range(depth)]
-    # h, the t^mu coefficient of grad f(gamma), is field mu - deg of the
-    # partials' terms of degree deg <= mu; it only sees levels 1 and 2
-    slope = [
-        [(v % q, _factors(e), bits * (mu - sum(e))) for v, e in partial if sum(e) <= mu and v % q]
-        for partial in _partials(terms, d)
-    ]
-    extensions: dict[frozenset, list] = {}  # support -> the a vanishing on it
-    closed_records: dict[tuple, list] = {}
-
-    def closed(orders, i, support, rhs, mult=1):
-        # g . a = rhs, g != 0 exactly on the support, among coordinates still
-        # zero: the extensions at level i that fix an order in the support
-        # (at the depth, all of them; there g = 0 passes all or none) are
-        # counted in closed form, mult times over
-        key = (orders, i, support, rhs != 0)
-        out = closed_records.get(key)
-        if out is None:
-            out = closed_records[key] = []
-            lin = [c in support for c in range(d)]
-            for pattern, _, hits in _classes(orders, (), lin, rhs, q):
-                if hits and (i == depth or any(pattern[c] for c in support)):
-                    out.append(((advance(orders, i, pattern), i + 1), hits))
-        for group, n in out:
-            groups[group] = groups.get(group, 0) + n * mult
-
-    def visit(packed, orders, i, support):
-        # the coefficient of t^(i + mu - 1) is base + g . a_i at level i
-        nonlocal nodes, stop
-        nodes += 1
-        if nodes >= stop:
-            stop = budget.reach(nodes)
-        rhs = ((i == depth) - _field(levels[i - 1], packed, mask)) % q
-        if i == depth:
-            return closed(orders, depth, support, rhs)
-        if support:
-            closed(orders, i, support, rhs)
-        if rhs:
-            return
-        # with g = 0 every extension goes on; with g != 0 those leaving the
-        # support zero (the others fixed an order in it above)
-        if i + 1 < depth or i < 3:
-            children = extensions.get(support)
-            if children is None:
-                ranges = [(0,) if c in support else range(q) for c in range(d)]
-                children = extensions[support] = list(itertools.product(*ranges))
-            shift = bits * (i - 1)
-            for a in children:
-                visit(tuple([p | x << shift for p, x in zip(packed, a)]), advance(orders, i, a), i + 1, support)
-            return
-        # the children sit at the last level, and from level 3 on the
-        # quadratic terms in a_i land above their coefficient, which is
-        # therefore base + h . a_i: settle them here, one class at a time
-        nodes += q ** (d - len(support))
-        if nodes >= stop:
-            stop = budget.reach(nodes)
-        s = 1 - _field(levels[i], packed, mask)
-        h = [_field(dh, packed, mask) % q for dh in slope]
-        for pattern, n, hits in _classes(orders, support, h, s, q):
-            child = advance(orders, i, pattern)
-            for rhs, count in ((0, hits), (1, n - hits)):
-                if count:
-                    closed(child, depth, support, rhs, count)
-
-    # g = grad f_mu(a_1) is the gradient of every later level
-    grad = [[(v, _factors(e)) for v, e in partial] for partial in _partials(tangent, d)]
-    for a in seeds:
-        orders = advance(unset, 1, a)
-        support = frozenset(c for c, dt in enumerate(grad) if _point_value(dt, a, q))
-        if support and any(orders[c] for c in support):
-            record(orders, 2, 1)
-        else:
-            visit(a, orders, 2, support)
-    budget.reach(nodes)
-    return groups, depth
-
-
-def _expand(groups: dict, depth: int, l: int, q: int) -> dict[tuple[int, ...], int]:
-    """Order strata of level-l jets from the walk's ``(orders, start)`` groups.
-
-    The decided coordinates contribute q^known per free level and
-    q^(known - 1) per constrained level from ``start``; an undecided one
-    takes its first nonzero coefficient at a level k >= start,
-    (q - 1) q^(l - k) ways, or stays zero (order l + 1).
-    """
-    strata: dict[tuple[int, ...], int] = {}
-    for (orders, start), n in groups.items():
-        unknown = [c for c, o in enumerate(orders) if not o]
-        known = len(orders) - len(unknown)
-        weight = n * q ** ((known - 1) * max(0, depth + 1 - start) + known * (l - depth))
-        opts = [(k, (q - 1) * q ** (l - k)) for k in range(start, l + 1)] + [(l + 1, 1)] if unknown else []
-        for combo in itertools.product(opts, repeat=len(unknown)):
-            key = list(orders)
-            w = weight
-            for c, (k, wk) in zip(unknown, combo):
-                key[c] = k
-                w *= wk
-            key = tuple(key)
-            strata[key] = strata.get(key, 0) + w
-    return strata
+def _strata(at_least, d: int) -> dict[tuple[int, ...], int]:
+    """The nonzero E(k) = sum over T of (-1)^|T| N(k + 1_T), the jets whose
+    orders are exactly k, from k = (1, ..., 1) upward while N(k) != 0: N
+    only falls as k grows, so every other E(k) is 0."""
+    start = (1,) * d
+    cells: dict[tuple[int, ...], int] = {}
+    todo, seen = [start], {start}
+    while todo:
+        k = todo.pop()
+        if not at_least(k):
+            continue
+        steps = itertools.product((0, 1), repeat=d)
+        exact = sum((-1) ** sum(T) * at_least(tuple(map(operator.add, k, T))) for T in steps)
+        if exact:
+            cells[k] = exact
+        for c in range(d):
+            up = k[:c] + (k[c] + 1,) + k[c + 1 :]
+            if up not in seen:
+                seen.add(up)
+                todo.append(up)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -384,8 +295,9 @@ class CountReport:
     total: int
     strata: tuple[tuple[tuple[int, ...], int], ...] = ()
     elapsed: float = 0.0
-    # level-1 candidates plus prefixes whose coefficient was evaluated,
-    # each settled last-level child included although its class is counted whole
+    # residues evaluated: every residue of the used coordinates of each
+    # subproblem, one per weighted line at the first level, none for a memo
+    # hit; the node cap bounds them
     nodes: int = 0
 
     def to_json_dict(self) -> dict:
@@ -404,9 +316,10 @@ class CountReport:
 def _require_prime(q: int, cap: int) -> None:
     """Refuse a q above the cap as over budget, then a q that is not prime.
 
-    Any walk or enumeration over F_q has at least q candidates, so the
-    first refusal needs no primality test, and the trial division never
-    runs past sqrt(cap).
+    A count's first level alone builds a table of the q - 1 s-th powers in
+    F_q^*, and an enumeration visits at least q jets, so the first refusal
+    needs no primality test, and the trial division never runs past
+    sqrt(cap).
     """
     if q > cap:
         raise ResourceLimitError(f"enumeration budget exceeded (q = {q} > the cap {cap})")
@@ -434,12 +347,22 @@ def _count(f, m: int, l: int, q: int, node_cap: int | None, strata: bool) -> Cou
     start = time.perf_counter()
     budget = _Budget(DEFAULT_NODE_CAP if node_cap is None else node_cap)
     f, terms = _prepare(f, m, l, q, budget.cap)
-    cells: dict[tuple[int, ...], int] = {}
+    total, cells = 0, {}
     if terms is not None:
-        cells = _expand(*_walk(terms, m, q, f.nvars, budget, strata), l, q)
+        # R nests one frame per singular lift, at most m - mu + 1 deep;
+        # leave room for the frames of its callers
+        depth = m - min(sum(exps) for _, exps in terms) + 1
+        if depth > sys.getrecursionlimit() - 100:
+            raise ResourceLimitError(
+                f"the jet recursion would nest {depth} = m - mu + 1 levels deep, past Python's recursion limit"
+            )
+        at_least = _at_least(terms, m, l, q, f.nvars, budget)
+        total = at_least((1,) * f.nvars)
+        if strata and total:
+            cells = _strata(at_least, f.nvars)
     table = tuple(sorted(cells.items())) if strata else ()
     elapsed = time.perf_counter() - start
-    return CountReport(f, m, l, q, sum(cells.values()), table, elapsed, budget.nodes)
+    return CountReport(f, m, l, q, total, table, elapsed, budget.nodes)
 
 
 def contact_count(
@@ -485,11 +408,11 @@ def stratified_count(
 ) -> CountReport:
     """Contact count broken down by the vanishing orders of the coordinates.
 
-    Orders are capped at l + 1 (the zero series).  The walk decides the
-    orders it can see; from the level where the rest of the walk is
-    uniform (at the latest, past the constrained depth) the undecided
-    coordinates are counted combinatorially, so no free level is
-    enumerated.
+    Orders are capped at l + 1 (the zero series).  The stratum of orders k
+    is E(k) = sum over T of (-1)^|T| N(k + 1_T), N(k) the count with least
+    orders k, taken for the k from (1, ..., 1) upward while N(k) != 0.  The
+    N(k) share one memo, so ``nodes`` counts a subproblem's residues once
+    for the whole table, and the node cap applies to that sum.
     """
     return _count(f, m, l, q, node_cap, strata=True)
 

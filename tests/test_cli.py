@@ -296,6 +296,22 @@ def test_oracle_count_cli(capsys):
     assert code == 0 and "count = 18" in out
 
 
+@pytest.mark.parametrize("level", [20, 22])
+def test_oracle_count_of_the_node_has_a_closed_form(capsys, level):
+    # x*y = t^m mod t^(m+1) needs ord x + ord y = m and leading coefficients
+    # with product 1: (q - 1) q^(2l - m) jets in each of the m - 1 strata
+    m, q = 20, 3
+    code, out, _ = run(
+        capsys, "oracle-count", "--poly", "x*y", "--m", str(m), "--q", str(q), "--level", str(level),
+        "--strata", "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    cell = (q - 1) * q ** (2 * level - m)
+    assert data["total"] == (m - 1) * cell
+    assert data["strata"] == [[[i, m - i], cell] for i in range(1, m)]
+
+
 @pytest.mark.parametrize(
     "poly,rendered",
     [("a*b*c*d", "x*y*z*w"), ("a*b*c*d*e", "x1*x2*x3*x4*x5"), ("a^2*b + c*d*e*f", "x1^2*x2 + x3*x4*x5*x6")],

@@ -134,16 +134,19 @@ def test_smooth_function_counts():
 
 def test_node_cap_enforced():
     with pytest.raises(ResourceLimitError):
-        contact_count("x^2+y^3", 3, 3, 13, node_cap=100)
+        contact_count("x^2+y^3", 3, 3, 13, node_cap=10)
 
 
 def test_nodes_count_candidates_and_evaluated_prefixes():
-    # x*y at m = 3 over F_3: 9 level-1 candidates, 5 seeds with xy = 0.  The
-    # count evaluates only the origin's prefix (its gradient vanishes); the
-    # strata also walk the 4 seeds whose gradient sits on their zero coordinate
-    assert contact_count("x*y", 3, 3, 3).nodes == 9 + 1
-    assert stratified_count("x*y", 3, 3, 3).nodes == 9 + 5
-    assert contact_count("x^2+y^3", 2, 2, 5).nodes == 25  # depth 1: candidates only
+    # x*y at m = 3 over F_3: the first level evaluates the origin and one
+    # point per line through it, (1, b) for the 3 values of b and (0, 1); the
+    # origin is singular, but its lift vanishes mod t^2.  The strata add
+    # N(1, 2): the origin, (1, b) and (0, r) for r in both square classes,
+    # as y has weight 2.  N(2, 1) has the same residual polynomial, a memo
+    # hit, and N(2, 2) has no term of t-degree <= 3
+    assert contact_count("x*y", 3, 3, 3).nodes == 1 + 3 + 1
+    assert stratified_count("x*y", 3, 3, 3).nodes == 5 + (1 + 3 + 2)
+    assert contact_count("x^2+y^3", 2, 2, 5).nodes == 2  # x^2: the origin and one line
     assert contact_count("x^2+y^3", 1, 3, 5).nodes == 0  # m below the multiplicity
 
 
@@ -290,12 +293,13 @@ def _reference_coords(prefix, upto, d):
     return coords
 
 
-def reference_prefixes(poly, m, q):
+def reference_prefixes(poly, m, q, limit=None):
     """(surviving prefixes of depth I = m - mu + 1, I), level by level.
 
     Level 1 enumerates F_q^d against f(gamma)_mu; every later level solves
     the affine equation whose gradient is read off the d partial series
-    evaluated at the full prefix.
+    evaluated at the full prefix.  None once a level keeps more than
+    ``limit`` prefixes.
     """
     d = poly.nvars
     terms = _poly_mod_q(poly, q)
@@ -324,6 +328,8 @@ def reference_prefixes(poly, m, q):
             lin = tuple(_eval_terms(derivs[c], coords, j - i, q)[j - i] for c in range(d))
             for a in _reference_level_solutions(lin, ((j == m) - base) % q, q, d):
                 new.append(tuple(prefix[c] + (a[c],) for c in range(d)))
+            if limit is not None and len(new) > limit:
+                return None
         survivors = new
     return survivors, depth
 
@@ -400,35 +406,7 @@ def test_walk_matches_reference_on_node_family(m, l, q):
 
 
 # ---------------------------------------------------------------------------
-# deep walks: the last constrained level is settled inside its parent
-
-
-def _settled_kinds(poly, q, survivors, depth):
-    """How the surviving prefixes of depth >= 4 reached the last level: "g=0"
-    from a seed whose tangent-cone gradient vanishes, "g!=0" from a seed whose
-    gradient support stayed zero through level depth - 1."""
-    d = poly.nvars
-    terms = _poly_mod_q(poly, q)
-    mu = min(sum(exps) for _, exps in terms)
-    tangent = [(value, exps) for value, exps in terms if sum(exps) == mu]
-    kinds = set()
-    for prefix in survivors:
-        seed = [prefix[c][0] for c in range(d)]
-        grad = [
-            sum(
-                value * exps[c] * math.prod(seed[k] ** (e - (k == c)) for k, e in enumerate(exps))
-                for value, exps in tangent
-                if exps[c]
-            )
-            % q
-            for c in range(d)
-        ]
-        support = [c for c in range(d) if grad[c]]
-        if not support:
-            kinds.add("g=0")
-        elif not any(any(prefix[c][: depth - 1]) for c in support):
-            kinds.add("g!=0")
-    return kinds
+# deep counts: levels far past the tangent cone
 
 
 def _mu2_polynomial(rng, d, q):
@@ -445,40 +423,37 @@ def _mu2_polynomial(rng, d, q):
 
 def test_deep_walk_matches_reference_enumeration():
     rng = random.Random(20260512)
-    cases = 0
-    kinds = {"g=0": 0, "g!=0": 0}
+    cases = nonzero = 0
     while cases < 30:
         d = rng.choice((2, 2, 3))
         m = 5 if d == 3 else rng.choice((5, 6))
         q = rng.choice((2, 3, 5))
         poly = _mu2_polynomial(rng, d, q)
-        try:  # the cap keeps the materialized reference small
-            report = stratified_count(poly, m, m, q, node_cap=300)
-        except ResourceLimitError:
+        prefixes = reference_prefixes(poly, m, q, limit=300)
+        if prefixes is None:  # keep the materialized reference small
             continue
-        survivors, depth = reference_prefixes(poly, m, q)
-        assert depth >= 4
-        strata = reference_strata(poly, m, m, q, (survivors, depth))
+        assert prefixes[1] >= 4
+        strata = reference_strata(poly, m, m, q, prefixes)
+        report = stratified_count(poly, m, m, q)
         assert (report.total, report.strata) == (sum(n for _, n in strata), strata), (poly.render(), m, q)
         assert contact_count(poly, m, m, q).total == report.total, (poly.render(), m, q)
-        for kind in _settled_kinds(poly, q, survivors, depth):
-            kinds[kind] += 1
         cases += 1
-    assert kinds["g=0"] >= 10 and kinds["g!=0"] >= 8, kinds
+        nonzero += report.total > 0
+    assert nonzero >= 10
 
 
 @pytest.mark.parametrize(
     "text,m,q,count_nodes,strata_nodes",
     [
-        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 11, 2784, 5444),
-        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 17, 10116, 19940),
-        ("x*y + x^3 + 2*y^4", 6, 5, 1901, 1929),
-        ("x*y*z", 5, 3, 223, 343),
-        ("x^2+y^3", 6, 7, 17255, 17255),
+        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 11, 134, 293),
+        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 17, 308, 653),
+        ("x*y + x^3 + 2*y^4", 6, 5, 57, 176),
+        ("x*y*z", 5, 3, 68, 101),
+        ("x^2+y^3", 6, 7, 65, 90),
     ],
 )
 def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, strata_nodes):
-    # a settled child still counts as a node: its coefficient is evaluated
+    # one node per residue evaluated; a memo hit evaluates none
     count, strata = contact_count(text, m, m, q), stratified_count(text, m, m, q)
     assert (count.nodes, strata.nodes) == (count_nodes, strata_nodes)
     assert count.total == strata.total == sum(n for _, n in strata.strata)
@@ -495,8 +470,6 @@ def test_node_cap_is_exact_on_settled_walks(count):
 
 @pytest.mark.parametrize("every", [1, 7, 100])
 def test_progress_lines_follow_the_node_count(monkeypatch, caplog, every):
-    import contactloci.jets as jets
-
     monkeypatch.setattr(jets, "PROGRESS_EVERY", every)
     with caplog.at_level("INFO", logger="contactloci.jets"):
         report = stratified_count("x*y + x^3 + 2*y^4", 6, 6, 5)
@@ -504,95 +477,111 @@ def test_progress_lines_follow_the_node_count(monkeypatch, caplog, every):
     assert len(lines) == report.nodes // every
 
 
+def test_cusp_at_m9_keeps_the_walks_total():
+    # recorded from the depth-first walk that counted jets before the
+    # recursion: 12.4 M nodes and about 6 s
+    assert contact_count("x^2+y^3", 9, 9, 7).total == 7626831723
+
+
+@pytest.mark.parametrize("text,m,q", [("x^2+y^3", 12, 7), ("x^3+y^4", 12, 13)])
+def test_paper_germs_count_at_m12(text, m, q):
+    # past the 10^9 node cap of the depth-first walk
+    count, strata = contact_count(text, m, m, q), stratified_count(text, m, m, q)
+    assert count.total == strata.total == sum(n for _, n in strata.strata) > 0
+    assert count.nodes <= strata.nodes <= 500
+
+
 # ---------------------------------------------------------------------------
-# the closed-form class count against a brute-force enumeration
+# every branch of the recursion against the reference
 
 
-def reference_classes(orders, zero, lin, s, q):
-    """Every a in F_q^d vanishing on ``zero``, grouped by which undecided
-    coordinates it makes nonzero; hits counts the a with lin . a = s."""
-    classes = collections.defaultdict(lambda: [0, 0])
-    for a in itertools.product(range(q), repeat=len(orders)):
-        if any(a[c] for c in zero):
-            continue
-        counts = classes[tuple([int(bool(x) and not o) for x, o in zip(a, orders)])]
-        counts[0] += 1
-        counts[1] += (sum([x * y for x, y in zip(lin, a)]) - s) % q == 0
-    for pattern, (n, hits) in classes.items():
-        yield pattern, n, hits
+def _d5_polynomial(rng, q):
+    """x^2*y + c*y^4 and one more term of degree 4 or 5, over F_q."""
+    terms = {(2, 1): rng.randrange(1, q), (0, 4): rng.randrange(1, q)}
+    a = rng.randint(0, 5)
+    terms[(a, rng.randint(max(0, 4 - a), 5 - a))] = rng.randint(1, 6)
+    return SparsePolynomial.from_terms(2, terms)
 
 
-def _walk_with(monkeypatch, classes, terms, m, q, d, strata, cap):
-    """(groups, depth, nodes) of the walk with ``classes`` as the class count."""
-    monkeypatch.setattr(jets, "_classes", classes)
-    budget = jets._Budget(cap)
-    try:
-        groups, depth = jets._walk(terms, m, q, d, budget, strata)
-    finally:
-        monkeypatch.undo()
-    return groups, depth, budget.nodes
+def test_recursion_branches_match_the_reference(monkeypatch):
+    points, shift = jets._points, jets._shift
+    seen = collections.Counter()
+    case = {}
 
+    def recording_points(h0, weights, e, q, powers, budget):
+        ones, smooth, singular = points(h0, weights, e, q, powers, budget)
+        seen["e = 0 leaf"] += not e
+        seen["Hensel leaf"] += smooth > 0
+        seen["singular recursion"] += bool(singular)
+        seen["free coordinate"] += len(weights) < case["d"]
+        seen["first level, gcd(k_c, q - 1) > 1"] += any(w and math.gcd(w, q - 1) > 1 for w in weights)
+        return ones, smooth, singular
 
-def _call_kind(orders, zero, lin, s, q):
-    if zero:
-        return "zero"
-    if any(x for x, o in zip(lin, orders) if o):
-        return "lifted"
-    if any(lin):
-        return "lin on undecided"
-    return "lin=0, s=0" if s % q == 0 else "lin=0, s!=0"
+    def recording_shift(h, b, e, q):
+        out = shift(h, b, e, q)
+        seen["constant h0"] += out is not None and not any(any(exps) for (j, exps) in out[0] if not j)
+        return out
 
-
-def test_settle_per_class_matches_the_per_child_loop(monkeypatch):
-    rng = random.Random(20261019)
-    kinds = dict.fromkeys(["zero", "lifted", "lin on undecided", "lin=0, s=0", "lin=0, s!=0", "q=2"], 0)
-    classes = jets._classes
-
-    def reference(orders, zero, lin, s, q):
-        kinds[_call_kind(orders, zero, lin, s, q)] += 1
-        kinds["q=2"] += q == 2
-        return reference_classes(orders, zero, lin, s, q)
-
-    cases, seen = 0, set()
-    while cases < 40:
-        d, q = rng.choice((2, 2, 3)), rng.choice((2, 3, 5, 7, 11, 13))
-        if rng.random() < 0.5:
-            poly, m = _mu2_polynomial(rng, d, q), rng.randint(5, 6)
+    monkeypatch.setattr(jets, "_points", recording_points)
+    monkeypatch.setattr(jets, "_shift", recording_shift)
+    rng = random.Random(20261020)
+    cases = 0
+    while cases < 80:
+        case["d"] = d = rng.choice((1, 2, 2, 3))
+        q = rng.choice((2, 2, 3, 5, 7, 11))
+        m = rng.randint(1, 5 if d < 3 else 3)
+        family = rng.random()
+        if d == 2 and family < 0.25:  # x^2*y: its lines y = 0 lift to a constant h0
+            poly, m = _d5_polynomial(rng, q), rng.randint(4, 5)
+        elif d > 1 and family < 0.5:
+            poly = _mu2_polynomial(rng, d, q)
         else:
-            poly, m = _random_polynomial(rng, d), rng.randint(4, 6)
-        strata = rng.random() < 0.5
-        terms = poly and jets._prepare(poly, m, m, q, 3000)[1]
-        if not terms:
+            poly = _random_polynomial(rng, d)
+        l = m + rng.randint(0, 2)
+        if poly is None:
             continue
-        try:
-            got = _walk_with(monkeypatch, classes, terms, m, q, d, strata, 3000)
-        except ResourceLimitError:
+        prefixes = reference_prefixes(poly, m, q, limit=100)
+        if prefixes is None:
             continue
-        expected = _walk_with(monkeypatch, reference, terms, m, q, d, strata, 3000)
-        assert got == expected, (poly.render(), m, q, strata)
+        strata = reference_strata(poly, m, l, q, prefixes)
+        total = sum(n for _, n in strata)
+        report = stratified_count(poly, m, l, q)
+        assert (report.total, report.strata) == (total, strata), (poly.render(), m, l, q)
+        assert contact_count(poly, m, l, q).total == total, (poly.render(), m, l, q)
+        seen["q = 2"] += q == 2
         cases += 1
-        seen.add((d, strata))
-    assert min(kinds.values()) >= 30 and len(seen) == 4, (kinds, seen)
+    assert min(seen.values()) >= 15 and len(seen) == 7, seen
+
+
+# ---------------------------------------------------------------------------
+# large fields
 
 
 @pytest.mark.parametrize(
     "count,text,m,q,total,nodes",
     [
-        (contact_count, "x^2+y^3", 6, 19, 9832589129, 2483699),
-        (stratified_count, "x^2+y^3", 6, 13, 690233687, 373841),
-        (stratified_count, "x^3+y^4", 7, 13, 0, 400205),
+        (contact_count, "x^2+y^3", 6, 19, 9832589129, 401),
+        (stratified_count, "x^2+y^3", 6, 13, 690233687, 234),
+        (stratified_count, "x^3+y^4", 7, 13, 0, 28),
     ],
 )
-def test_large_q_walks_keep_their_totals_and_nodes(monkeypatch, count, text, m, q, total, nodes):
+def test_large_q_walks_keep_their_totals_and_nodes(count, text, m, q, total, nodes):
     report = count(text, m, m, q)
     assert (report.total, report.nodes) == (total, nodes)
-    if count is stratified_count and total:
-        monkeypatch.setattr(jets, "_classes", reference_classes)
-        assert report.strata == count(text, m, m, q).strata
+    assert sum(n for _, n in report.strata) == (total if count is stratified_count else 0)
+
+
+@pytest.mark.parametrize("text", ["x*y", "x^2+y^2"])
+@pytest.mark.parametrize("count", [contact_count, stratified_count])
+def test_large_q_evaluates_few_residues(count, text):
+    # 1009 = 1 mod 4, so x^2 + y^2 splits into two lines like x*y; the first
+    # level evaluates one point per line through the origin, about q of them
+    q = 1009
+    report = count(text, 3, 3, q)
+    assert report.total == 2 * (q - 1) * q**3 and report.nodes <= 4 * q
 
 
 def test_shallow_walk_at_large_q_stays_small():
-    # a depth-2 walk settles every prefix at once and needs no extension list
     tracemalloc.start()
     try:
         report = stratified_count("x^2+y^3", 3, 3, 1009)

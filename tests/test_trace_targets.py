@@ -44,10 +44,10 @@ def test_traced_counters_read_the_returned_objects(capsys):
         "weights.exc_divisors": 3,
         "weights.weight_sum": 11,
         "spectral.page_entries": 2,
-        "jets.count_nodes": 86,
+        "jets.count_nodes": 21,
         "jets.fits": 1,
         "jets.fits_conclusive": 1,
-        "jets.strata_nodes": 9,
+        "jets.strata_nodes": 5,
         "jets.strata_cells": 1,
         "cli.calls": 0,
     }
