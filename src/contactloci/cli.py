@@ -4,7 +4,7 @@ Subcommands cover the individual pipeline stages (validate, resolve,
 separate, weights, e1, hc, mclean, zeta, lefschetz, check-euler) and the
 oracles (oracle-count, oracle-chi, verify-fibration); ``report`` runs the
 whole pipeline with cross checks.  Exit codes: 0 success or pass, 1 a
-check failed, 2 usage or input error.
+check failed, 2 usage or input error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import covers as covers_mod
@@ -536,7 +537,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # exit does not fail again, and exit as a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ContactLociError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

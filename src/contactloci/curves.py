@@ -22,24 +22,26 @@ Blowing up the origin of a chart (u, v) produces two standard charts:
 * chart II, (u, v) = (p q, q):  the new divisor is {q = 0}; the old u-axis
   survives as {p = 0}; the old v-axis is not visible.
 
-Points of the new divisor needing further work are read off from the
-roots of the strict transforms restricted to {s = 0}; the root at t = 0
-and the chart II origin host the old axes.  A Q-irreducible root cluster
-of degree e that is a simple root of one strict transform, away from an
-old axis, is already simple normal crossing (the strict transform is
-smooth and transverse to the new divisor there) and is recorded as a
-cell of count e where it is found; this includes simple rational roots.
-Other rational roots become child problems.  Other clusters would need
-blowups at non-rational centers, which the resolver refuses; inputs for
-the shipped suites keep all centers rational.
+The points of a new divisor E on another curve are read off the tangent
+cones of the strict transforms through the centre, as polynomials in
+t = v/u.  Chart I holds the roots t of each cone, and the old v-axis at
+t = 0.  The chart II origin holds the old u-axis and each strict transform
+whose cone has t-degree d below its multiplicity mu; it meets E there with
+multiplicity mu - d.  Each point is classified once, where it is found
+(``_settle``).  It is a normal crossing exactly when one other curve meets
+E there transversally: an old axis alone, or one strict transform with
+intersection multiplicity 1.  Its cell is then recorded, and a
+Q-irreducible root cluster of degree e counts e points.  Any other point
+is blown up.  A non-rational cluster would need a blowup at a non-rational
+center, which the resolver refuses; inputs for the shipped suites keep all
+centers rational.
 
 Strict transforms are integer polynomials up to a nonzero scalar.  A
 factor enters with the integer coefficients that ``_primitive`` or sympy
 give it, the chart maps only move exponents, and moving a root t = p/r
 to the origin multiplies by r^B, B the top degree in t.  Multiplicities,
-linear parts, the simple normal crossing test and the roots of the
-restrictions do not change under scaling, so only the roots and the
-monic root keys are Fractions.
+tangent cones and their roots do not change under scaling, so only the
+roots and the monic root keys are Fractions.
 
 The factors of f are found one written multiplicand at a time (f itself
 when it is written as a sum).  The monomial content x^i y^j is read off;
@@ -125,10 +127,6 @@ def _chart2(g: Poly2, mu: int) -> Poly2:
     return {(a, a + b - mu): c for (a, b), c in g.items()}
 
 
-def _restrict_u0(g: Poly2) -> dict[int, int]:
-    return {b: c for (a, b), c in g.items() if a == 0}
-
-
 def _translate_v(g: Poly2, tau: Fraction) -> Poly2:
     """r^B g(u, v + p/r) for tau = p/r in lowest terms, B the top v-degree
     of g: the term c u^a v^b gives c C(b, k) p^(b-k) r^(B-b+k) u^a v^k."""
@@ -146,14 +144,6 @@ def _translate_v(g: Poly2, tau: Fraction) -> Poly2:
             key = (a, k)
             out[key] = out.get(key, 0) + c * math.comb(b, k) * p_pow[b - k] * r_pow[top - b + k]
     return {k: c for k, c in out.items() if c}
-
-
-def _linear_part(g: Poly2) -> tuple[int, int]:
-    return g.get((1, 0), 0), g.get((0, 1), 0)
-
-
-def _vanishes_at_origin(g: Poly2) -> bool:
-    return not g.get((0, 0))
 
 
 @functools.cache
@@ -397,25 +387,29 @@ class ResolutionLog:
     blowups: tuple[BlowupRecord, ...]
 
 
-def _is_snc(axes: tuple[int | None, int | None], stricts: dict[int, Poly2]) -> bool:
-    """Simple normal crossing test for the germ at a point of a new divisor.
+def _settle(cells: Counter, axes: tuple[int | None, int | None], meets: Mapping[int, int], degree: int) -> bool:
+    """Classify a point of a new divisor E; True when it must be blown up.
 
-    The point lies on the new divisor and on at least one more curve, an
-    old axis or a strict transform.  So the germ is simple normal crossing
-    exactly when it has two curves, both smooth, and a strict transform
-    among them is transverse to the axis.
+    ``axes`` are the exceptional curves along {u = 0} and {v = 0} of the
+    point's chart: E, and the old axis when it passes through the point.
+    ``meets`` maps each strict transform through the point to its
+    intersection multiplicity with E there.  E meets an old axis
+    transversally, and a strict transform exactly when that multiplicity is
+    1.  So the point is a normal crossing exactly when one other curve
+    passes through it and meets E with multiplicity 1; then its cell is
+    recorded, counted ``degree`` times for a cluster of conjugate points.
+    Any other point needs a blowup, and only a rational point can have one.
     """
-    u, v = axes
-    if any(_mult0(g) >= 2 for g in stricts.values()):
+    handles = [("E", i) for i in axes if i is not None] + [("D", j) for j in meets]
+    if len(handles) == 2 and all(k == 1 for k in meets.values()):
+        cells[tuple(sorted(handles))] += degree
         return False
-    if len(stricts) + (u is not None) + (v is not None) > 2:
-        return False
-    if not stricts:
-        return True
-    (g,) = stricts.values()
-    cu, cv = _linear_part(g)
-    # tangent to {u = 0} iff the v-coefficient vanishes, and dually
-    return cv != 0 if u is not None else cu != 0
+    if degree > 1:
+        raise DomainError(
+            "resolution needs a blowup at a non-rational point cluster "
+            f"(degree {degree}); only rational centers are supported"
+        )
+    return True
 
 
 def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, ResolutionLog]:
@@ -423,9 +417,10 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
     configuration over Sigma = {0}.
 
     The origin is blown up once even when the germ is already simple normal
-    crossing, so that the fiber over the origin is a divisor.  Then local
-    problems are popped breadth first until none is left: a simple normal
-    crossing problem records its cell, any other is blown up.
+    crossing, so that the fiber over the origin is a divisor.  Every other
+    point of a new divisor is classified where it is found (``_settle``):
+    a normal crossing records its cell, and any other point is queued.
+    Queued points are popped breadth first and blown up until none is left.
 
     The loop ends because this is classical embedded resolution of the
     reduced curve (the distinct factors of f): each blowup at a point that
@@ -460,77 +455,60 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
     # a local problem is (axes, stricts, site): the exceptional curves along
     # {u = 0} and {v = 0} (None where there is none), the strict transforms
     # through the point by factor index, and the point's name for the log
-    exceptional: list[list[int]] = []  # [mult, disc, self_int] in creation order
-    cell_counts: Counter = Counter()  # sorted pair of ("E", index) / ("D", factor index) -> count
     records: list[BlowupRecord] = []
+    drops: Counter[int] = Counter()  # self-intersection drops per exceptional curve
+    cell_counts: Counter = Counter()  # sorted pair of ("E", index) / ("D", factor index) -> count
     worklist = deque([((None, None), factor_polys, "origin")])
     while worklist:
-        axes, stricts, site = worklist.popleft()
-        if exceptional and _is_snc(axes, stricts):  # the origin is always blown up
-            handles = [("E", i) for i in axes if i is not None] + [("D", j) for j in stricts]
-            cell_counts[tuple(sorted(handles))] += 1
-            continue
-        new_index = len(exceptional)
+        (u, v), stricts, site = worklist.popleft()
+        new_index = len(records)
         mults = {j: _mult0(g) for j, g in stricts.items()}
-        on = [i for i in axes if i is not None]
+        on = [i for i in (u, v) if i is not None]
+        drops.update(on)
         # m_new = sum e_j mu_j + sum m_i and nu_new = 2 + sum (nu_i - 1), over
         # the factors j through the centre and the exceptional curves i on it
-        m_new = sum(factor_exponents[j] * mu for j, mu in mults.items()) + sum(exceptional[i][0] for i in on)
-        nu_new = 2 + sum(exceptional[i][1] - 1 for i in on)
-        for i in on:
-            exceptional[i][2] -= 1
-        exceptional.append([m_new, nu_new, -1])
+        m_new = sum(factor_exponents[j] * mu for j, mu in mults.items()) + sum(records[i].mult for i in on)
+        nu_new = 2 + sum(records[i].disc - 1 for i in on)
         records.append(BlowupRecord(new_index, site, tuple(on), tuple(sorted(mults.items())), m_new, nu_new))
 
-        # chart I: new divisor {s = 0}, old v-axis at t = 0
-        u, v = axes
-        chart1 = {j: _chart1(g, mults[j]) for j, g in stricts.items()}
-        root_keys: dict[tuple[Fraction, ...], dict[int, int]] = {}
-        for j, g in chart1.items():
-            for monic, exp in _uni_factorization(_restrict_u0(g)):
-                root_keys.setdefault(monic, {})[j] = exp
-        if v is not None:
-            root_keys.setdefault((Fraction(0), Fraction(1)), {})  # the polynomial t
-        for monic in sorted(root_keys, key=lambda mk: (len(mk), mk)):
-            participants = root_keys[monic]
-            degree = len(monic) - 1
-            if list(participants.values()) == [1] and not (v is not None and monic == (0, 1)):
-                # a simple root (or conjugate cluster) of one strict transform
-                # and no old axis: the strict transform is smooth and transverse
-                # to the new divisor there, so the germ is already SNC
-                (j,) = participants
-                cell_counts[("D", j), ("E", new_index)] += degree
-            elif degree == 1:
-                tau = -monic[0]
-                child_stricts = {j: _translate_v(chart1[j], tau) for j in participants}
-                child_axes = (new_index, v if tau == 0 else None)
-                worklist.append((child_axes, child_stricts, f"E{new_index + 1} chart at t={tau}"))
-            else:
-                raise DomainError(
-                    "resolution needs a blowup at a non-rational point cluster "
-                    f"(degree {degree}); only rational centers are supported"
-                )
+        # the tangent cone of each strict transform as a polynomial in t = v/u
+        cones = {j: {b: c for (a, b), c in g.items() if a + b == mults[j]} for j, g in stricts.items()}
 
-        # chart II: new divisor {q = 0}, old u-axis at p = 0
-        chart2 = {j: _chart2(g, mults[j]) for j, g in stricts.items()}
-        through = {j: g for j, g in chart2.items() if _vanishes_at_origin(g)}
-        if u is not None or through:
-            worklist.append(((u, new_index), through, f"E{new_index + 1} chart at infinity"))
+        # chart I: new divisor {s = 0}, the roots of the cones, old v-axis at t = 0
+        roots: dict[tuple[Fraction, ...], dict[int, int]] = {}
+        for j, cone in cones.items():
+            for monic, exp in _uni_factorization(cone):
+                roots.setdefault(monic, {})[j] = exp
+        if v is not None:
+            roots.setdefault((Fraction(0), Fraction(1)), {})  # the polynomial t
+        for monic in sorted(roots, key=lambda mk: (len(mk), mk)):
+            tau = -monic[0]
+            axes = (new_index, v if monic == (0, 1) else None)
+            if _settle(cell_counts, axes, roots[monic], len(monic) - 1):
+                child = {j: _translate_v(_chart1(stricts[j], mults[j]), tau) for j in roots[monic]}
+                worklist.append((axes, child, f"E{new_index + 1} chart at t={tau}"))
+
+        # chart II: new divisor {q = 0}, old u-axis at p = 0; the origin is on
+        # strict j, with multiplicity mu_j - deg_t(cone_j) against E, when positive
+        meets = {j: mults[j] - max(cone) for j, cone in cones.items() if max(cone) < mults[j]}
+        if (u is not None or meets) and _settle(cell_counts, (u, new_index), meets, 1):
+            child = {j: _chart2(stricts[j], mults[j]) for j in meets}
+            worklist.append(((u, new_index), child, f"E{new_index + 1} chart at infinity"))
 
     # assemble the configuration: exceptional divisors first, strict factors after
-    n_exc = len(exceptional)
+    n_exc = len(records)
     divisors = [
         Divisor(
-            id=index,
-            label=f"E{index + 1}",
-            mult=mult,
-            disc=disc,
+            id=r.new_index,
+            label=f"E{r.new_index + 1}",
+            mult=r.mult,
+            disc=r.disc,
             exceptional=True,
             over_sigma=True,
             genus=0,
-            self_int=self_int,
+            self_int=-1 - drops[r.new_index],
         )
-        for index, (mult, disc, self_int) in enumerate(exceptional)
+        for r in records
     ]
     for j, text, exp in factor_texts:
         divisors.append(

@@ -412,7 +412,9 @@ def stratified_count(
     is E(k) = sum over T of (-1)^|T| N(k + 1_T), N(k) the count with least
     orders k, taken for the k from (1, ..., 1) upward while N(k) != 0.  The
     N(k) share one memo, so ``nodes`` counts a subproblem's residues once
-    for the whole table, and the node cap applies to that sum.
+    for the whole table, and the node cap applies to that sum.  The cap
+    bounds residues, not memory: the memo keeps the subproblems of every k
+    with N(k) != 0, about 320 MB for the cusp at m = 890, q = 3.
     """
     return _count(f, m, l, q, node_cap, strata=True)
 

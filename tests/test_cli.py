@@ -536,6 +536,51 @@ def test_deep_inputs_are_input_errors(tmp_path, monkeypatch, capsys, argv, named
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+# input files for the one-line errors below, by name
+ERROR_INPUTS = {
+    "cusp.json": hand_built_cusp().to_json_dict(),
+    "fifth.json": {"nvars": 2, "terms": [[[2, 0], "1/5"], [[0, 3], "1"]]},
+    "three.json": {"nvars": 2, "terms": [[[2, 0, 1], "1"]]},
+    "negative.json": {"nvars": 2, "terms": [[[-1, 2], "1"]]},
+    "solid.json": {
+        "ambient_dim": 3,
+        "divisors": [{"id": 0, "label": "E", "mult": 2, "disc": 2}],
+        "cells": [],
+        "weights": {"0": 1},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["report", "--config", "cusp.json", "--m", "2", "--primes", "3,5"],
+            "the jet oracle needs a polynomial input, not a configuration",
+        ),
+        (
+            ["oracle-count", "--poly-json", "fifth.json", "--m", "2", "--q", "5"],
+            "coefficient 1/5 has no reduction mod 5",
+        ),
+        (["oracle-chi", "--poly", "x^2+y^3", "--m", "3", "--primes", "5,5"], "duplicate sample primes"),
+        (["resolve", "--poly", "(" * 3000 + "x+y" + ")" * 3000], "the polynomial nests too deeply"),
+        (["resolve", "--poly-json", "three.json"], "exponent tuple (2, 0, 1) does not have 2 entries"),
+        (["resolve", "--poly-json", "negative.json"], "negative exponent in (-1, 2)"),
+        (["verify-fibration", "--m", "3", "--level", "2", "--q", "3"], "need l >= m >= 0"),
+        (["e1", "--config", "solid.json", "--m", "2"], "divisor 0: supply cover_betti for ambient_dim >= 3"),
+    ],
+)
+def test_refusals_are_one_line_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, data in ERROR_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def _validate_case(edit):
     data = hand_built_cusp().to_json_dict()
     edit(data, data["divisors"][0], data["cells"][0])
@@ -635,6 +680,25 @@ def test_sympy_is_imported_only_for_a_decomposable_polygon():
     expected = {key: False for key in ("import", "warm-up", *LADDER_FAMILIES, *CERTIFIED_RESTS)}
     assert result["seen"] == {**expected, "decomposable": True}
     assert result["factors"] == ["x", "y", "x - y", "x + y"]
+
+
+def test_a_closed_stdout_exits_as_sigpipe_would():
+    import os
+    import subprocess
+    import sys
+
+    import contactloci
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(contactloci.__file__)))
+    argv = ["report", "--poly", "x^2+y^3", "--m", "60", "--format", "json"]  # about 190 KB of JSON
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "contactloci", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_missing_file_is_a_usage_error(capsys):

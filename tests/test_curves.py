@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from contactloci.curves import (
     resolve_univariate,
 )
 from contactloci.errors import DomainError
-from contactloci.model import validate_configuration
+from contactloci.model import Divisor, IntersectionCell, SncConfiguration, validate_configuration
 from contactloci.polys import SparsePolynomial, parse_polynomial
 
 from conftest import PRODUCT_EXAMPLES, random_product_text
@@ -751,3 +752,181 @@ def test_rational_poly_json_germs_resolve_as_before(
     config = data["configuration"]
     assert [(d["label"], d["mult"], d["disc"], d.get("self_int")) for d in config["divisors"]] == divisors
     assert [(tuple(c["ids"]), c["count"]) for c in config["cells"]] == cells
+
+
+# ---------------------------------------------------------------------------
+# the classification of points of a new divisor against a queue-then-test loop
+
+
+def reference_is_snc(axes, stricts):
+    """Simple normal crossing test for a queued point of a new divisor: two
+    curves through it, both smooth, a strict transform among them
+    transverse to the axis."""
+    u, v = axes
+    if any(curves._mult0(g) >= 2 for g in stricts.values()):
+        return False
+    if len(stricts) + (u is not None) + (v is not None) > 2:
+        return False
+    if not stricts:
+        return True
+    (g,) = stricts.values()
+    cu, cv = g.get((1, 0), 0), g.get((0, 1), 0)
+    # tangent to {u = 0} iff the v-coefficient vanishes, and dually
+    return cv != 0 if u is not None else cu != 0
+
+
+def reference_resolve(f):
+    """``resolve_plane_curve`` as a loop that queues every point of a new
+    divisor (except a simple root of one strict transform off the old
+    axes), builds both charts of every strict transform, and tests each
+    popped point with ``reference_is_snc`` before it blows it up."""
+    f = curves.as_plane_curve(f)
+    pieces = [(g, e) for g, e in f.multiplicands if e and any(any(exps) for exps, _ in g.terms)]
+    merged = Counter()
+    for g, e in pieces or [(f, 1)]:
+        for factor, exp in _plane_factorization(g.as_dict()):
+            merged[factor] += exp * e
+    factors = sorted(merged, key=curves._sort_key)
+    exponents = [merged[factor] for factor in factors]
+    texts = tuple(
+        (j, SparsePolynomial.from_terms(2, dict(factor)).render(("x", "y")), merged[factor])
+        for j, factor in enumerate(factors)
+    )
+
+    exceptional = []  # [mult, disc, self_int]
+    cell_counts = Counter()
+    records = []
+    worklist = deque([((None, None), {j: dict(factor) for j, factor in enumerate(factors)}, "origin")])
+    while worklist:
+        axes, stricts, site = worklist.popleft()
+        if exceptional and reference_is_snc(axes, stricts):
+            handles = [("E", i) for i in axes if i is not None] + [("D", j) for j in stricts]
+            cell_counts[tuple(sorted(handles))] += 1
+            continue
+        new_index = len(exceptional)
+        mults = {j: curves._mult0(g) for j, g in stricts.items()}
+        on = [i for i in axes if i is not None]
+        m_new = sum(exponents[j] * mu for j, mu in mults.items()) + sum(exceptional[i][0] for i in on)
+        nu_new = 2 + sum(exceptional[i][1] - 1 for i in on)
+        for i in on:
+            exceptional[i][2] -= 1
+        exceptional.append([m_new, nu_new, -1])
+        records.append(curves.BlowupRecord(new_index, site, tuple(on), tuple(sorted(mults.items())), m_new, nu_new))
+
+        u, v = axes
+        chart1 = {j: curves._chart1(g, mults[j]) for j, g in stricts.items()}
+        root_keys = {}
+        for j, g in chart1.items():
+            for monic, exp in _uni_factorization({b: c for (a, b), c in g.items() if a == 0}):
+                root_keys.setdefault(monic, {})[j] = exp
+        if v is not None:
+            root_keys.setdefault((Fraction(0), Fraction(1)), {})
+        for monic in sorted(root_keys, key=lambda mk: (len(mk), mk)):
+            participants = root_keys[monic]
+            degree = len(monic) - 1
+            if list(participants.values()) == [1] and not (v is not None and monic == (0, 1)):
+                (j,) = participants
+                cell_counts[("D", j), ("E", new_index)] += degree
+            elif degree == 1:
+                tau = -monic[0]
+                child = {j: curves._translate_v(chart1[j], tau) for j in participants}
+                worklist.append(((new_index, v if tau == 0 else None), child, f"E{new_index + 1} chart at t={tau}"))
+            else:
+                raise DomainError(
+                    "resolution needs a blowup at a non-rational point cluster "
+                    f"(degree {degree}); only rational centers are supported"
+                )
+
+        chart2 = {j: curves._chart2(g, mults[j]) for j, g in stricts.items()}
+        through = {j: g for j, g in chart2.items() if not g.get((0, 0))}
+        if u is not None or through:
+            worklist.append(((u, new_index), through, f"E{new_index + 1} chart at infinity"))
+
+    n_exc = len(exceptional)
+    divisors = [
+        Divisor(i, f"E{i + 1}", mult, disc, True, True, 0, self_int)
+        for i, (mult, disc, self_int) in enumerate(exceptional)
+    ]
+    divisors += [Divisor(n_exc + j, f"D{j + 1}", exp, 1, False, False, 0, None) for j, _, exp in texts]
+
+    def handle_id(handle):
+        return handle[1] if handle[0] == "E" else n_exc + handle[1]
+
+    cells = tuple(
+        IntersectionCell((handle_id(a), handle_id(b)), count, True) for (a, b), count in sorted(cell_counts.items())
+    )
+    cfg = SncConfiguration(ambient_dim=2, divisors=tuple(divisors), cells=cells)
+    return cfg, curves.ResolutionLog(factors=texts, blowups=tuple(records))
+
+
+def random_branch_product(rng):
+    """A product of one to three branches, some mirrored (x and y swapped):
+    sheared ones (a x - b y)^k + c y^n, and ones (x^2 + d y^2)^k + c x^n
+    whose tangents are a conjugate pair, which two branches may share."""
+    branches = []
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        x, y = ("x", "y") if rng.random() < 0.6 else ("y", "x")
+        k, c = rng.choice([1, 1, 2, 3]), rng.choice([-2, -1, 1, 3])
+        n = rng.randint(2 * k + 1, 9)
+        if rng.random() < 0.65:
+            a, b = rng.randint(1, 3), rng.choice([0, 0, 1, 2, 4])
+            branches.append(f"(({a}*{x}-{b}*{y})^{k}{c:+d}*{y}^{n})")
+        else:
+            d = rng.choice([-2, 2, 3])
+            branches.append(f"(({x}^2{d:+d}*{y}^2)^{rng.randint(1, 2)}{c:+d}*{x}^{n})")
+    return "*".join(branches)
+
+
+def settle_outcome(axes, meets, degree, blown_up):
+    """What ``curves._settle`` decided at one point.  Chart I holds the new
+    divisor on {u = 0}, chart II on {v = 0}, and the new divisor has the
+    larger index."""
+    chart = "II" if axes[0] is None or (axes[1] is not None and axes[1] > axes[0]) else "I"
+    if blown_up:
+        return f"chart {chart} blowup"
+    if not meets:
+        return f"chart {chart} axis"
+    if degree > 1:
+        return "cluster"
+    (k,) = meets.values()
+    return f"chart {chart} crossing, multiplicity {k}"
+
+
+def test_points_are_classified_as_the_queue_then_test_loop_does(monkeypatch):
+    settle = curves._settle
+    outcomes = Counter()
+
+    def counting(cells, axes, meets, degree):
+        try:
+            blown_up = settle(cells, axes, meets, degree)
+        except DomainError:
+            outcomes["refused"] += 1
+            raise
+        outcomes[settle_outcome(axes, meets, degree, blown_up)] += 1
+        return blown_up
+
+    monkeypatch.setattr(curves, "_settle", counting)
+    rng = random.Random(20231)
+    for _ in range(320):
+        text = random_branch_product(rng)
+        try:
+            expected = reference_resolve(text)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                resolve_plane_curve(text)
+            assert str(got.value) == str(exc), text
+            continue
+        assert resolve_plane_curve(text) == expected, text
+    # every point is one of these, and each kind is met often enough
+    floors = {
+        "chart I axis": 20,
+        "chart II axis": 20,
+        "chart I crossing, multiplicity 1": 20,
+        "cluster": 20,
+        "chart II crossing, multiplicity 1": 20,
+        "chart II blowup": 20,
+        "chart I blowup": 0,
+        "refused": 10,
+    }
+    assert set(outcomes) <= set(floors), outcomes
+    assert all(outcomes[outcome] >= floor for outcome, floor in floors.items()), outcomes

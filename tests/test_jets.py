@@ -172,6 +172,14 @@ def test_stratified_cusp_m3():
     assert agg // 7 ** (2 * 3 - 1 * 3) == 3 * 7  # 21 cover points
 
 
+def test_sum_strata_leaves_out_the_strata_off_the_pattern():
+    report = stratified_count("x^2+y^3", 3, 3, 7)
+    strata = dict(report.strata)
+    # ord y = 1 exactly and ord x >= 3: the stratum (2, 1) is left out
+    assert sum_strata(report, (3, 1), (False, True)) == strata[(3, 1)] + strata[(4, 1)] < report.total
+    assert sum_strata(report, (3, 1), (True, True)) == strata[(3, 1)]
+
+
 def test_stratified_m1_empty_for_cusp():
     assert stratified_count("x^2+y^3", 1, 3, 5).total == 0
 
@@ -204,6 +212,11 @@ def test_interpolate_chi_constant():
 def test_interpolate_chi_zero_counts():
     fit = interpolate_chi([(3, 0), (5, 0)])
     assert fit.conclusive and fit.chi == 0
+
+
+def test_interpolate_chi_refuses_a_negative_count():
+    with pytest.raises(DomainError, match="counts must be nonnegative"):
+        interpolate_chi([(3, 4), (5, -1)])
 
 
 def test_interpolate_chi_inconclusive():

@@ -1,0 +1,69 @@
+"""Digests of every benchmark call's outputs, to compare two checkouts.
+
+Usage, from anywhere:
+
+    python3 tools/bench_outputs.py --seeds 1,5,77 [--root CHECKOUT] > digests.json
+
+Builds the job lists of every workload in ``bench/jobs.py`` for each seed,
+runs each call through ``contactloci.cli.main`` in this process, and prints
+one JSON object mapping each command line (its argv joined by spaces) to
+the sha256 of its exit code, stdout and stderr.  ``oracle-count`` reports
+its own wall time as ``elapsed``; that line is dropped before hashing.
+Both ``src`` and ``bench`` are read from ``--root`` (default: the checkout
+holding this script), and nothing is written there.  Two checkouts give
+equal outputs exactly when their digest files compare equal with ``cmp``.
+Needs only the standard library, and sympy for a germ that reaches
+``sympy.factor_list``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+ELAPSED = re.compile(r'\n *"elapsed": [^\n]*')
+
+
+def digest(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a command line this way
+            code = exc.code
+        except Exception as exc:  # a crash is an output too
+            code = f"raised {type(exc).__name__}: {exc}"
+    stdout = out.getvalue()
+    if argv[0] == "oracle-count":
+        stdout = ELAPSED.sub("", stdout)
+    return hashlib.sha256(json.dumps([code, stdout, err.getvalue()]).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", required=True, help="comma separated seeds, e.g. 1,5,77")
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    from contactloci.cli import main as cli_main
+    from jobs import WORKLOADS, generate
+
+    digests = {}
+    for seed in (int(s) for s in args.seeds.split(",")):
+        for workload in WORKLOADS:
+            for job in generate(workload, seed):
+                for call in job["calls"]:
+                    digests[" ".join(call)] = digest(cli_main, call)
+    print(json.dumps(digests, indent=0, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
