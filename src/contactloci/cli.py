@@ -42,6 +42,7 @@ from .spectral import (
 from .weights import AMPLE_NOTE, WeightVector, solve_weights, validate_weights
 
 DEFAULT_PRIME_POOL = (3, 5, 7, 11, 13)
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _int_list(text: str) -> list[int]:
@@ -155,9 +156,69 @@ def _prepare_pipeline(args, m: int | None, poly: SparsePolynomial | None = None)
     return cfg, sep, records, w, desc
 
 
+def _json_key(key) -> str:
+    """A dict key as the stdlib's encoder converts it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, int) and not isinstance(key, bool):
+        return int.__repr__(key)
+    if key is None or isinstance(key, (bool, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(value, out: list, indent: str) -> None:
+    """Append ``value`` to ``out`` as the pieces of ``json.dumps(value,
+    indent=2, sort_keys=True)``, byte for byte; ``indent`` is the newline
+    and spaces that start a line at the value's depth.
+
+    Given an indent, the stdlib encoder leaves its C code for a generator
+    per container; this writes the same text with one call per value.
+    A module-level function, so that no closure cell keeps ``out`` alive.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write_json(item, out, inner)
+            out.append(",")
+        out[-1] = indent + "]"  # in place of the last item's comma
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{")
+        for key in sorted(value):
+            out.append(inner + _encode_str(_json_key(key)) + ": ")
+            _write_json(value[key], out, inner)
+            out.append(",")
+        out[-1] = indent + "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, data: dict, table: str) -> None:
     if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        out = []
+        _write_json(data, out, "\n")
+        print("".join(out))
     else:
         print(table)
 

@@ -36,12 +36,25 @@ _JSON_KINDS = {
 }
 
 
+def json_kind(value) -> str:
+    """The kind of a decoded JSON value, named as ``_JSON_KINDS`` names them
+    (a value that JSON cannot hold is named by its Python type)."""
+    if value is None:
+        return "null"
+    for kind in ("a boolean", "an integer", "a string", "a list"):
+        if _JSON_KINDS[kind](value):
+            return kind
+    if isinstance(value, float):
+        return "a number"
+    return "an object" if isinstance(value, Mapping) else type(value).__name__
+
+
 def _json_field(data, key: str, kind: str, what: str, default=_REQUIRED):
     """data[key] if it is of the named JSON kind, else a DomainError naming
     the key; a missing key (or a null one, where the default is None) gives
     the default when there is one."""
     if not isinstance(data, Mapping):
-        raise DomainError(f"{what} must be a JSON object, not {type(data).__name__}")
+        raise DomainError(f"{what} must be a JSON object, not {json_kind(data)}")
     if key not in data or (data[key] is None and default is None):
         if default is _REQUIRED:
             raise DomainError(f"{what}: missing key {key!r}")

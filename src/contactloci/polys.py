@@ -134,6 +134,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z])|(\*\*|[()^+*-]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    text = text.rstrip()  # each token takes the whitespace before it, none takes the tail
     tokens = []
     pos = 0
     while pos < len(text):
@@ -226,6 +227,8 @@ class _Parser:
             if self.take() != ("op", ")"):
                 raise DomainError("missing closing parenthesis")
             return inner
+        if kind is None:
+            raise DomainError("unexpected end of input")
         raise DomainError(f"unexpected token {value!r}")
 
     def power(self, a, e):

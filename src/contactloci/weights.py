@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import DomainError, NotNegativeDefiniteError, UnsupportedDimensionError
-from .model import SncConfiguration, require_valid
+from .model import SncConfiguration, json_kind, require_valid
 
 AMPLE_NOTE = (
     "weights certify relative ampleness (strict positivity against every "
@@ -61,7 +61,7 @@ class WeightVector:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "WeightVector":
         if not isinstance(data, Mapping):
-            raise DomainError(f"weights must be a JSON object, not {type(data).__name__}")
+            raise DomainError(f"weights must be a JSON object, not {json_kind(data)}")
         seen = set()
         for key, value in data.items():
             if not str(key).removeprefix("-").isdecimal() or type(value) is not int:

@@ -852,6 +852,51 @@ def test_malformed_poly_json_is_a_usage_error(tmp_path, capsys, poly, named, com
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+_KINDS = [
+    ("null", "null"),
+    ("[1,2]", "a list"),
+    ('"w"', "a string"),
+    ("3", "an integer"),
+    ("2.5", "a number"),
+    ("true", "a boolean"),
+]
+
+
+@pytest.mark.parametrize("text,kind", _KINDS)
+def test_weights_of_another_json_kind_are_named_by_it(capsys, text, kind):
+    code, out, err = run(capsys, "e1", "--poly", "x^2+y^3", "--m", "2", "--weights", text)
+    assert code == 2 and not out
+    assert err == f"error: weights must be a JSON object, not {kind}\n"
+
+
+@pytest.mark.parametrize("text,kind", _KINDS)
+def test_a_configuration_of_another_json_kind_is_named_by_it(tmp_path, capsys, text, kind):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert code == 2 and not out
+    assert err == f"error: configuration must be a JSON object, not {kind}\n"
+
+
+def test_file_weights_of_another_json_kind_are_named_by_it(tmp_path, capsys):
+    data = hand_built_cusp().to_json_dict()
+    data["weights"] = [4, 6, 11, 0]
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "e1", "--config", str(path), "--m", "2")
+    assert code == 2 and not out
+    assert err == "error: weights must be a JSON object, not a list\n"
+
+
+def test_poly_whitespace_at_either_end_and_a_short_poly(capsys):
+    for text in ("x^2+y^3 ", " x^2+y^3"):
+        code, out, _ = run(capsys, "report", "--poly", text, "--m", "2")
+        assert code == 0 and "verdict: PASS" in out
+    for text in ("x^2+y^3+", "-", "x*"):
+        code, out, err = run(capsys, "report", "--poly", text, "--m", "2")
+        assert (code, out, err) == (2, "", "error: unexpected end of input\n")
+
+
 def test_exact_counts_are_printed_in_full(capsys):
     # (q - 1) q^(2 (l - 1)) has about 14 000 digits, past the default
     # limit of 4300 on int-to-str conversion

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from contactloci import model
@@ -8,6 +10,7 @@ from contactloci.model import (
     IntersectionCell,
     SncConfiguration,
     euler_open_stratum,
+    json_kind,
     require_valid,
     validate_configuration,
 )
@@ -188,3 +191,23 @@ def test_lookups_by_id_match_a_linear_scan():
     a, b = PageEntry(1), PageEntry(2)
     page = E1Page(1, 2, (((0, 1), a), ((0, 1), b), ((-2, 3), b)))
     assert (page.entry(0, 1), page.entry(-2, 3), page.entry(1, 0)) == (a, b, None)
+
+
+@pytest.mark.parametrize(
+    "text,kind",
+    [
+        ("null", "null"),
+        ("true", "a boolean"),
+        ("3", "an integer"),
+        ("2.5", "a number"),
+        ('"w"', "a string"),
+        ("[1, 2]", "a list"),
+        ("{}", "an object"),
+    ],
+)
+def test_json_kind_names_each_decoded_kind(text, kind):
+    assert json_kind(json.loads(text)) == kind
+
+
+def test_json_kind_names_other_values_by_type():
+    assert json_kind((1, 2)) == "tuple"

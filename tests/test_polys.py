@@ -42,6 +42,19 @@ def test_parse_rejects_garbage():
         parse_polynomial("x + ?")
 
 
+@pytest.mark.parametrize("text", [" x^2+y^3", "x^2+y^3 ", "\t x^2 + y^3 \n", "  (x^2+y^3)  "])
+def test_whitespace_at_either_end_is_ignored(text):
+    poly, names = parse_polynomial(text)
+    assert names == ("x", "y")
+    assert poly.as_dict() == {(2, 0): 1, (0, 3): 1}
+
+
+@pytest.mark.parametrize("text", ["x^2+y^3+", "-", "x*", "(x+", "x^2 - ", "", "  "])
+def test_input_that_stops_short_says_so(text):
+    with pytest.raises(DomainError, match="^unexpected end of input$"):
+        parse_polynomial(text)
+
+
 def test_multiplicity_and_linear_part():
     def multiplicity_at_origin(poly):
         return min(sum(exps) for exps, _ in poly.terms)
@@ -181,6 +194,8 @@ class _ReferenceParser:
             if self.take() != ("op", ")"):
                 raise DomainError("missing closing parenthesis")
             return inner
+        if kind is None:
+            raise DomainError("unexpected end of input")
         raise DomainError(f"unexpected token {value!r}")
 
 
