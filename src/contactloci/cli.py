@@ -518,12 +518,14 @@ def _cmd_report(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps no state
-    in it, and building it costs far more than parsing an argv."""
+    in it, and building it costs far more than parsing an argv.  Its
+    ``commands`` map each subcommand name to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="contactloci",
         description="contact locus pages, Euler oracles and jet counts from log resolutions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def command(name: str, func, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
@@ -595,8 +597,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact counts are printed in full
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # the top level would hand everything after the name to this parser
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -608,6 +619,9 @@ def main(argv=None) -> int:
         return 141
     except (ContactLociError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -80,10 +80,9 @@ def _ser_pow(a: Sequence[int], e: int, level: int, q: int) -> tuple[int, ...]:
 def _poly_mod_q(f: SparsePolynomial, q: int) -> list[tuple[int, tuple[int, ...]]]:
     terms = []
     for exps, coeff in f.terms:
-        frac = Fraction(coeff)
-        if frac.denominator % q == 0:
+        if coeff.denominator % q == 0:
             raise DomainError(f"coefficient {coeff} has no reduction mod {q}")
-        value = frac.numerator * pow(frac.denominator, -1, q) % q
+        value = coeff.numerator * pow(coeff.denominator, -1, q) % q
         if value:
             terms.append((value, exps))
     return terms

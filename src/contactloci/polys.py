@@ -8,11 +8,14 @@ sympy: the resolver certifies most multiplicands irreducible from their
 Newton polygon (``newton``) or by one specialisation, and imports sympy
 only for a rest through the origin that neither certifies, or for a
 restriction to a new divisor that is no pure power (``curves``).
+
+The parser reads the tokens of one regular expression pass, walks them by
+index and computes in ints; each kept coefficient becomes a Fraction once.
+``render`` reads numerators and denominators as ints.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -46,11 +49,8 @@ class SparsePolynomial:
                 raise DomainError(f"exponent tuple {exps} does not have {nvars} entries")
             if any(e < 0 for e in exps):
                 raise DomainError(f"negative exponent in {exps}")
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        items = tuple(sorted((e, c) for e, c in clean.items() if c))
-        return cls(nvars, items)
+            clean[exps] = clean.get(exps, 0) + coeff
+        return cls(nvars, _sorted_terms(clean))
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
@@ -99,57 +99,59 @@ class SparsePolynomial:
     def render(self, names: Sequence[str] = ("x", "y", "z", "w")) -> str:
         """The polynomial as text; with fewer names than variables, the
         variables are named x1..xn instead."""
+        if not self.terms:
+            return "0"
         if len(names) < self.nvars:
             names = [f"x{i}" for i in range(1, self.nvars + 1)]
-
-        def order(term):
-            exps, _ = term
-            degree = sum(exps)
-            return (degree == 0, degree, tuple(-e for e in exps))
-
-        parts = []
-        for exps, coeff in sorted(self.terms, key=order):
-            powers = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exps)
-                if e
-            ]
-            if not powers:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(powers)
-            else:
-                body = "*".join([str(abs(coeff))] + powers)
-            parts.append((coeff < 0, body))
-        if not parts:
-            return "0"
-        neg, body = parts[0]
-        out = ("-" if neg else "") + body
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        # by degree, the constant last; within a degree, exponents descending
+        ordered = sorted(reversed(self.terms), key=lambda term: sum(term[0]))
+        if not any(ordered[0][0]):
+            ordered.append(ordered.pop(0))
+        out = []
+        for exps, coeff in ordered:
+            num, den = coeff.numerator, coeff.denominator
+            out.append(" - " if num < 0 else " + ")
+            text = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            powers = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+            if powers and text != "1":
+                powers.insert(0, text)
+            out.append("*".join(powers) or text)
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z])|(\*\*|[()^+*-]))")
+def _sorted_terms(raw: Mapping) -> tuple:
+    """The nonzero terms of {exponent tuple: coefficient}, sorted, each
+    coefficient a Fraction."""
+    return tuple(
+        (exps, c if type(c) is Fraction else Fraction(c)) for exps, c in sorted(raw.items()) if c
+    )
+
+
+# a token is an integer, a letter or one operator character; ``**`` is
+# read as ``^`` before tokenizing
+_TOKEN = re.compile(r"\d+|[a-zA-Z]|\S")
+_BAD = re.compile(r"[^\s\da-zA-Z()^+*-]")  # a character that starts no token
+_MAX_NESTING = 200  # parentheses deeper than this are refused
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of ``text``, then an empty string that ends them."""
+    bad = _BAD.search(text)
+    if bad:
+        text = text.rstrip()
+        pos = len(text[:bad.start()].rstrip())  # where the bad token's whitespace starts
+        raise DomainError(f"cannot parse polynomial near {text[pos:pos + 10]!r}")
+    tokens = _TOKEN.findall(text.replace("**", "^"))
+    tokens.append("")
+    return tokens
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    text = text.rstrip()  # each token takes the whitespace before it, none takes the tail
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match or match.end() == pos:
-            raise DomainError(f"cannot parse polynomial near {text[pos:pos + 10]!r}")
-        if match.group(1):
-            tokens.append(("int", match.group(1)))
-        elif match.group(2):
-            tokens.append(("var", match.group(2)))
-        else:
-            op = match.group(3)
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = match.end()
-    return tokens
+    """The tokens of ``text`` as (kind, value) pairs, kind "int", "var" or "op"."""
+    return [
+        ("int" if t.isdigit() else "var" if t.isalpha() else "op", t) for t in _tokens(text)[:-1]
+    ]
 
 
 class _Parser:
@@ -160,76 +162,75 @@ class _Parser:
     factor := atom ['^' INT]
     atom   := INT | VAR | '(' expr ')'
 
-    Polynomials are built as {exponent tuple: int} over ``names``: the
-    grammar has no division, and ``SparsePolynomial.from_terms`` makes the
-    coefficients Fractions once.
+    ``term`` reads its factors and atoms itself, walking the token list by
+    index up to the empty end token.  Polynomials are built as {exponent
+    tuple: int}: the grammar has no division, so the coefficients become
+    Fractions once, when the parse is done.
     """
 
-    def __init__(self, tokens: list[tuple[str, str]], names: tuple[str, ...]):
+    def __init__(self, tokens: list[str], units: dict[str, tuple[int, ...]], zero: tuple[int, ...]):
         self.tokens = tokens
         self.pos = 0
-        self.zero = (0,) * len(names)
-        self.units = {name: self.zero[:i] + (1,) + self.zero[i + 1:] for i, name in enumerate(names)}
+        self.units = units  # each variable token's exponent tuple
+        self.zero = zero
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expr(self):
+    def expr(self, depth: int = 0):
         """The polynomial, and the (base, exponent) multiplicands of the
         expression when it is one product term, else ()."""
+        if depth > _MAX_NESTING:
+            raise DomainError("the polynomial nests too deeply")
+        tokens = self.tokens
         factors = []
-        if self.peek() == ("op", "-"):
-            self.take()
+        if tokens[self.pos] == "-":
+            self.pos += 1
             factors.append(({self.zero: -1}, 1))
-        factors += self.term()
-        result, multiplicands = self.product(factors), tuple(factors)
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            _, op = self.take()
-            rhs = self.product(self.term())
-            result, multiplicands = _add(result, _scale(rhs, -1 if op == "-" else 1)), ()
-        return result, multiplicands
+        factors += self.term(depth)
+        result = self.product(factors)
+        op = tokens[self.pos]
+        if op != "+" and op != "-":
+            return result, tuple(factors)
+        result = dict(result)  # the product may be one of the factors
+        while op == "+" or op == "-":
+            self.pos += 1
+            for key, c in self.product(self.term(depth)).items():
+                result[key] = result.get(key, 0) + (-c if op == "-" else c)
+            op = tokens[self.pos]
+        return {key: c for key, c in result.items() if c}, ()
 
-    def term(self):
-        factors = [self.factor()]
+    def term(self, depth: int):
+        """The (base, exponent) factors of one term."""
+        tokens, units, pos = self.tokens, self.units, self.pos
+        factors = []
         while True:
-            kind, value = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                factors.append(self.factor())
-            elif kind in ("int", "var") or (kind == "op" and value == "("):
-                factors.append(self.factor())
+            token = tokens[pos]
+            pos += 1
+            if token in units:
+                base = {units[token]: 1}
+            elif token.isdigit():
+                base = {self.zero: int(token)}
+            elif token == "(":
+                self.pos = pos
+                base, _ = self.expr(depth + 1)
+                pos = self.pos
+                if tokens[pos] != ")":
+                    raise DomainError("missing closing parenthesis")
+                pos += 1
             else:
+                raise DomainError(f"unexpected token {token!r}" if token else "unexpected end of input")
+            if tokens[pos] == "^":
+                exponent = tokens[pos + 1]
+                if not exponent.isdigit():
+                    raise DomainError("exponent must be a literal integer")
+                factors.append((base, int(exponent)))
+                pos += 2
+            else:
+                factors.append((base, 1))
+            token = tokens[pos]
+            if token == "*":
+                pos += 1
+            elif not (token in units or token.isdigit() or token == "("):
+                self.pos = pos
                 return factors
-
-    def factor(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, value = self.take()
-            if kind != "int":
-                raise DomainError("exponent must be a literal integer")
-            return base, int(value)
-        return base, 1
-
-    def atom(self):
-        kind, value = self.take()
-        if kind == "int":
-            return {self.zero: int(value)}
-        if kind == "var":
-            return {self.units[value]: 1}
-        if (kind, value) == ("op", "("):
-            inner, _ = self.expr()
-            if self.take() != ("op", ")"):
-                raise DomainError("missing closing parenthesis")
-            return inner
-        if kind is None:
-            raise DomainError("unexpected end of input")
-        raise DomainError(f"unexpected token {value!r}")
 
     def power(self, a, e):
         if len(a) == 1:
@@ -245,27 +246,25 @@ class _Parser:
         return out
 
     def product(self, factors):
-        return functools.reduce(_mul, (self.power(base, e) for base, e in factors))
+        out = None
+        for base, e in factors:
+            if e != 1:
+                base = self.power(base, e)
+            out = base if out is None else _mul(out, base)
+        return out
 
 
 def _mul(a, b):
+    if len(a) == 1 and len(b) == 1:
+        ((ka, ca),), ((kb, cb),) = a.items(), b.items()
+        c = ca * cb
+        return {tuple(map(operator.add, ka, kb)): c} if c else {}
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             key = tuple(map(operator.add, ka, kb))
             out[key] = out.get(key, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
-
-
-def _add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def _scale(a, s):
-    return {k: c * s for k, c in a.items()}
 
 
 def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> tuple[SparsePolynomial, tuple[str, ...]]:
@@ -277,22 +276,21 @@ def parse_polynomial(text: str, variables: tuple[str, ...] | None = None) -> tup
     ``-(x - y)^2*(x + 2*y)``, the polynomial's ``multiplicands`` record its
     top-level bases and exponents (a leading minus is the base -1).
     """
-    tokens = _tokenize(text)
-    seen = {value for kind, value in tokens if kind == "var"}
+    tokens = _tokens(text)
+    seen = set(filter(str.isalpha, tokens))  # the letters: no other token is alphabetic
     if variables is None:
         variables = tuple(sorted(seen))
-    unknown = sorted(seen - set(variables))
+    unknown = sorted(seen.difference(variables))
     # unknown names get slots too, so that a syntax error is reported first
-    parser = _Parser(tokens, (*variables, *unknown))
-    try:
-        raw, factors = parser.expr()
-    except RecursionError:
-        raise DomainError("the polynomial nests too deeply") from None
-    if parser.pos != len(tokens):
+    names = (*variables, *unknown)
+    zero = (0,) * len(names)
+    units = {name: zero[:i] + (1,) + zero[i + 1:] for i, name in enumerate(names) if name in seen}
+    parser = _Parser(tokens, units, zero)
+    raw, factors = parser.expr()
+    if parser.pos != len(tokens) - 1:
         raise DomainError(f"trailing input after position {parser.pos}")
     if unknown:
         raise DomainError(f"unknown variables {unknown}")
     nvars = len(variables)
-    poly = SparsePolynomial.from_terms(nvars, raw)
-    multiplicands = tuple((SparsePolynomial.from_terms(nvars, base), e) for base, e in factors)
-    return SparsePolynomial(nvars, poly.terms, multiplicands), variables
+    multiplicands = tuple((SparsePolynomial(nvars, _sorted_terms(base)), e) for base, e in factors)
+    return SparsePolynomial(nvars, _sorted_terms(raw), multiplicands), variables

@@ -472,7 +472,7 @@ def _positive_options():
     """(command, option) for every --m, --q, --level, --scale and --node-cap option."""
     from contactloci.cli import build_parser
 
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    subparsers = build_parser().commands
     return [
         (command, action.option_strings[0])
         for command, parser in sorted(subparsers.items())
@@ -1061,7 +1061,7 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch):
     from contactloci.cli import build_parser
 
     monkeypatch.setattr("contactloci.jets.DEFAULT_NODE_CAP", 20000)
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    subparsers = build_parser().commands
     codes = Counter()
     for command in sorted(subparsers):  # --csv is left out: it writes a file
 
@@ -1094,3 +1094,78 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch):
 
         fuzz()
     assert min(codes[0], codes[2]) >= 40  # the pipeline runs, not only the parser
+
+
+def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    # x^1000000000000+y^2 does this in the resolver's dense columns
+    def exhausted(*_):
+        raise MemoryError
+
+    monkeypatch.setattr("contactloci.cli.resolve_plane_curve", exhausted)
+    code, out, err = run(capsys, "resolve", "--poly", "x^2+y^3")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+DISPATCH_ARGVS = [
+    # one valid command line per subcommand
+    ["validate", "--config", "c.json", "--format", "json"],
+    ["resolve", "--poly", "x^2+y^3"],
+    ["separate", "--poly-json", "p.json", "--m", "3"],
+    ["weights", "--poly", "x*y", "--m", "2", "--scale", "2"],
+    ["e1", "--poly=x^2+y^3", "--m", "6"],
+    ["hc", "--poly", "x^2+y^3", "--m", "6", "--gap-analysis"],
+    ["mclean", "--poly", "x*y", "--m", "2", "--weights", '{"0": 1}'],
+    ["check-euler", "--config", "c.json", "--m", "2"],
+    ["zeta", "--poly", "x^2+y^3"],
+    ["lefschetz", "--poly", "x*y", "--m", "4"],
+    ["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata", "--node-cap", "9"],
+    ["oracle-chi", "--poly", "x*y", "--m", "2", "--congruence", "1,4", "--expected-dim", "1"],
+    ["verify-fibration", "--m", "2", "--level", "3", "--q", "3", "--d", "3"],
+    ["report", "--poly", "x^2+y^3", "--m", "2", "--primes", "3,5,7", "--lev", "2"],
+    # refused after the command
+    ["report", "--poly", "x*y", "--m", "2", "--bogus"],
+    ["report", "--poly", "x*y", "--m", "2", "stray", "--bogus=1"],
+    ["report", "--poly", "x*y"],
+    ["report", "--poly", "x*y", "--m", "0"],
+    ["oracle-count", "--config", "c.json", "--m", "1", "--q", "3"],
+    # help, and command lines that do not start with a command
+    ["report", "-h"],
+    ["--help"],
+    [],
+    ["frobnicate", "--m", "2"],
+    ["--format", "json", "report", "--poly", "x*y", "--m", "2"],
+    ["--", "report", "--poly", "x*y", "--m", "2"],
+    ["report", "--", "--poly", "x*y", "--m", "2"],
+    ["report", "--poly", "x*y", "--m", "2", "--", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS)
+def test_main_parses_as_the_full_parser_does(capsys, argv):
+    from contactloci.cli import build_parser
+
+    parsed = []
+
+    def record(args):
+        parsed.append(vars(args))
+        return 0
+
+    def outcome(parse):
+        try:
+            code = parse()
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    commands = build_parser().commands
+    funcs = {name: p.get_default("func") for name, p in commands.items()}
+    try:
+        for p in commands.values():
+            p.set_defaults(func=record)
+        direct = outcome(lambda: record(build_parser().parse_args(argv)))
+        assert outcome(lambda: main(argv)) == direct
+    finally:
+        for name, p in commands.items():
+            p.set_defaults(func=funcs[name])
+    assert len(parsed) in (0, 2) and parsed[:1] == parsed[1:]

@@ -91,6 +91,57 @@ def test_render():
     assert poly2.render() == "-2*x + y"
 
 
+def reference_render(poly, names=("x", "y", "z", "w")):
+    """``SparsePolynomial.render`` as it was when it did its arithmetic on
+    the Fraction coefficients.  Kept to pin the current one to it."""
+    if len(names) < poly.nvars:
+        names = [f"x{i}" for i in range(1, poly.nvars + 1)]
+
+    def order(term):
+        exps, _ = term
+        degree = sum(exps)
+        return (degree == 0, degree, tuple(-e for e in exps))
+
+    parts = []
+    for exps, coeff in sorted(poly.terms, key=order):
+        powers = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        if not powers:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = "*".join(powers)
+        else:
+            body = "*".join([str(abs(coeff))] + powers)
+        parts.append((coeff < 0, body))
+    if not parts:
+        return "0"
+    neg, body = parts[0]
+    out = ("-" if neg else "") + body
+    for neg, body in parts[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+def test_render_matches_the_reference_on_random_polynomials():
+    rng = random.Random(4711)
+    coeffs = [1, -1, 2, -7, 12, Fraction(1, 2), Fraction(-3, 4), Fraction(-1, 3), Fraction(10, 7)]
+    seen = {"rational": 0, "unit": 0, "constant": 0, "x1..xn": 0}
+    for _ in range(600):
+        nvars = rng.choice([1, 2, 2, 3, 5, 6])
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(nvars))
+            terms[exps] = rng.choice(coeffs)
+        poly = SparsePolynomial.from_terms(nvars, terms)
+        for names in (("x", "y", "z", "w"), ("u", "v")):
+            assert poly.render(names) == reference_render(poly, names), poly
+        text = poly.render()
+        seen["rational"] += "/" in text
+        seen["unit"] += any(abs(c) == 1 and any(e) for e, c in poly.terms)
+        seen["constant"] += any(not any(e) for e, _ in poly.terms)
+        seen["x1..xn"] += "x1" in text
+    assert min(seen.values()) >= 50, seen
+
+
 def _expanded_product(poly):
     """The product of ``poly``'s multiplicands, expanded by the parser."""
     text = "*".join(f"({g.render()})^{e}" for g, e in poly.multiplicands)
