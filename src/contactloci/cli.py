@@ -173,10 +173,36 @@ def _write_json(value, out: list, indent: str) -> None:
     and spaces that start a line at the value's depth.
 
     Given an indent, the stdlib encoder leaves its C code for a generator
-    per container; this writes the same text with one call per value.
+    per container; this makes one call per container, and a leaf of type
+    exactly int, str, bool or None is one append with its prefix and comma.
     A module-level function, so that no closure cell keeps ``out`` alive.
     """
-    if isinstance(value, str):
+    if isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = prefix = indent + "  "
+        out.append("{" if is_dict else "[")
+        for item in sorted(value) if is_dict else value:
+            if is_dict:
+                prefix = f"{inner}{_encode_str(item if type(item) is str else _json_key(item))}: "
+                item = value[item]
+            kind = type(item)
+            if kind is int:
+                out.append(f"{prefix}{item},")
+            elif kind is str:
+                out.append(f"{prefix}{_encode_str(item)},")
+            elif kind is bool:
+                out.append(prefix + ("true," if item else "false,"))
+            elif item is None:
+                out.append(prefix + "null,")
+            else:
+                out.append(prefix)
+                _write_json(item, out, inner)
+                out.append(",")
+        out[-1] = out[-1][:-1] + indent + ("}" if is_dict else "]")  # drops the last comma
+    elif isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
         out.append("null")
@@ -188,28 +214,6 @@ def _write_json(value, out: list, indent: str) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, float):
         out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        out.append("[")
-        for item in value:
-            out.append(inner)
-            _write_json(item, out, inner)
-            out.append(",")
-        out[-1] = indent + "]"  # in place of the last item's comma
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        out.append("{")
-        for key in sorted(value):
-            out.append(inner + _encode_str(_json_key(key)) + ": ")
-            _write_json(value[key], out, inner)
-            out.append(",")
-        out[-1] = indent + "}"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

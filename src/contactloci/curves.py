@@ -40,8 +40,8 @@ Strict transforms are integer polynomials up to a nonzero scalar.  A
 factor enters with the integer coefficients that ``_primitive`` or sympy
 give it, the chart maps only move exponents, and moving a root t = p/r
 to the origin multiplies by r^B, B the top degree in t.  Multiplicities,
-tangent cones and their roots do not change under scaling, so only the
-roots and the monic root keys are Fractions.
+tangent cones and their roots do not change under scaling, so each root
+cluster is keyed by its primitive integer factor, (p, r) for t + p/r.
 
 The factors of f are found one written multiplicand at a time (f itself
 when it is written as a sum).  The monomial content x^i y^j is read off;
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -70,7 +70,7 @@ from typing import Mapping
 from . import newton
 from .errors import DomainError
 from .model import Divisor, IntersectionCell, SncConfiguration
-from .polys import SparsePolynomial, parse_polynomial
+from .polys import SparsePolynomial, parse_polynomial, render_terms
 
 Poly2 = dict  # {(a, b): int}, a strict transform up to a nonzero scalar
 
@@ -164,36 +164,39 @@ def _fraction(c) -> Fraction:
     return Fraction(c.p, c.q)  # c is a sympy Rational
 
 
-def _uni_factorization(u: dict[int, int]) -> list[tuple[tuple[Fraction, ...], int]]:
+def _uni_factorization(u: dict[int, int]) -> list[tuple[tuple[int, ...], int]]:
     """Q-irreducible factors of a univariate polynomial given as {deg: coeff}.
 
-    Returns (monic coefficient tuple, exponent) pairs, constant factors
-    dropped, sorted deterministically by (degree, coefficients).  The power
-    of t is read off, and so is a rest of degree k = hi - lo that is linear
-    or a pure power c (t + s)^k, where s = p/r can only be u[hi-1] / (k u[hi]);
-    only any other rest is handed to sympy.
+    Returns (factor, exponent) pairs, constant factors dropped, each factor
+    its primitive integer coefficients, constant first and leading one
+    positive: t + p/r is (p, r).  The power of t is read off, and so is a
+    rest of degree k = hi - lo that is linear or a pure power c (t + s)^k,
+    where s = p/r can only be u[hi-1] / (k u[hi]); only any other rest is
+    handed to sympy.
     """
-    u = {d: c for d, c in u.items() if c}
+    den = math.lcm(*[c.denominator for c in u.values()])  # rational input loses its denominators
+    u = {d: c.numerator * (den // c.denominator) for d, c in u.items() if c}
     if not u:
         raise DomainError("strict transform restricts to zero on the new divisor")
     lo, hi = min(u), max(u)
     k = hi - lo
-    out = [((Fraction(0), Fraction(1)), lo)] if lo else []
+    out = [((0, 1), lo)] if lo else []
     if k == 0:
         return out
     top = u[hi]
-    s = Fraction(u.get(hi - 1, 0), k * top)
-    p, r = s.numerator, s.denominator
+    p, r = u.get(hi - 1, 0), k * top
+    g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
+    p, r = p // g, r // g
     # u[lo + d] = top C(k, d) s^(k-d), times r^(k-d) to stay in the integers
     if all(u.get(lo + d, 0) * r ** (k - d) == top * math.comb(k, d) * p ** (k - d) for d in range(k - 1)):
-        out.append(((s, Fraction(1)), k))
+        out.append(((p, r), k))
     else:
         _, factors = sympy.factor_list(_sympy_poly({(d - lo,): c for d, c in u.items()}, _gens()[0]))
         for poly, exp in factors:
-            coeffs = poly.all_coeffs()  # highest degree first
-            lead = _fraction(coeffs[0])
-            out.append((tuple(_fraction(c) / lead for c in reversed(coeffs)), int(exp)))
-    return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
+            coeffs = [_fraction(c) for c in reversed(poly.all_coeffs())]  # constant first
+            terms = dict(_primitive({(d,): c for d, c in enumerate(coeffs) if c}))
+            out.append((tuple(terms.get((d,), 0) for d in range(len(coeffs))), int(exp)))
+    return out
 
 
 def _primitive(terms: Mapping[tuple[int, int], Fraction]) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -387,7 +390,7 @@ class ResolutionLog:
     blowups: tuple[BlowupRecord, ...]
 
 
-def _settle(cells: Counter, axes: tuple[int | None, int | None], meets: Mapping[int, int], degree: int) -> bool:
+def _settle(cells: dict, axes: tuple[int | None, int | None], meets: Mapping[int, int], degree: int) -> bool:
     """Classify a point of a new divisor E; True when it must be blown up.
 
     ``axes`` are the exceptional curves along {u = 0} and {v = 0} of the
@@ -402,7 +405,8 @@ def _settle(cells: Counter, axes: tuple[int | None, int | None], meets: Mapping[
     """
     handles = [("E", i) for i in axes if i is not None] + [("D", j) for j in meets]
     if len(handles) == 2 and all(k == 1 for k in meets.values()):
-        cells[tuple(sorted(handles))] += degree
+        key = tuple(sorted(handles))
+        cells[key] = cells.get(key, 0) + degree
         return False
     if degree > 1:
         raise DomainError(
@@ -449,22 +453,22 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
     for j, factor in enumerate(sorted(merged, key=_sort_key)):
         factor_polys[j] = dict(factor)
         factor_exponents[j] = merged[factor]
-        text = SparsePolynomial.from_terms(2, factor_polys[j]).render(("x", "y"))
-        factor_texts.append((j, text, merged[factor]))
+        factor_texts.append((j, render_terms(factor, ("x", "y")), merged[factor]))
 
     # a local problem is (axes, stricts, site): the exceptional curves along
     # {u = 0} and {v = 0} (None where there is none), the strict transforms
     # through the point by factor index, and the point's name for the log
     records: list[BlowupRecord] = []
-    drops: Counter[int] = Counter()  # self-intersection drops per exceptional curve
-    cell_counts: Counter = Counter()  # sorted pair of ("E", index) / ("D", factor index) -> count
+    drops: dict[int, int] = {}  # self-intersection drops per exceptional curve
+    cell_counts: dict = {}  # sorted pair of ("E", index) / ("D", factor index) -> count
     worklist = deque([((None, None), factor_polys, "origin")])
     while worklist:
         (u, v), stricts, site = worklist.popleft()
         new_index = len(records)
         mults = {j: _mult0(g) for j, g in stricts.items()}
         on = [i for i in (u, v) if i is not None]
-        drops.update(on)
+        for i in on:
+            drops[i] = drops.get(i, 0) + 1
         # m_new = sum e_j mu_j + sum m_i and nu_new = 2 + sum (nu_i - 1), over
         # the factors j through the centre and the exceptional curves i on it
         m_new = sum(factor_exponents[j] * mu for j, mu in mults.items()) + sum(records[i].mult for i in on)
@@ -475,17 +479,19 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
         cones = {j: {b: c for (a, b), c in g.items() if a + b == mults[j]} for j, g in stricts.items()}
 
         # chart I: new divisor {s = 0}, the roots of the cones, old v-axis at t = 0
-        roots: dict[tuple[Fraction, ...], dict[int, int]] = {}
+        roots: dict[tuple[int, ...], dict[int, int]] = {}
         for j, cone in cones.items():
-            for monic, exp in _uni_factorization(cone):
-                roots.setdefault(monic, {})[j] = exp
+            for factor, exp in _uni_factorization(cone):
+                roots.setdefault(factor, {})[j] = exp
         if v is not None:
-            roots.setdefault((Fraction(0), Fraction(1)), {})  # the polynomial t
-        for monic in sorted(roots, key=lambda mk: (len(mk), mk)):
-            tau = -monic[0]
-            axes = (new_index, v if monic == (0, 1) else None)
-            if _settle(cell_counts, axes, roots[monic], len(monic) - 1):
-                child = {j: _translate_v(_chart1(stricts[j], mults[j]), tau) for j in roots[monic]}
+            roots.setdefault((0, 1), {})  # the polynomial t
+        # by degree, then by the monic rational coefficients
+        order = sorted(roots, key=lambda r: (len(r), [Fraction(c, r[-1]) for c in r])) if len(roots) > 1 else roots
+        for factor in order:
+            axes = (new_index, v if factor == (0, 1) else None)
+            if _settle(cell_counts, axes, roots[factor], len(factor) - 1):
+                tau = Fraction(-factor[0], factor[1])
+                child = {j: _translate_v(_chart1(stricts[j], mults[j]), tau) for j in roots[factor]}
                 worklist.append((axes, child, f"E{new_index + 1} chart at t={tau}"))
 
         # chart II: new divisor {q = 0}, old u-axis at p = 0; the origin is on
@@ -506,7 +512,7 @@ def resolve_plane_curve(f: SparsePolynomial | str) -> tuple[SncConfiguration, Re
             exceptional=True,
             over_sigma=True,
             genus=0,
-            self_int=-1 - drops[r.new_index],
+            self_int=-1 - drops.get(r.new_index, 0),
         )
         for r in records
     ]

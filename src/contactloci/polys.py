@@ -11,7 +11,8 @@ restriction to a new divisor that is no pure power (``curves``).
 
 The parser reads the tokens of one regular expression pass, walks them by
 index and computes in ints; each kept coefficient becomes a Fraction once.
-``render`` reads numerators and denominators as ints.
+``render_terms`` reads numerators and denominators as ints, so it also
+renders the resolver's integer factors.
 """
 
 from __future__ import annotations
@@ -99,25 +100,32 @@ class SparsePolynomial:
     def render(self, names: Sequence[str] = ("x", "y", "z", "w")) -> str:
         """The polynomial as text; with fewer names than variables, the
         variables are named x1..xn instead."""
-        if not self.terms:
-            return "0"
         if len(names) < self.nvars:
             names = [f"x{i}" for i in range(1, self.nvars + 1)]
-        # by degree, the constant last; within a degree, exponents descending
-        ordered = sorted(reversed(self.terms), key=lambda term: sum(term[0]))
-        if not any(ordered[0][0]):
-            ordered.append(ordered.pop(0))
-        out = []
-        for exps, coeff in ordered:
-            num, den = coeff.numerator, coeff.denominator
-            out.append(" - " if num < 0 else " + ")
-            text = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            powers = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
-            if powers and text != "1":
-                powers.insert(0, text)
-            out.append("*".join(powers) or text)
-        out[0] = "-" if out[0] == " - " else ""
-        return "".join(out)
+        return render_terms(self.terms[::-1], names)
+
+
+def render_terms(terms: Sequence[tuple[tuple[int, ...], Fraction | int]], names: Sequence[str]) -> str:
+    """Text for a polynomial's (exponent tuple, nonzero coefficient) terms,
+    given in lex-descending order; a coefficient may be an int or a
+    Fraction."""
+    if not terms:
+        return "0"
+    # by degree, the constant last; within a degree, exponents descending
+    ordered = sorted(terms, key=lambda term: sum(term[0]))
+    if not any(ordered[0][0]):
+        ordered.append(ordered.pop(0))
+    out = []
+    for exps, coeff in ordered:
+        num, den = coeff.numerator, coeff.denominator
+        out.append(" - " if num < 0 else " + ")
+        text = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        powers = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        if powers and text != "1":
+            powers.insert(0, text)
+        out.append("*".join(powers) or text)
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def _sorted_terms(raw: Mapping) -> tuple:

@@ -235,6 +235,13 @@ def reference_uni_factorization(u):
     return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
 
 
+def monic_factors(factors):
+    """``_uni_factorization``'s primitive integer factors as the monic
+    Fraction tuples of ``reference_uni_factorization``, in its order."""
+    monic = [(tuple(Fraction(c, factor[-1]) for c in factor), exp) for factor, exp in factors]
+    return sorted(monic, key=lambda fe: (len(fe[0]), fe[0]))
+
+
 def _rational(rng):
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3, 7]))
 
@@ -339,7 +346,7 @@ def test_univariate_factorizations_match_expression_path(monkeypatch):
     for _ in range(200):
         u = random_univariate(rng)
         before = counting.calls
-        got = _uni_factorization(u)
+        got = monic_factors(_uni_factorization(u))
         assert got == reference_uni_factorization(u), u
         repeated += any(e > 1 for _, e in got)
         units += any(monic[0] for monic, _ in got)
@@ -373,7 +380,7 @@ def test_pure_powers_match_sympy(monkeypatch):
     for _ in range(160):
         u = random_power_restriction(rng)
         before = counting.calls
-        got = _uni_factorization(u)
+        got = monic_factors(_uni_factorization(u))
         assert got == reference_uni_factorization(u), u
         pure += counting.calls == before
         other += counting.calls > before
@@ -779,7 +786,10 @@ def reference_resolve(f):
     """``resolve_plane_curve`` as a loop that queues every point of a new
     divisor (except a simple root of one strict transform off the old
     axes), builds both charts of every strict transform, and tests each
-    popped point with ``reference_is_snc`` before it blows it up."""
+    popped point with ``reference_is_snc`` before it blows it up.  It
+    factors the cones with ``reference_uni_factorization`` and translates
+    in Fractions with ``reference_translate_v``, not with the resolver's
+    own functions."""
     f = curves.as_plane_curve(f)
     pieces = [(g, e) for g, e in f.multiplicands if e and any(any(exps) for exps, _ in g.terms)]
     merged = Counter()
@@ -817,7 +827,7 @@ def reference_resolve(f):
         chart1 = {j: curves._chart1(g, mults[j]) for j, g in stricts.items()}
         root_keys = {}
         for j, g in chart1.items():
-            for monic, exp in _uni_factorization({b: c for (a, b), c in g.items() if a == 0}):
+            for monic, exp in reference_uni_factorization({b: c for (a, b), c in g.items() if a == 0}):
                 root_keys.setdefault(monic, {})[j] = exp
         if v is not None:
             root_keys.setdefault((Fraction(0), Fraction(1)), {})
@@ -829,7 +839,7 @@ def reference_resolve(f):
                 cell_counts[("D", j), ("E", new_index)] += degree
             elif degree == 1:
                 tau = -monic[0]
-                child = {j: curves._translate_v(chart1[j], tau) for j in participants}
+                child = {j: reference_translate_v(chart1[j], tau) for j in participants}
                 worklist.append(((new_index, v if tau == 0 else None), child, f"E{new_index + 1} chart at t={tau}"))
             else:
                 raise DomainError(

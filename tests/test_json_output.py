@@ -2,9 +2,11 @@
 byte for byte, from one direct writer."""
 
 import argparse
+import enum
 import gc
 import json
 import math
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -65,6 +67,45 @@ def test_the_writer_matches_the_stdlib_indented_encoding(value):
 
 @pytest.mark.parametrize("value", [[], {}, (), [[]], {"a": {}}, [(), {}], "", 0, None])
 def test_empty_containers_and_bare_scalars(value):
+    assert write(value) == stdlib(value)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Text(str):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+# the writer takes a fast path for leaves of exactly int, str, bool and
+# None inside a container; subclasses and floats go the stdlib's way
+@pytest.mark.parametrize(
+    "value",
+    [
+        _Level.HIGH,
+        [_Level.LOW, {"a": _Level.HIGH}],
+        {_Level.HIGH: "b", _Level.LOW: "a"},
+        _Text("t"),
+        [_Text("t\n"), {"a": _Text("é")}],
+        {_Text("k"): 1},
+        OrderedDict([("b", [1]), ("a", {"c": None})]),
+        Counter("abracadabra"),
+        _Items([1, "x", None, _Items()]),
+        {"a": _Items([_Text("x"), _Level.LOW]), "b": OrderedDict()},
+        [True, False, None, [None], [True]],
+        {"a": True, "b": False, "c": None, "d": [False]},
+        [math.nan, math.inf, -math.inf, -0.0, 0.5],
+        {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0},
+    ],
+    ids=repr,
+)
+def test_subclasses_literals_and_special_floats(value):
     assert write(value) == stdlib(value)
 
 
