@@ -21,17 +21,20 @@ of Local Zeta Functions, 2000; Denef, Sem. Bourbaki 741, 1991):
   for the whole call, so every N(k) shares it.
 * h0 is k-weighted homogeneous at the first level, so it is evaluated at
   one point per weighted line through the origin (``_points``).
-* The count is N(1, ..., 1).  The order strata are the inclusion-exclusion
-  sums E(k) = sum over T of (-1)^|T| N(k + 1_T), visited upward from
-  (1, ..., 1) while N(k) != 0.
+* The count is N(1, ..., 1).  The order strata E(k) are read from the
+  initial forms f_k of f (``_strata``): k runs upward from (1, ..., 1)
+  while f_k has degree s <= m, a one-term f_k gives E(k) in closed form,
+  and any other E(k) is sum over T of (-1)^|T| N(k + 1_T).  The total of
+  a stratified count is the sum of its strata.
 
 Each singular lift lowers e by at least 1, so the recursion nests at most
 m - mu + 1 deep, mu the multiplicity of f.  The ``nodes`` of a count are
-the residues it evaluates: every residue of the used coordinates in each
-subproblem, one per weighted line (and the origin) at the first level,
-and none for a memo hit.  The node cap bounds them.  A naive full
-enumeration is kept alongside as an independent check for tiny
-instances.  Counts are exact integers.
+the residues its scans cover: every residue of the used coordinates in
+each subproblem, one per weighted line (and the origin) at the first
+level, whether evaluated or, for a one-term h0, counted in closed form,
+and none for a memo hit or a closed-form stratum.  The node cap bounds
+them.  A naive full enumeration is kept alongside as an independent
+check for tiny instances.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> t
 
 
 class _Budget:
-    """Residues evaluated against the cap, with a progress line every PROGRESS_EVERY."""
+    """Residues covered against the cap, with a progress line every PROGRESS_EVERY."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -147,6 +150,13 @@ def _partials(terms, d: int) -> list[list[tuple[int, tuple[int, ...]]]]:
     return [[(v * e[c], e[:c] + (e[c] - 1,) + e[c + 1 :]) for v, e in terms if e[c]] for c in range(d)]
 
 
+def _torus_roots(v: int, exps: Sequence[int], n: int, q: int) -> int:
+    """The y in (F_q^*)^n with v y^exps = 1: g (q - 1)^(n - 1) when v is a
+    g-th power, g = gcd(q - 1, exps), and none otherwise."""
+    g = gcd(q - 1, *exps)
+    return g * (q - 1) ** (n - 1) if pow(v, (q - 1) // g, q) == 1 else 0
+
+
 def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _Budget):
     """(ones, smooth, singular) over the residues b in F_q^u of h0's u coordinates.
 
@@ -160,8 +170,23 @@ def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _B
     of their points g times.  h0(lambda . p) = lambda^s h0(p), so a table of
     the lambda^s counts the multiples that hit 1.  With weights 0 (s = 0)
     every line is one point: the plain loop over all q^u residues.
+
+    A one-term h0 = v y^a (every a_c >= 1) is counted without a loop: its
+    roots of 1 lie on the torus, and a zero b is smooth when the a_c of its
+    zero coordinates sum to 1.  The budget is charged the residues the scan
+    covers either way.
     """
     u = len(weights)
+    budget.spend(1 + sum(gcd(w, q - 1) * q ** (u - i - 1) for i, w in enumerate(weights)))
+    if len(h0) == 1:
+        ((v, a),) = h0
+        if not e:
+            return _torus_roots(v, a, u, q), 0, set()
+        singular = set()
+        for zeros in itertools.product((False, True), repeat=u):
+            if sum(n for n, z in zip(a, zeros) if z) >= 2:
+                singular.update(itertools.product(*[(0,) if z else range(1, q) for z in zeros]))
+        return 0, (q - 1) ** (u - 1) * a.count(1), singular
     s = sum(map(operator.mul, weights, h0[0][1]))
     table = powers.get(s)
     if table is None:  # lambda^s -> how many lambda in F_q^* give it
@@ -173,7 +198,6 @@ def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _B
         g = gcd(w, q - 1)
         cosets = {pow(x, (q - 1) // g, q): x for x in range(q - 1, 0, -1)}
         groups.append((g, itertools.product(*[(0,)] * i, cosets.values(), *[range(q)] * (u - i - 1))))
-    budget.spend(1 + sum(gcd(w, q - 1) * q ** (u - i - 1) for i, w in enumerate(weights)))
     ones, smooth, singular = 0, 0, set()
     for g, reps in groups:
         hits = 0
@@ -262,27 +286,36 @@ def _at_least(terms, m: int, l: int, q: int, d: int, budget: _Budget):
     return at_least
 
 
-def _strata(at_least, d: int) -> dict[tuple[int, ...], int]:
-    """The nonzero E(k) = sum over T of (-1)^|T| N(k + 1_T), the jets whose
-    orders are exactly k, from k = (1, ..., 1) upward while N(k) != 0: N
-    only falls as k grows, so every other E(k) is 0."""
-    start = (1,) * d
+def _strata(terms, m: int, l: int, q: int, at_least) -> dict[tuple[int, ...], int]:
+    """The nonzero E(k), the number of jets whose orders are exactly k.
+
+    Such a jet has gamma_c = t^k_c (a_c + ...), a_c != 0 where k_c <= l, so
+    f(gamma) = f_k(a) t^s mod t^(s + 1), f_k the initial form: the terms of
+    least degree s = <k, p>.  The k with s <= m are a down-set of
+    [1, l + 1]^d; E(k) = 0 off it.  A one-term f_k has no zero on the torus,
+    so E(k) = 0 when s < m, and when s = m E(k) counts the roots of f_k = 1
+    on the torus times the free coefficients.  Any other E(k) is sum over T
+    of (-1)^|T| N(k + 1_T).
+    """
+    d = len(terms[0][1])
     cells: dict[tuple[int, ...], int] = {}
-    todo, seen = [start], {start}
-    while todo:
-        k = todo.pop()
-        if not at_least(k):
+    todo = [((1,) * d, 0)]
+    while todo:  # each k once: from k - 1_c, c the last coordinate with k_c > 1
+        k, low = todo.pop()
+        degrees = [sum(map(operator.mul, k, exps)) for _, exps in terms]
+        s = min(degrees)
+        if s > m or k[low] > l + 1:
             continue
-        steps = itertools.product((0, 1), repeat=d)
-        exact = sum((-1) ** sum(T) * at_least(tuple(map(operator.add, k, T))) for T in steps)
-        if exact:
-            cells[k] = exact
-        for c in range(d):
-            up = k[:c] + (k[c] + 1,) + k[c + 1 :]
-            if up not in seen:
-                seen.add(up)
-                todo.append(up)
-    return cells
+        initial = [term for term, j in zip(terms, degrees) if j == s]
+        if len(initial) > 1:
+            steps = itertools.product((0, 1), repeat=d)
+            cells[k] = sum((-1) ** sum(T) * at_least(tuple(map(operator.add, k, T))) for T in steps)
+        elif s == m:
+            ((v, e),) = initial
+            torus = [n for n in k if n <= l]
+            cells[k] = _torus_roots(v, e, len(torus), q) * q ** sum(l - n for n in torus)
+        todo += ((k[:c] + (k[c] + 1,) + k[c + 1 :], c) for c in range(low, d))
+    return {k: n for k, n in cells.items() if n}
 
 
 @dataclass(frozen=True)
@@ -294,9 +327,9 @@ class CountReport:
     total: int
     strata: tuple[tuple[tuple[int, ...], int], ...] = ()
     elapsed: float = 0.0
-    # residues evaluated: every residue of the used coordinates of each
+    # residues covered: every residue of the used coordinates of each
     # subproblem, one per weighted line at the first level, none for a memo
-    # hit; the node cap bounds them
+    # hit or a closed-form stratum; the node cap bounds them
     nodes: int = 0
 
     def to_json_dict(self) -> dict:
@@ -315,10 +348,9 @@ class CountReport:
 def _require_prime(q: int, cap: int) -> None:
     """Refuse a q above the cap as over budget, then a q that is not prime.
 
-    A count's first level alone builds a table of the q - 1 s-th powers in
-    F_q^*, and an enumeration visits at least q jets, so the first refusal
-    needs no primality test, and the trial division never runs past
-    sqrt(cap).
+    The scan of an h0 of two or more terms builds tables over F_q^*, and an
+    enumeration visits at least q jets, so the first refusal needs no
+    primality test, and the trial division never runs past sqrt(cap).
     """
     if q > cap:
         raise ResourceLimitError(f"enumeration budget exceeded (q = {q} > the cap {cap})")
@@ -356,9 +388,11 @@ def _count(f, m: int, l: int, q: int, node_cap: int | None, strata: bool) -> Cou
                 f"the jet recursion would nest {depth} = m - mu + 1 levels deep, past Python's recursion limit"
             )
         at_least = _at_least(terms, m, l, q, f.nvars, budget)
-        total = at_least((1,) * f.nvars)
-        if strata and total:
-            cells = _strata(at_least, f.nvars)
+        if strata:
+            cells = _strata(terms, m, l, q, at_least)
+            total = sum(cells.values())
+        else:
+            total = at_least((1,) * f.nvars)
     table = tuple(sorted(cells.items())) if strata else ()
     elapsed = time.perf_counter() - start
     return CountReport(f, m, l, q, total, table, elapsed, budget.nodes)
@@ -408,12 +442,13 @@ def stratified_count(
     """Contact count broken down by the vanishing orders of the coordinates.
 
     Orders are capped at l + 1 (the zero series).  The stratum of orders k
-    is E(k) = sum over T of (-1)^|T| N(k + 1_T), N(k) the count with least
-    orders k, taken for the k from (1, ..., 1) upward while N(k) != 0.  The
+    has a closed form when the initial form f_k is one term, and is
+    otherwise E(k) = sum over T of (-1)^|T| N(k + 1_T), N(k) the count with
+    least orders k (``_strata``); the total is the sum of the strata.  The
     N(k) share one memo, so ``nodes`` counts a subproblem's residues once
-    for the whole table, and the node cap applies to that sum.  The cap
-    bounds residues, not memory: the memo keeps the subproblems of every k
-    with N(k) != 0, about 320 MB for the cusp at m = 890, q = 3.
+    for the whole table, and the node cap applies to that sum; a
+    closed-form stratum charges nothing.  The cap bounds residues, not the
+    walk over k: the cusp at m = l = 890, q = 3 visits 528 511 k.
     """
     return _count(f, m, l, q, node_cap, strata=True)
 

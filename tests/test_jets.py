@@ -1,8 +1,11 @@
 import collections
+import importlib.util
 import itertools
 import math
+import operator
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,8 @@ from contactloci.jets import _eval_terms, _poly_mod_q, _ser_mul, _ser_pow
 from contactloci.polys import SparsePolynomial, parse_polynomial
 
 from conftest import closed_form_power_count
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_series_arithmetic():
@@ -138,14 +143,18 @@ def test_node_cap_enforced():
 
 
 def test_nodes_count_candidates_and_evaluated_prefixes():
-    # x*y at m = 3 over F_3: the first level evaluates the origin and one
+    # x*y at m = 3 over F_3: the first level covers the origin and one
     # point per line through it, (1, b) for the 3 values of b and (0, 1); the
-    # origin is singular, but its lift vanishes mod t^2.  The strata add
-    # N(1, 2): the origin, (1, b) and (0, r) for r in both square classes,
-    # as y has weight 2.  N(2, 1) has the same residual polynomial, a memo
-    # hit, and N(2, 2) has no term of t-degree <= 3
+    # origin is singular, but its lift vanishes mod t^2.  Every initial form
+    # of x*y is one term, so its strata are all closed-form and cover none
     assert contact_count("x*y", 3, 3, 3).nodes == 1 + 3 + 1
-    assert stratified_count("x*y", 3, 3, 3).nodes == 5 + (1 + 3 + 2)
+    assert stratified_count("x*y", 3, 3, 3).nodes == 0
+    # the cusp's strata at m = 6 run the recursion only at k = (3, 2), where
+    # x^2 and y^3 tie at s = m: N(3, 2) covers the origin, 3 coset
+    # representatives of x times the 13 values of y and 2 of y alone; N(4, 2)
+    # has h0 = y^3 of weight 2, N(3, 3) h0 = x^2 of weight 3, and N(4, 3) no
+    # term of t-degree <= 6
+    assert stratified_count("x^2+y^3", 6, 6, 13).nodes == (1 + 3 * 13 + 2) + (1 + 2) + (1 + 3)
     assert contact_count("x^2+y^3", 2, 2, 5).nodes == 2  # x^2: the origin and one line
     assert contact_count("x^2+y^3", 1, 3, 5).nodes == 0  # m below the multiplicity
 
@@ -369,6 +378,33 @@ def reference_strata(poly, m, l, q, prefixes=None):
     return tuple(sorted(strata.items()))
 
 
+def reference_walk(poly, m, l, q):
+    """(strata, nodes) by inclusion-exclusion over the program's N(k) at
+    every k with N(k) != 0, from (1, ..., 1) upward once N(1, ..., 1) is
+    counted.  It reads N(k) at many first-level weights, so its nodes pin
+    what each N(k) charges."""
+    d = poly.nvars
+    budget = jets._Budget(10**12)
+    at_least = jets._at_least(_poly_mod_q(poly, q), m, l, q, d, budget)
+    start = (1,) * d
+    cells = {}
+    todo, seen = ([start] if at_least(start) else []), {start}
+    while todo:
+        k = todo.pop()
+        if not at_least(k):
+            continue
+        steps = itertools.product((0, 1), repeat=d)
+        exact = sum((-1) ** sum(T) * at_least(tuple(map(operator.add, k, T))) for T in steps)
+        if exact:
+            cells[k] = exact
+        for c in range(d):
+            up = k[:c] + (k[c] + 1,) + k[c + 1 :]
+            if up not in seen:
+                seen.add(up)
+                todo.append(up)
+    return tuple(sorted(cells.items())), budget.nodes
+
+
 def _random_polynomial(rng, d):
     terms = {}
     for _ in range(rng.randint(1, 4)):
@@ -380,10 +416,25 @@ def _random_polynomial(rng, d):
     return SparsePolynomial.from_terms(d, terms) if terms else None
 
 
+def _stratum_classes(poly, m, l, q):
+    """How the strata read each k of [1, l + 1]^d with s(k) <= m: its initial
+    form has two or more terms (inclusion-exclusion), or one at s = m
+    (closed form), or one at s < m (no root on the torus, skipped)."""
+    terms = _poly_mod_q(poly, q)
+    classes = collections.Counter()
+    for k in itertools.product(range(1, l + 2), repeat=poly.nvars):
+        degrees = [sum(map(operator.mul, k, exps)) for _, exps in terms]
+        s = min(degrees, default=m + 1)
+        if s <= m:
+            classes["inclusion-exclusion" if degrees.count(s) > 1 else "closed form" if s == m else "skip"] += 1
+    return classes
+
+
 def test_walk_matches_reference_enumeration():
     rng = random.Random(20191121)
     cases = nonzero = naive_checked = 0
     seen = set()
+    classes = collections.Counter()
     while cases < 150:
         d = rng.choice((1, 2, 2, 3))
         q = rng.choice((2, 3, 5, 7))
@@ -403,7 +454,9 @@ def test_walk_matches_reference_enumeration():
         cases += 1
         nonzero += total > 0
         seen.add((d, q == 2, l > m))
+        classes += _stratum_classes(poly, m, l, q)
     assert nonzero >= 60 and naive_checked >= 20
+    assert classes["skip"] >= 100 and classes["closed form"] >= 100 and classes["inclusion-exclusion"] >= 10, classes
     assert {(3, False, True), (2, True, True), (3, True, False)} <= seen
 
 
@@ -455,8 +508,23 @@ def test_deep_walk_matches_reference_enumeration():
     assert nonzero >= 10
 
 
+# The strata run the recursion only where two terms tie in the initial form.
+STRATA_NODES = {
+    # every initial form is the one term 2*x*y
+    ("2*x*y - 4*x*y^3 + x^2*y^2", 11): 0,
+    ("2*x*y - 4*x*y^3 + x^2*y^2", 17): 0,
+    # x*y ties with x^3 at k = (1, 2) and (2, 4), with 2*y^4 at (3, 1); the
+    # N(k + 1_T) they read cover, at k + 1_T = (1, 2), (1, 3), (2, 2), (2, 4),
+    # (2, 5), (3, 1), (3, 2) and (4, 1), these residues
+    ("x*y + x^3 + 2*y^4", 5): 33 + 2 + 38 + 15 + 3 + 7 + 8 + 2,
+    ("x*y*z", 3): 0,
+    # N(3, 2), N(4, 2) and N(3, 3), as in test_nodes_count_candidates_and_evaluated_prefixes
+    ("x^2+y^3", 7): (1 + 3 * 7 + 2) + (1 + 2) + (1 + 3),
+}
+
+
 @pytest.mark.parametrize(
-    "text,m,q,count_nodes,strata_nodes",
+    "text,m,q,count_nodes,walk_nodes",
     [
         ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 11, 134, 293),
         ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 17, 308, 653),
@@ -465,16 +533,20 @@ def test_deep_walk_matches_reference_enumeration():
         ("x^2+y^3", 6, 7, 65, 90),
     ],
 )
-def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, strata_nodes):
-    # one node per residue evaluated; a memo hit evaluates none
+def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, walk_nodes):
+    # one node per residue covered; a memo hit covers none
     count, strata = contact_count(text, m, m, q), stratified_count(text, m, m, q)
-    assert (count.nodes, strata.nodes) == (count_nodes, strata_nodes)
+    walk_strata, nodes = reference_walk(parse_polynomial(text)[0], m, m, q)
+    assert (count.nodes, nodes, strata.nodes) == (count_nodes, walk_nodes, STRATA_NODES[text, q])
+    assert strata.strata == walk_strata
     assert count.total == strata.total == sum(n for _, n in strata.strata)
 
 
 @pytest.mark.parametrize("count", [contact_count, stratified_count])
 def test_node_cap_is_exact_on_settled_walks(count):
-    for text, m, q in (("x*y + x^3 + 2*y^4", 6, 5), ("x^2+y^3", 5, 13)):
+    # the cusp's strata at m = 5 are all closed-form and cover no residue;
+    # at m = 6 they run the recursion at k = (3, 2)
+    for text, m, q in (("x*y + x^3 + 2*y^4", 6, 5), ("x^2+y^3", 5 if count is contact_count else 6, 13)):
         nodes = count(text, m, m, q).nodes
         assert count(text, m, m, q, node_cap=nodes).nodes == nodes
         with pytest.raises(ResourceLimitError):
@@ -496,12 +568,25 @@ def test_cusp_at_m9_keeps_the_walks_total():
     assert contact_count("x^2+y^3", 9, 9, 7).total == 7626831723
 
 
+PAPER_GERM_NODES = {
+    # the strata tie x^2 and y^3 at k = (3, 2) and (6, 4).  N(3, 2) covers
+    # 1 + 3 * 7 + 2 residues at its first level and 7 + 7 + 7 + 49 in the
+    # lifts of the origin; N(3, 3), N(4, 2), N(6, 5) and N(7, 4) have a
+    # one-term h0 of weight w = 3, 2, 6 and 4 and cover 1 + gcd(w, 6) each;
+    # N(6, 4) is a memo hit of those lifts and N(7, 5) has no term
+    "x^2+y^3": (135, (1 + 3 * 7 + 2 + 70) + (1 + 3) + (1 + 2) + (1 + 6) + (1 + 2)),
+    # x^3 and y^4 tie at k = (4, 3) only, at s = m: N(4, 3) covers 1 + 4 * 13
+    # + 3, N(4, 4) has h0 = x^3 of weight 4, N(5, 3) h0 = y^4 of weight 3
+    "x^3+y^4": (223, (1 + 4 * 13 + 3) + (1 + 4) + (1 + 3)),
+}
+
+
 @pytest.mark.parametrize("text,m,q", [("x^2+y^3", 12, 7), ("x^3+y^4", 12, 13)])
 def test_paper_germs_count_at_m12(text, m, q):
     # past the 10^9 node cap of the depth-first walk
     count, strata = contact_count(text, m, m, q), stratified_count(text, m, m, q)
     assert count.total == strata.total == sum(n for _, n in strata.strata) > 0
-    assert count.nodes <= strata.nodes <= 500
+    assert (count.nodes, strata.nodes) == PAPER_GERM_NODES[text]
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +613,7 @@ def test_recursion_branches_match_the_reference(monkeypatch):
         seen["singular recursion"] += bool(singular)
         seen["free coordinate"] += len(weights) < case["d"]
         seen["first level, gcd(k_c, q - 1) > 1"] += any(w and math.gcd(w, q - 1) > 1 for w in weights)
+        seen["weighted-line scan"] += len(h0) > 1
         return ones, smooth, singular
 
     def recording_shift(h, b, e, q):
@@ -561,9 +647,14 @@ def test_recursion_branches_match_the_reference(monkeypatch):
         report = stratified_count(poly, m, l, q)
         assert (report.total, report.strata) == (total, strata), (poly.render(), m, l, q)
         assert contact_count(poly, m, l, q).total == total, (poly.render(), m, l, q)
+        # the strata read N(k) only where the initial form has two terms
+        at_least = jets._at_least(_poly_mod_q(poly, q), m, l, q, d, jets._Budget(10**9))
+        for k in itertools.product((1, 2, 3), repeat=d):
+            above = sum(n for orders, n in strata if all(map(operator.le, k, orders)))
+            assert at_least(k) == above, (poly.render(), m, l, q, k)
         seen["q = 2"] += q == 2
         cases += 1
-    assert min(seen.values()) >= 15 and len(seen) == 7, seen
+    assert min(seen.values()) >= 15 and len(seen) == 8, seen
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +665,10 @@ def test_recursion_branches_match_the_reference(monkeypatch):
     "count,text,m,q,total,nodes",
     [
         (contact_count, "x^2+y^3", 6, 19, 9832589129, 401),
-        (stratified_count, "x^2+y^3", 6, 13, 690233687, 234),
-        (stratified_count, "x^3+y^4", 7, 13, 0, 28),
+        # N(3, 2), N(4, 2) and N(3, 3): see test_nodes_count_candidates_and_evaluated_prefixes
+        (stratified_count, "x^2+y^3", 6, 13, 690233687, 49),
+        # x^3 and y^4 tie first at k = (4, 3), s = 12 > m: every stratum is one term
+        (stratified_count, "x^3+y^4", 7, 13, 0, 0),
     ],
 )
 def test_large_q_walks_keep_their_totals_and_nodes(count, text, m, q, total, nodes):
@@ -592,6 +685,71 @@ def test_large_q_evaluates_few_residues(count, text):
     q = 1009
     report = count(text, 3, 3, q)
     assert report.total == 2 * (q - 1) * q**3 and report.nodes <= 4 * q
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+def test_one_term_points_match_a_loop_over_every_residue():
+    rng = random.Random(20261021)
+    for _ in range(150):
+        q, u, e = rng.choice((2, 3, 5, 7, 11, 13)), rng.randint(1, 3), rng.choice((0, 1))
+        v, a = rng.randrange(1, q), tuple(rng.randint(1, 6) for _ in range(u))
+        weights = rng.choice(([0] * u, [rng.randint(1, 6) for _ in range(u)]))
+        budget = jets._Budget(10**9)
+        got = jets._points([(v, a)], weights, e, q, {}, budget)
+        ones = smooth = 0
+        singular = set()
+        for b in itertools.product(range(q), repeat=u):
+            value = v * math.prod(x**n for x, n in zip(b, a)) % q
+            if not e:
+                ones += value == 1
+            elif not value:
+                slopes = (n * math.prod(x ** (n - (i == c)) for i, x in enumerate(b)) for c, n in enumerate(a))
+                if any(slope % q for slope in slopes):
+                    smooth += 1
+                else:
+                    singular.add(b)
+        assert got == (ones, smooth, singular), (v, a, e, q)
+        # the weighted-line scan of the same h0, reached through a zero term
+        scan = jets._Budget(10**9)
+        assert jets._points([(v, a), (0, a)], weights, e, q, {}, scan) == got
+        assert budget.nodes == scan.nodes
+        if not any(weights):  # every residue is its own line
+            assert budget.nodes == q**u
+
+
+def test_large_levels_walk_only_the_orders_below_m():
+    # [1, l + 1]^2 holds 10^10 orders at l = 100000; the walk visits those
+    # with s(k) <= m, and x*y's strata are its two closed forms
+    q, l = 5, 100000
+    report = stratified_count("x*y", 3, l, q)
+    assert dict(report.strata) == {(1, 2): (q - 1) * q ** (2 * l - 3), (2, 1): (q - 1) * q ** (2 * l - 3)}
+    assert report.total == contact_count("x*y", 3, l, q).total
+    # ord y = 1 with y_1^3 = 1, one root as gcd(3, q - 1) = 1, at every ord x >= 2
+    l = 3000
+    report = stratified_count("x^2+y^3", 3, l, q)
+    assert len(report.strata) == l and report.total == q ** (2 * l - 2) == contact_count("x^2+y^3", 3, l, q).total
+
+
+def test_strata_totals_equal_the_counts_on_the_bench_oracle_jobs():
+    # a stratified total sums its strata, and a count is N(1, ..., 1): two
+    # paths, compared on every (germ, m, q) the benchmark's oracle workload
+    # counts at seeds 1 and 5
+    spec = importlib.util.spec_from_file_location("bench_jobs", BENCH / "jobs.py")
+    bench_jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_jobs)
+    calls = {
+        (call[1].removeprefix("--poly="), int(call[3]), int(call[5]))
+        for seed in (1, 5)
+        for job in bench_jobs.generate("oracle", seed)
+        for call in job["calls"]
+        if call[0] == "oracle-count"
+    }
+    assert len(calls) >= 300
+    for text, m, q in calls:
+        assert stratified_count(text, m, m, q).total == contact_count(text, m, m, q).total, (text, m, q)
 
 
 def test_shallow_walk_at_large_q_stays_small():
