@@ -17,10 +17,12 @@ of Local Zeta Functions, 2000; Denef, Sem. Bourbaki 741, 1991):
   (Hensel), and a singular zero counts q^(d s' - u) R(h', e - s'), where
   h' is h with y_c = b_c + t y_c on the used coordinates, truncated at
   t^e and divided by its common t^s'.  A constant h0 counts q^d when
-  e = 0 and h0 = 1, and nothing otherwise.  R is memoised on (h mod q, e)
-  for the whole call, so every N(k) shares it.
+  e = 0 and h0 = 1, and nothing otherwise.  R is memoised for the whole
+  call on (h mod q, e, the first-level weights k, zeros below the first
+  level), so every N(k) shares it.
 * h0 is k-weighted homogeneous at the first level, so it is evaluated at
-  one point per weighted line through the origin (``_points``).
+  one point per weighted line through the origin (``_points``); a
+  one-term h0 is counted in closed form.
 * The count is N(1, ..., 1).  The order strata E(k) are read from the
   initial forms f_k of f (``_strata``): k runs upward from (1, ..., 1)
   while f_k has degree s <= m, a one-term f_k gives E(k) in closed form,
@@ -29,12 +31,12 @@ of Local Zeta Functions, 2000; Denef, Sem. Bourbaki 741, 1991):
 
 Each singular lift lowers e by at least 1, so the recursion nests at most
 m - mu + 1 deep, mu the multiplicity of f.  The ``nodes`` of a count are
-the residues its scans cover: every residue of the used coordinates in
-each subproblem, one per weighted line (and the origin) at the first
-level, whether evaluated or, for a one-term h0, counted in closed form,
-and none for a memo hit or a closed-form stratum.  The node cap bounds
-them.  A naive full enumeration is kept alongside as an independent
-check for tiny instances.  Counts are exact integers.
+the residues its scans evaluate: a closed form and a memo hit evaluate
+none, and as the memo key holds all that sets a scan, the total does not
+depend on the order in which the N(k) are read.  The node cap bounds
+them, and a scan past it is refused before it runs.  A naive full
+enumeration is kept alongside as an independent check for tiny
+instances.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> t
 
 
 class _Budget:
-    """Residues covered against the cap, with a progress line every PROGRESS_EVERY."""
+    """Residues evaluated against the cap, with a progress line every PROGRESS_EVERY."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -173,11 +175,9 @@ def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _B
 
     A one-term h0 = v y^a (every a_c >= 1) is counted without a loop: its
     roots of 1 lie on the torus, and a zero b is smooth when the a_c of its
-    zero coordinates sum to 1.  The budget is charged the residues the scan
-    covers either way.
+    zero coordinates sum to 1.  Only the scan charges the budget.
     """
     u = len(weights)
-    budget.spend(1 + sum(gcd(w, q - 1) * q ** (u - i - 1) for i, w in enumerate(weights)))
     if len(h0) == 1:
         ((v, a),) = h0
         if not e:
@@ -187,6 +187,7 @@ def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _B
             if sum(n for n, z in zip(a, zeros) if z) >= 2:
                 singular.update(itertools.product(*[(0,) if z else range(1, q) for z in zeros]))
         return 0, (q - 1) ** (u - 1) * a.count(1), singular
+    budget.spend(1 + sum(gcd(w, q - 1) * q ** (u - i - 1) for i, w in enumerate(weights)))
     s = sum(map(operator.mul, weights, h0[0][1]))
     table = powers.get(s)
     if table is None:  # lambda^s -> how many lambda in F_q^* give it
@@ -239,14 +240,14 @@ def _shift(h: dict, b: Sequence[int | None], e: int, q: int):
 
 
 def _at_least(terms, m: int, l: int, q: int, d: int, budget: _Budget):
-    """N(k) as a function of the least orders k, through R (see the module
-    docstring); both are memoised."""
+    """N(k) as a function of the least orders k, through the memoised R
+    (see the module docstring)."""
     memo: dict = {}
     powers: dict[int, collections.Counter] = {}
     zero = (0,) * d
 
-    def residual(h: dict, e: int, k: Sequence[int]) -> int:
-        key = (frozenset(h.items()), e)
+    def residual(h: dict, e: int, k: tuple[int, ...]) -> int:
+        key = (frozenset(h.items()), e, k)
         total = memo.get(key)
         if total is not None:
             return total
@@ -270,18 +271,14 @@ def _at_least(terms, m: int, l: int, q: int, d: int, budget: _Budget):
         memo[key] = total
         return total
 
-    counts: dict[tuple[int, ...], int] = {}
-
     def at_least(k: tuple[int, ...]) -> int:
-        if k not in counts:
-            kept = [(sum(map(operator.mul, k, exps)), v, exps) for v, exps in terms]
-            kept = [(j, v, exps) for j, v, exps in kept if j <= m]
-            counts[k] = 0
-            if kept and max(k) <= l + 1:
-                s = min(j for j, _, _ in kept)
-                value = residual({(j - s, exps): v for j, v, exps in kept}, m - s, k)
-                counts[k] = value * q ** (d * (l + 1) - sum(k)) // q ** (d * (m - s + 1))
-        return counts[k]
+        kept = [(sum(map(operator.mul, k, exps)), v, exps) for v, exps in terms]
+        kept = [(j, v, exps) for j, v, exps in kept if j <= m]
+        if not kept or max(k) > l + 1:
+            return 0
+        s = min(j for j, _, _ in kept)
+        value = residual({(j - s, exps): v for j, v, exps in kept}, m - s, k)
+        return value * q ** (d * (l + 1) - sum(k)) // q ** (d * (m - s + 1))
 
     return at_least
 
@@ -327,9 +324,7 @@ class CountReport:
     total: int
     strata: tuple[tuple[tuple[int, ...], int], ...] = ()
     elapsed: float = 0.0
-    # residues covered: every residue of the used coordinates of each
-    # subproblem, one per weighted line at the first level, none for a memo
-    # hit or a closed-form stratum; the node cap bounds them
+    # residues evaluated by the scans (see the module docstring)
     nodes: int = 0
 
     def to_json_dict(self) -> dict:
@@ -348,9 +343,8 @@ class CountReport:
 def _require_prime(q: int, cap: int) -> None:
     """Refuse a q above the cap as over budget, then a q that is not prime.
 
-    The scan of an h0 of two or more terms builds tables over F_q^*, and an
-    enumeration visits at least q jets, so the first refusal needs no
-    primality test, and the trial division never runs past sqrt(cap).
+    The cap bounds q as well as the residues, so the trial division never
+    runs past sqrt(cap).
     """
     if q > cap:
         raise ResourceLimitError(f"enumeration budget exceeded (q = {q} > the cap {cap})")
@@ -426,7 +420,7 @@ def naive_contact_count(f: SparsePolynomial | str, m: int, l: int, q: int) -> in
         coords = []
         for i in range(d):
             coords.append((0,) + flat[i * l : (i + 1) * l])
-        if _eval_terms(terms, [c[: m + 1] + (0,) * max(0, m + 1 - len(c)) for c in coords], m, q) == target:
+        if _eval_terms(terms, [c[: m + 1] for c in coords], m, q) == target:
             count += 1
     return count
 
@@ -445,10 +439,9 @@ def stratified_count(
     has a closed form when the initial form f_k is one term, and is
     otherwise E(k) = sum over T of (-1)^|T| N(k + 1_T), N(k) the count with
     least orders k (``_strata``); the total is the sum of the strata.  The
-    N(k) share one memo, so ``nodes`` counts a subproblem's residues once
-    for the whole table, and the node cap applies to that sum; a
-    closed-form stratum charges nothing.  The cap bounds residues, not the
-    walk over k: the cusp at m = l = 890, q = 3 visits 528 511 k.
+    N(k) share one memo, so ``nodes`` counts each scan once for the whole
+    table.  The cap bounds evaluated residues, not the walk over k: the
+    cusp at m = l = 890, q = 3 visits 528 511 k.
     """
     return _count(f, m, l, q, node_cap, strata=True)
 

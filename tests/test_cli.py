@@ -468,6 +468,15 @@ def test_exceeded_node_cap_is_an_input_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
 
+def test_node_cap_passes_a_count_in_closed_form(capsys):
+    # x*y's h0 is one term at every level, so the count evaluates no residue
+    code, out, _ = run(
+        capsys, "oracle-count", "--poly", "x*y", "--m", "5", "--q", "1009",
+        "--node-cap", "1000000", "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["nodes"] == 0
+
+
 def _positive_options():
     """(command, option) for every --m, --q, --level, --scale and --node-cap option."""
     from contactloci.cli import build_parser

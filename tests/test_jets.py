@@ -143,19 +143,17 @@ def test_node_cap_enforced():
 
 
 def test_nodes_count_candidates_and_evaluated_prefixes():
-    # x*y at m = 3 over F_3: the first level covers the origin and one
-    # point per line through it, (1, b) for the 3 values of b and (0, 1); the
-    # origin is singular, but its lift vanishes mod t^2.  Every initial form
-    # of x*y is one term, so its strata are all closed-form and cover none
-    assert contact_count("x*y", 3, 3, 3).nodes == 1 + 3 + 1
+    # x*y at m = 3 over F_3: its h0 is the one term x*y, counted in closed
+    # form; the origin is singular, but its lift vanishes mod t^2.  Every
+    # initial form of x*y is one term, so its strata evaluate no residue either
+    assert contact_count("x*y", 3, 3, 3).nodes == 0
     assert stratified_count("x*y", 3, 3, 3).nodes == 0
     # the cusp's strata at m = 6 run the recursion only at k = (3, 2), where
-    # x^2 and y^3 tie at s = m: N(3, 2) covers the origin, 3 coset
+    # x^2 and y^3 tie at s = m: N(3, 2) evaluates the origin, 3 coset
     # representatives of x times the 13 values of y and 2 of y alone; N(4, 2)
-    # has h0 = y^3 of weight 2, N(3, 3) h0 = x^2 of weight 3, and N(4, 3) no
-    # term of t-degree <= 6
-    assert stratified_count("x^2+y^3", 6, 6, 13).nodes == (1 + 3 * 13 + 2) + (1 + 2) + (1 + 3)
-    assert contact_count("x^2+y^3", 2, 2, 5).nodes == 2  # x^2: the origin and one line
+    # and N(3, 3) have a one-term h0, and N(4, 3) no term of t-degree <= 6
+    assert stratified_count("x^2+y^3", 6, 6, 13).nodes == 1 + 3 * 13 + 2
+    assert contact_count("x^2+y^3", 2, 2, 5).nodes == 0  # h0 = x^2, one term
     assert contact_count("x^2+y^3", 1, 3, 5).nodes == 0  # m below the multiplicity
 
 
@@ -508,33 +506,39 @@ def test_deep_walk_matches_reference_enumeration():
     assert nonzero >= 10
 
 
-# The strata run the recursion only where two terms tie in the initial form.
+# The strata run the recursion only where two terms tie in the initial
+# form, and a scan is charged only where h0 has two terms.
 STRATA_NODES = {
     # every initial form is the one term 2*x*y
     ("2*x*y - 4*x*y^3 + x^2*y^2", 11): 0,
     ("2*x*y - 4*x*y^3 + x^2*y^2", 17): 0,
-    # x*y ties with x^3 at k = (1, 2) and (2, 4), with 2*y^4 at (3, 1); the
-    # N(k + 1_T) they read cover, at k + 1_T = (1, 2), (1, 3), (2, 2), (2, 4),
-    # (2, 5), (3, 1), (3, 2) and (4, 1), these residues
-    ("x*y + x^3 + 2*y^4", 5): 33 + 2 + 38 + 15 + 3 + 7 + 8 + 2,
+    # x*y ties with x^3 at k = (1, 2) and (2, 4), with 2*y^4 at (3, 1); only
+    # N(1, 2), N(2, 4) and N(3, 1) meet a two-term h0, at their first level:
+    # 1 + gcd(k_x, 4) * 5 + gcd(k_y, 4) residues each
+    ("x*y + x^3 + 2*y^4", 5): (1 + 5 + 2) + (1 + 10 + 4) + (1 + 5 + 1),
     ("x*y*z", 3): 0,
-    # N(3, 2), N(4, 2) and N(3, 3), as in test_nodes_count_candidates_and_evaluated_prefixes
-    ("x^2+y^3", 7): (1 + 3 * 7 + 2) + (1 + 2) + (1 + 3),
+    # N(3, 2), as in test_nodes_count_candidates_and_evaluated_prefixes
+    ("x^2+y^3", 7): 1 + 3 * 7 + 2,
 }
 
 
+# count_nodes: h0 stays the one term 2*x*y, x*y or x*y*z through every lift
+# of the first three germs, and the cusp's lifts of the origin reach
+# x^2 + y^3 at e = 0, whose scan evaluates all 7^2 residues.  walk_nodes:
+# the strata's scans and N(1, 1)'s; for x*y + x^3 + 2*y^4 also N(1, 4),
+# whose lift of x = 0 reaches x^3 + x*y at e = 0, all 5^2 residues.
 @pytest.mark.parametrize(
     "text,m,q,count_nodes,walk_nodes",
     [
-        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 11, 134, 293),
-        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 17, 308, 653),
-        ("x*y + x^3 + 2*y^4", 6, 5, 57, 176),
-        ("x*y*z", 5, 3, 68, 101),
-        ("x^2+y^3", 6, 7, 65, 90),
+        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 11, 0, 0),
+        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 17, 0, 0),
+        ("x*y + x^3 + 2*y^4", 6, 5, 0, 30 + 5**2),
+        ("x*y*z", 5, 3, 0, 0),
+        ("x^2+y^3", 6, 7, 7**2, 24 + 7**2),
     ],
 )
 def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, walk_nodes):
-    # one node per residue covered; a memo hit covers none
+    # one node per residue evaluated; a memo hit and a closed form evaluate none
     count, strata = contact_count(text, m, m, q), stratified_count(text, m, m, q)
     walk_strata, nodes = reference_walk(parse_polynomial(text)[0], m, m, q)
     assert (count.nodes, nodes, strata.nodes) == (count_nodes, walk_nodes, STRATA_NODES[text, q])
@@ -544,12 +548,13 @@ def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, walk_nodes):
 
 @pytest.mark.parametrize("count", [contact_count, stratified_count])
 def test_node_cap_is_exact_on_settled_walks(count):
-    # the cusp's strata at m = 5 are all closed-form and cover no residue;
-    # at m = 6 they run the recursion at k = (3, 2)
-    for text, m, q in (("x*y + x^3 + 2*y^4", 6, 5), ("x^2+y^3", 5 if count is contact_count else 6, 13)):
+    # germs that scan a two-term h0 in both counts, over more than q
+    # residues, so a cap of nodes - 1 >= q is refused by a scan
+    for text, m, q in (("x^2+y^2", 3, 5), ("x^2+y^3", 6, 13)):
         nodes = count(text, m, m, q).nodes
+        assert nodes > q
         assert count(text, m, m, q, node_cap=nodes).nodes == nodes
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="residues"):
             count(text, m, m, q, node_cap=nodes - 1)
 
 
@@ -569,15 +574,15 @@ def test_cusp_at_m9_keeps_the_walks_total():
 
 
 PAPER_GERM_NODES = {
-    # the strata tie x^2 and y^3 at k = (3, 2) and (6, 4).  N(3, 2) covers
-    # 1 + 3 * 7 + 2 residues at its first level and 7 + 7 + 7 + 49 in the
-    # lifts of the origin; N(3, 3), N(4, 2), N(6, 5) and N(7, 4) have a
-    # one-term h0 of weight w = 3, 2, 6 and 4 and cover 1 + gcd(w, 6) each;
-    # N(6, 4) is a memo hit of those lifts and N(7, 5) has no term
-    "x^2+y^3": (135, (1 + 3 * 7 + 2 + 70) + (1 + 3) + (1 + 2) + (1 + 6) + (1 + 2)),
-    # x^3 and y^4 tie at k = (4, 3) only, at s = m: N(4, 3) covers 1 + 4 * 13
-    # + 3, N(4, 4) has h0 = x^3 of weight 4, N(5, 3) h0 = y^4 of weight 3
-    "x^3+y^4": (223, (1 + 4 * 13 + 3) + (1 + 4) + (1 + 3)),
+    # the count's lifts of the origin reach x^2 + y^3 at e = 6 and again at
+    # e = 0, 7^2 residues each.  The strata tie x^2 and y^3 at k = (3, 2) and
+    # (6, 4): N(3, 2) evaluates 1 + 3 * 7 + 2 residues at its first level and
+    # 7^2 at e = 0 in the lifts of the origin, N(6, 4) 1 + 6 * 7 + 2 at its
+    # first level; every other N(k) they read has a one-term h0 or no term
+    "x^2+y^3": (2 * 7**2, (1 + 3 * 7 + 2) + 7**2 + (1 + 6 * 7 + 2)),
+    # the count's lifts reach x^3 + y^4 at e = 0, all 13^2 residues; x^3 and
+    # y^4 tie at k = (4, 3) only, at s = m: N(4, 3) evaluates 1 + 4 * 13 + 3
+    "x^3+y^4": (13**2, 1 + 4 * 13 + 3),
 }
 
 
@@ -664,9 +669,10 @@ def test_recursion_branches_match_the_reference(monkeypatch):
 @pytest.mark.parametrize(
     "count,text,m,q,total,nodes",
     [
-        (contact_count, "x^2+y^3", 6, 19, 9832589129, 401),
-        # N(3, 2), N(4, 2) and N(3, 3): see test_nodes_count_candidates_and_evaluated_prefixes
-        (stratified_count, "x^2+y^3", 6, 13, 690233687, 49),
+        # the lifts of the origin reach x^2 + y^3 at e = 0: all 19^2 residues
+        (contact_count, "x^2+y^3", 6, 19, 9832589129, 19**2),
+        # N(3, 2): see test_nodes_count_candidates_and_evaluated_prefixes
+        (stratified_count, "x^2+y^3", 6, 13, 690233687, 1 + 3 * 13 + 2),
         # x^3 and y^4 tie first at k = (4, 3), s = 12 > m: every stratum is one term
         (stratified_count, "x^3+y^4", 7, 13, 0, 0),
     ],
@@ -687,15 +693,46 @@ def test_large_q_evaluates_few_residues(count, text):
     assert report.total == 2 * (q - 1) * q**3 and report.nodes <= 4 * q
 
 
+def test_closed_forms_pass_any_cap_above_q():
+    # every h0 of x*y is one term, so its count evaluates no residue; a
+    # scan of its first level would cover 1 + 1009 + 1 residues per lift
+    q = 1009
+    report = contact_count("x*y", 5, 5, q, node_cap=10**6)
+    assert (report.total, report.nodes) == (4 * (q - 1) * q**5, 0)
+
+
+def test_nodes_do_not_depend_on_the_order_of_the_reads():
+    # N(3, 2) and N(6, 4) of the cusp both reach x^2 + y^3 at e = 0: as an
+    # inner scan at weights 0 and as N(6, 4)'s first level at weights (6, 4)
+    terms = _poly_mod_q(parse_polynomial("x^2+y^3")[0], 7)
+    charged = []
+    for order in (((3, 2), (6, 4)), ((6, 4), (3, 2))):
+        budget = jets._Budget(10**9)
+        at_least = jets._at_least(terms, 12, 12, 7, 2, budget)
+        for k in order:
+            at_least(k)
+        charged.append(budget.nodes)
+    assert charged == [(1 + 3 * 7 + 2) + 7**2 + (1 + 6 * 7 + 2)] * 2
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def test_one_term_points_match_a_loop_over_every_residue():
+def test_one_term_points_match_a_loop_over_every_residue(monkeypatch):
+    evaluate, evaluated = jets._value, []
+
+    def recording_value(terms, b, q):
+        if terms is twin:  # h0 itself, not one of its partials
+            evaluated.append(b)
+        return evaluate(terms, b, q)
+
+    monkeypatch.setattr(jets, "_value", recording_value)
     rng = random.Random(20261021)
     for _ in range(150):
         q, u, e = rng.choice((2, 3, 5, 7, 11, 13)), rng.randint(1, 3), rng.choice((0, 1))
         v, a = rng.randrange(1, q), tuple(rng.randint(1, 6) for _ in range(u))
+        twin, evaluated = [(v, a), (0, a)], []
         weights = rng.choice(([0] * u, [rng.randint(1, 6) for _ in range(u)]))
         budget = jets._Budget(10**9)
         got = jets._points([(v, a)], weights, e, q, {}, budget)
@@ -712,12 +749,13 @@ def test_one_term_points_match_a_loop_over_every_residue():
                 else:
                     singular.add(b)
         assert got == (ones, smooth, singular), (v, a, e, q)
-        # the weighted-line scan of the same h0, reached through a zero term
+        # the weighted-line scan of the same h0, reached through a zero
+        # term, is charged the points it evaluates; the closed form nothing
         scan = jets._Budget(10**9)
-        assert jets._points([(v, a), (0, a)], weights, e, q, {}, scan) == got
-        assert budget.nodes == scan.nodes
+        assert jets._points(twin, weights, e, q, {}, scan) == got
+        assert (budget.nodes, scan.nodes) == (0, len(evaluated))
         if not any(weights):  # every residue is its own line
-            assert budget.nodes == q**u
+            assert scan.nodes == q**u
 
 
 def test_large_levels_walk_only_the_orders_below_m():

@@ -38,15 +38,15 @@ def test_traced_counters_read_the_returned_objects(capsys):
         assert main(["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata"]) == 0
     capsys.readouterr()
     counts = {k: v for k, v in tracing.summarize(tracer.spans).items() if not k.endswith("_s")}
-    # every initial form of x*y is one term, so its strata are closed-form
-    # and cover no residue
+    # every h0 and every initial form of x*y is one term, so its counts and
+    # strata are closed-form and evaluate no residue
     assert counts == {
         "curves.blowups": 1,
         "separation.subdivisions": 2,
         "weights.exc_divisors": 3,
         "weights.weight_sum": 11,
         "spectral.page_entries": 2,
-        "jets.count_nodes": 21,
+        "jets.count_nodes": 0,
         "jets.fits": 1,
         "jets.fits_conclusive": 1,
         "jets.strata_nodes": 0,
