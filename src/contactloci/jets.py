@@ -18,8 +18,9 @@ of Local Zeta Functions, 2000; Denef, Sem. Bourbaki 741, 1991):
   h' is h with y_c = b_c + t y_c on the used coordinates, truncated at
   t^e and divided by its common t^s'.  A constant h0 counts q^d when
   e = 0 and h0 = 1, and nothing otherwise.  R is memoised for the whole
-  call on (h mod q, e, the first-level weights k, zeros below the first
-  level), so every N(k) shares it.
+  call on h mod q, e and, when h0 has two or more terms, the weights of
+  its coordinates (k at the first level, zeros below it), so every N(k)
+  shares it.
 * h0 is k-weighted homogeneous at the first level, so it is evaluated at
   one point per weighted line through the origin (``_points``); a
   one-term h0 is counted in closed form.
@@ -31,12 +32,13 @@ of Local Zeta Functions, 2000; Denef, Sem. Bourbaki 741, 1991):
 
 Each singular lift lowers e by at least 1, so the recursion nests at most
 m - mu + 1 deep, mu the multiplicity of f.  The ``nodes`` of a count are
-the residues its scans evaluate: a closed form and a memo hit evaluate
-none, and as the memo key holds all that sets a scan, the total does not
-depend on the order in which the N(k) are read.  The node cap bounds
-them, and a scan past it is refused before it runs.  A naive full
-enumeration is kept alongside as an independent check for tiny
-instances.  Counts are exact integers.
+the residues ``_points`` takes one by one: those its scans evaluate, and
+the singular zeros a one-term h0 lists for their lifts.  A closed-form
+count and a memo hit take none, and as the memo key holds all that sets
+a charge, the total does not depend on the order in which the N(k) are
+read.  The node cap bounds them, and a charge past it is refused before
+its residues are taken.  A naive full enumeration is kept alongside as
+an independent check for tiny instances.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> t
 
 
 class _Budget:
-    """Residues evaluated against the cap, with a progress line every PROGRESS_EVERY."""
+    """Residues taken against the cap, with a progress line every PROGRESS_EVERY."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -175,17 +177,18 @@ def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _B
 
     A one-term h0 = v y^a (every a_c >= 1) is counted without a loop: its
     roots of 1 lie on the torus, and a zero b is smooth when the a_c of its
-    zero coordinates sum to 1.  Only the scan charges the budget.
+    zero coordinates sum to 1.  The budget is charged the singular zeros
+    listed, or the residues the scan evaluates.
     """
     u = len(weights)
     if len(h0) == 1:
         ((v, a),) = h0
         if not e:
             return _torus_roots(v, a, u, q), 0, set()
-        singular = set()
-        for zeros in itertools.product((False, True), repeat=u):
-            if sum(n for n, z in zip(a, zeros) if z) >= 2:
-                singular.update(itertools.product(*[(0,) if z else range(1, q) for z in zeros]))
+        patterns = itertools.product((False, True), repeat=u)
+        patterns = [zeros for zeros in patterns if sum(n for n, z in zip(a, zeros) if z) >= 2]
+        budget.spend(sum((q - 1) ** zeros.count(False) for zeros in patterns))
+        singular = {b for zeros in patterns for b in itertools.product(*[(0,) if z else range(1, q) for z in zeros])}
         return 0, (q - 1) ** (u - 1) * a.count(1), singular
     budget.spend(1 + sum(gcd(w, q - 1) * q ** (u - i - 1) for i, w in enumerate(weights)))
     s = sum(map(operator.mul, weights, h0[0][1]))
@@ -247,18 +250,19 @@ def _at_least(terms, m: int, l: int, q: int, d: int, budget: _Budget):
     zero = (0,) * d
 
     def residual(h: dict, e: int, k: tuple[int, ...]) -> int:
-        key = (frozenset(h.items()), e, k)
+        h0 = [(v, exps) for (j, exps), v in h.items() if not j]
+        used = sorted({c for _, exps in h0 for c, n in enumerate(exps) if n})
+        weights = tuple(k[c] for c in used)
+        key = (frozenset(h.items()), e, weights if len(h0) > 1 else ())
         total = memo.get(key)
         if total is not None:
             return total
-        h0 = [(v, exps) for (j, exps), v in h.items() if not j]
-        used = sorted({c for _, exps in h0 for c, n in enumerate(exps) if n})
         if not used:  # h0 is a nonzero constant
             total = q**d if e == 0 and h0[0][0] == 1 else 0
         else:
             h0 = [(v, tuple(exps[c] for c in used)) for v, exps in h0]
             u = len(used)
-            ones, smooth, singular = _points(h0, [k[c] for c in used], e, q, powers, budget)
+            ones, smooth, singular = _points(h0, weights, e, q, powers, budget)
             total = q ** (d - u) * (ones if not e else smooth * q ** ((d - 1) * e))
             point: list[int | None] = [None] * d
             for b in singular:
@@ -324,7 +328,7 @@ class CountReport:
     total: int
     strata: tuple[tuple[tuple[int, ...], int], ...] = ()
     elapsed: float = 0.0
-    # residues evaluated by the scans (see the module docstring)
+    # residues taken one by one (see the module docstring)
     nodes: int = 0
 
     def to_json_dict(self) -> dict:
@@ -439,9 +443,9 @@ def stratified_count(
     has a closed form when the initial form f_k is one term, and is
     otherwise E(k) = sum over T of (-1)^|T| N(k + 1_T), N(k) the count with
     least orders k (``_strata``); the total is the sum of the strata.  The
-    N(k) share one memo, so ``nodes`` counts each scan once for the whole
-    table.  The cap bounds evaluated residues, not the walk over k: the
-    cusp at m = l = 890, q = 3 visits 528 511 k.
+    N(k) share one memo, so ``nodes`` charges each subproblem once for the
+    whole table.  The cap bounds the residues taken, not the walk over k:
+    the cusp at m = l = 890, q = 3 visits 528 511 k.
     """
     return _count(f, m, l, q, node_cap, strata=True)
 

@@ -469,12 +469,14 @@ def test_exceeded_node_cap_is_an_input_error(capsys):
 
 
 def test_node_cap_passes_a_count_in_closed_form(capsys):
-    # x*y's h0 is one term at every level, so the count evaluates no residue
+    # x*y's h0 is one term at every level, so the count lists only the
+    # singular origin, at e = 3 and at e = 1: 2 nodes, where a scan of the
+    # first level would take 1 + 1009 + 1 residues per lift
     code, out, _ = run(
         capsys, "oracle-count", "--poly", "x*y", "--m", "5", "--q", "1009",
         "--node-cap", "1000000", "--format", "json",
     )
-    assert code == 0 and json.loads(out)["nodes"] == 0
+    assert code == 0 and json.loads(out)["nodes"] == 2
 
 
 def _positive_options():

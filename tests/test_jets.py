@@ -144,9 +144,10 @@ def test_node_cap_enforced():
 
 def test_nodes_count_candidates_and_evaluated_prefixes():
     # x*y at m = 3 over F_3: its h0 is the one term x*y, counted in closed
-    # form; the origin is singular, but its lift vanishes mod t^2.  Every
-    # initial form of x*y is one term, so its strata evaluate no residue either
-    assert contact_count("x*y", 3, 3, 3).nodes == 0
+    # form; the origin is its one singular zero, listed for a lift that
+    # vanishes mod t^2.  Every initial form of x*y is one term, so its
+    # strata take no residue
+    assert contact_count("x*y", 3, 3, 3).nodes == 1
     assert stratified_count("x*y", 3, 3, 3).nodes == 0
     # the cusp's strata at m = 6 run the recursion only at k = (3, 2), where
     # x^2 and y^3 tie at s = m: N(3, 2) evaluates the origin, 3 coset
@@ -507,15 +508,18 @@ def test_deep_walk_matches_reference_enumeration():
 
 
 # The strata run the recursion only where two terms tie in the initial
-# form, and a scan is charged only where h0 has two terms.
+# form.  A scan of a two-term h0 is charged the residues it evaluates, and
+# a one-term h0 at e > 0 the singular zeros it lists: only the origin for
+# one coordinate or for x*y, 3 (q - 1) + 1 for x*y*z.
 STRATA_NODES = {
     # every initial form is the one term 2*x*y
     ("2*x*y - 4*x*y^3 + x^2*y^2", 11): 0,
     ("2*x*y - 4*x*y^3 + x^2*y^2", 17): 0,
     # x*y ties with x^3 at k = (1, 2) and (2, 4), with 2*y^4 at (3, 1); only
     # N(1, 2), N(2, 4) and N(3, 1) meet a two-term h0, at their first level:
-    # 1 + gcd(k_x, 4) * 5 + gcd(k_y, 4) residues each
-    ("x*y + x^3 + 2*y^4", 5): (1 + 5 + 2) + (1 + 10 + 4) + (1 + 5 + 1),
+    # 1 + gcd(k_x, 4) * 5 + gcd(k_y, 4) residues each.  The origin is listed
+    # by N(1, 2)'s lift, N(1, 3), N(2, 2), N(3, 2) and N(4, 1)
+    ("x*y + x^3 + 2*y^4", 5): (1 + 5 + 2) + (1 + 10 + 4) + (1 + 5 + 1) + 5,
     ("x*y*z", 3): 0,
     # N(3, 2), as in test_nodes_count_candidates_and_evaluated_prefixes
     ("x^2+y^3", 7): 1 + 3 * 7 + 2,
@@ -523,22 +527,31 @@ STRATA_NODES = {
 
 
 # count_nodes: h0 stays the one term 2*x*y, x*y or x*y*z through every lift
-# of the first three germs, and the cusp's lifts of the origin reach
-# x^2 + y^3 at e = 0, whose scan evaluates all 7^2 residues.  walk_nodes:
-# the strata's scans and N(1, 1)'s; for x*y + x^3 + 2*y^4 also N(1, 4),
-# whose lift of x = 0 reaches x^3 + x*y at e = 0, all 5^2 residues.
+# of the first three germs, listing the origin at e = 3 and 1, at e = 4 and
+# 2, and x*y*z's 3 * 2 + 1 singular zeros at e = 2.  The cusp lists the
+# origin of x^2 at e = 4, y^3 at e = 3 and x^2 at e = 2, and its lifts
+# reach x^2 + y^3 at e = 0, whose scan evaluates all 7^2 residues.
+# walk_nodes: the strata's scans and N(1, 1)'s, plus what the N(k) the
+# strata do not read list.  First germ: N(1, 2) and N(2, 1), at e = 2 with
+# two h, the origin each.  x*y + x^3 + 2*y^4: N(1, 4)'s lift of x = 0
+# reaches x^3 + x*y at e = 0, all 5^2 residues, and the origin is listed 11
+# times (twice in N(1, 1) and N(2, 1), once in N(1, 2) to N(1, 6), N(4, 1)
+# and N(5, 1)).  x*y*z: h = x*y*z at e = 1, shared by the three N(k) with
+# sum(k) = 4, lists 7 more.  The cusp: N(1, 2), N(3, 1) and N(4, 1) list the
+# origin once each and N(1, 3) twice.
 @pytest.mark.parametrize(
     "text,m,q,count_nodes,walk_nodes",
     [
-        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 11, 0, 0),
-        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 17, 0, 0),
-        ("x*y + x^3 + 2*y^4", 6, 5, 0, 30 + 5**2),
-        ("x*y*z", 5, 3, 0, 0),
-        ("x^2+y^3", 6, 7, 7**2, 24 + 7**2),
+        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 11, 2, 2 + 2),
+        ("2*x*y - 4*x*y^3 + x^2*y^2", 5, 17, 2, 2 + 2),
+        ("x*y + x^3 + 2*y^4", 6, 5, 2, 30 + 5**2 + 11),
+        ("x*y*z", 5, 3, 7, 7 + 7),
+        ("x^2+y^3", 6, 7, 3 + 7**2, 24 + 3 + 7**2 + 5),
     ],
 )
 def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, walk_nodes):
-    # one node per residue evaluated; a memo hit and a closed form evaluate none
+    # one node per residue evaluated or singular zero listed; a memo hit and
+    # a closed-form count take none
     count, strata = contact_count(text, m, m, q), stratified_count(text, m, m, q)
     walk_strata, nodes = reference_walk(parse_polynomial(text)[0], m, m, q)
     assert (count.nodes, nodes, strata.nodes) == (count_nodes, walk_nodes, STRATA_NODES[text, q])
@@ -549,7 +562,8 @@ def test_deep_walk_nodes_are_pinned(text, m, q, count_nodes, walk_nodes):
 @pytest.mark.parametrize("count", [contact_count, stratified_count])
 def test_node_cap_is_exact_on_settled_walks(count):
     # germs that scan a two-term h0 in both counts, over more than q
-    # residues, so a cap of nodes - 1 >= q is refused by a scan
+    # residues, so a cap of nodes - 1 >= q is refused before the last
+    # residues are taken
     for text, m, q in (("x^2+y^2", 3, 5), ("x^2+y^3", 6, 13)):
         nodes = count(text, m, m, q).nodes
         assert nodes > q
@@ -575,14 +589,19 @@ def test_cusp_at_m9_keeps_the_walks_total():
 
 PAPER_GERM_NODES = {
     # the count's lifts of the origin reach x^2 + y^3 at e = 6 and again at
-    # e = 0, 7^2 residues each.  The strata tie x^2 and y^3 at k = (3, 2) and
-    # (6, 4): N(3, 2) evaluates 1 + 3 * 7 + 2 residues at its first level and
-    # 7^2 at e = 0 in the lifts of the origin, N(6, 4) 1 + 6 * 7 + 2 at its
-    # first level; every other N(k) they read has a one-term h0 or no term
-    "x^2+y^3": (2 * 7**2, (1 + 3 * 7 + 2) + 7**2 + (1 + 6 * 7 + 2)),
-    # the count's lifts reach x^3 + y^4 at e = 0, all 13^2 residues; x^3 and
-    # y^4 tie at k = (4, 3) only, at s = m: N(4, 3) evaluates 1 + 4 * 13 + 3
-    "x^3+y^4": (13**2, 1 + 4 * 13 + 3),
+    # e = 0, 7^2 residues each, and list the origin of x^2, y^3, x^2 above
+    # each: e = 10, 9, 8 and 4, 3, 2.  The strata tie x^2 and y^3 at k =
+    # (3, 2) and (6, 4): N(3, 2) evaluates 1 + 3 * 7 + 2 residues at its
+    # first level, 7^2 at e = 0 in the lifts of the origin and lists the
+    # origin at e = 4, 3, 2 on the way; N(6, 4) evaluates 1 + 6 * 7 + 2 at
+    # its first level; N(3, 3) and N(4, 2) list the origin of x^2 and y^3 at
+    # e = 6; every other N(k) they read has no term
+    "x^2+y^3": (2 * 7**2 + 6, (1 + 3 * 7 + 2) + 7**2 + 3 + (1 + 6 * 7 + 2) + 2),
+    # the count's lifts reach x^3 + y^4 at e = 0, all 13^2 residues, listing
+    # the origin of x^3, y^4, x^3, y^4, x^3 at e = 9, 8, 6, 4, 3 on the way;
+    # x^3 and y^4 tie at k = (4, 3) only, at s = m: N(4, 3) evaluates
+    # 1 + 4 * 13 + 3
+    "x^3+y^4": (13**2 + 5, 1 + 4 * 13 + 3),
 }
 
 
@@ -669,8 +688,9 @@ def test_recursion_branches_match_the_reference(monkeypatch):
 @pytest.mark.parametrize(
     "count,text,m,q,total,nodes",
     [
-        # the lifts of the origin reach x^2 + y^3 at e = 0: all 19^2 residues
-        (contact_count, "x^2+y^3", 6, 19, 9832589129, 19**2),
+        # the lifts of the origin reach x^2 + y^3 at e = 0, all 19^2
+        # residues, after listing the origin of x^2, y^3, x^2 at e = 4, 3, 2
+        (contact_count, "x^2+y^3", 6, 19, 9832589129, 19**2 + 3),
         # N(3, 2): see test_nodes_count_candidates_and_evaluated_prefixes
         (stratified_count, "x^2+y^3", 6, 13, 690233687, 1 + 3 * 13 + 2),
         # x^3 and y^4 tie first at k = (4, 3), s = 12 > m: every stratum is one term
@@ -694,16 +714,28 @@ def test_large_q_evaluates_few_residues(count, text):
 
 
 def test_closed_forms_pass_any_cap_above_q():
-    # every h0 of x*y is one term, so its count evaluates no residue; a
-    # scan of its first level would cover 1 + 1009 + 1 residues per lift
+    # every h0 of x*y is one term, so its count lists only the singular
+    # origin, at e = 3 and at e = 1; a scan of its first level would take
+    # 1 + 1009 + 1 residues per lift
     q = 1009
     report = contact_count("x*y", 5, 5, q, node_cap=10**6)
-    assert (report.total, report.nodes) == (4 * (q - 1) * q**5, 0)
+    assert (report.total, report.nodes) == (4 * (q - 1) * q**5, 2)
+
+
+def test_listed_singular_zeros_are_charged_before_they_are_built():
+    # h0 = x^2*y*z at e = 1 has (q - 1)^2 singular zeros with x = 0 alone,
+    # 3 (q - 1) with two zero coordinates and the origin: past the cap
+    q = 1009
+    with pytest.raises(ResourceLimitError, match=f"{(q - 1) ** 2 + 3 * (q - 1) + 1} > 1000000 residues"):
+        contact_count("x^2*y*z", 5, 5, q, node_cap=10**6)
+    # over F_5 they are 16 + 12 + 1, each lifted to a shift that vanishes
+    assert contact_count("x^2*y*z", 5, 5, 5).nodes == 16 + 12 + 1
 
 
 def test_nodes_do_not_depend_on_the_order_of_the_reads():
     # N(3, 2) and N(6, 4) of the cusp both reach x^2 + y^3 at e = 0: as an
-    # inner scan at weights 0 and as N(6, 4)'s first level at weights (6, 4)
+    # inner scan at weights 0 and as N(6, 4)'s first level at weights (6, 4);
+    # N(3, 2)'s lifts list the origin of x^2, y^3, x^2 at e = 4, 3, 2
     terms = _poly_mod_q(parse_polynomial("x^2+y^3")[0], 7)
     charged = []
     for order in (((3, 2), (6, 4)), ((6, 4), (3, 2))):
@@ -712,7 +744,7 @@ def test_nodes_do_not_depend_on_the_order_of_the_reads():
         for k in order:
             at_least(k)
         charged.append(budget.nodes)
-    assert charged == [(1 + 3 * 7 + 2) + 7**2 + (1 + 6 * 7 + 2)] * 2
+    assert charged == [(1 + 3 * 7 + 2) + 7**2 + 3 + (1 + 6 * 7 + 2)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -750,10 +782,11 @@ def test_one_term_points_match_a_loop_over_every_residue(monkeypatch):
                     singular.add(b)
         assert got == (ones, smooth, singular), (v, a, e, q)
         # the weighted-line scan of the same h0, reached through a zero
-        # term, is charged the points it evaluates; the closed form nothing
+        # term, is charged the points it evaluates; the closed form the
+        # singular zeros it lists
         scan = jets._Budget(10**9)
         assert jets._points(twin, weights, e, q, {}, scan) == got
-        assert (budget.nodes, scan.nodes) == (0, len(evaluated))
+        assert (budget.nodes, scan.nodes) == (len(singular), len(evaluated))
         if not any(weights):  # every residue is its own line
             assert scan.nodes == q**u
 

@@ -39,14 +39,15 @@ def test_traced_counters_read_the_returned_objects(capsys):
     capsys.readouterr()
     counts = {k: v for k, v in tracing.summarize(tracer.spans).items() if not k.endswith("_s")}
     # every h0 and every initial form of x*y is one term, so its counts and
-    # strata are closed-form and evaluate no residue
+    # strata are closed-form: each count at m = 3 lists only the singular
+    # origin of x*y at e = 1, one node per prime, and the strata none
     assert counts == {
         "curves.blowups": 1,
         "separation.subdivisions": 2,
         "weights.exc_divisors": 3,
         "weights.weight_sum": 11,
         "spectral.page_entries": 2,
-        "jets.count_nodes": 0,
+        "jets.count_nodes": 3,
         "jets.fits": 1,
         "jets.fits_conclusive": 1,
         "jets.strata_nodes": 0,
