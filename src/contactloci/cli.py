@@ -218,15 +218,6 @@ def _write_json(value, out: list, indent: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, data: dict, table: str) -> None:
-    if args.format == "json":
-        out = []
-        _write_json(data, out, "\n")
-        print("".join(out))
-    else:
-        print(table)
-
-
 def _hc_table(hc) -> str:
     lines = []
     for s in hc.statuses:
@@ -264,24 +255,22 @@ def _config_table(cfg: SncConfiguration) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns (JSON data, text table, exit
+# code) and prints nothing; ``main`` writes the one the --format asks for
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     cfg, _, _ = _load_input(args)
     issues = validate_configuration(cfg)
     data = {"valid": not issues, "issues": [str(i) for i in issues]}
     table = "valid" if not issues else "\n".join(str(i) for i in issues)
-    _emit(args, data, table)
-    return 0 if not issues else 1
+    return data, table, 0 if not issues else 1
 
 
-def _cmd_resolve(args) -> int:
+def _cmd_resolve(args):
     poly = _load_poly(args)
     if poly.nvars == 1:
         cfg = resolve_univariate(poly)
-        data = {"configuration": cfg.to_json_dict(), "blowups": []}
-        _emit(args, data, _config_table(cfg))
-        return 0
+        return {"configuration": cfg.to_json_dict(), "blowups": []}, _config_table(cfg), 0
     cfg, log = resolve_plane_curve(poly)
     data = {
         "configuration": cfg.to_json_dict(),
@@ -298,30 +287,25 @@ def _cmd_resolve(args) -> int:
             for rec in log.blowups
         ],
     }
-    table = _config_table(cfg) + f"\n{len(log.blowups)} blowup(s)"
-    _emit(args, data, table)
-    return 0
+    return data, _config_table(cfg) + f"\n{len(log.blowups)} blowup(s)", 0
 
 
-def _cmd_separate(args) -> int:
+def _cmd_separate(args):
     cfg, _, _ = _load_input(args)
     sep, records = separate(cfg, args.m)
     data = {
         "configuration": sep.to_json_dict(),
         "subdivisions": [r.to_json_dict() for r in records],
     }
-    table = _config_table(sep) + f"\n{len(records)} subdivision(s)"
-    _emit(args, data, table)
-    return 0
+    return data, _config_table(sep) + f"\n{len(records)} subdivision(s)", 0
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args):
     _, sep, _, w, _ = _prepare_pipeline(args, args.m)
     data = {"weights": w.to_json_dict(), "note": AMPLE_NOTE}
     labels = {d.id: d.label for d in sep.divisors}
     table = "\n".join(f"w[{labels[i]}] = {value}" for i, value in w.entries)
-    _emit(args, data, table + f"\n({AMPLE_NOTE})")
-    return 0
+    return data, table + f"\n({AMPLE_NOTE})", 0
 
 
 def _page(args):
@@ -330,15 +314,14 @@ def _page(args):
     return sep, e1_page(sep, w, args.m)
 
 
-def _cmd_e1(args) -> int:
+def _cmd_e1(args):
     sep, page = _page(args)
     data = {"page": page.to_json_dict(), "euler": page.euler_characteristic()}
     table = render_page_table(page, sep) + f"\neuler characteristic: {page.euler_characteristic()}"
-    _emit(args, data, table)
-    return 0
+    return data, table, 0
 
 
-def _cmd_hc(args) -> int:
+def _cmd_hc(args):
     _, page = _page(args)
     hc = degeneration_analysis(page)
     data = {"hc": hc.to_json_dict()}
@@ -350,42 +333,37 @@ def _cmd_hc(args) -> int:
             f"\ngap analysis (scale {gap['scale']}): rational ranks "
             f"{gap['rational_ranks']} [{gap['note']}]"
         )
-    _emit(args, data, table)
-    return 0
+    return data, table, 0
 
 
-def _cmd_mclean(args) -> int:
+def _cmd_mclean(args):
     sep, page = _page(args)
     page = mclean_relabel(page)
     data = {"page": page.to_json_dict(), "total_shift": page.total_shift}
     table = render_page_table(page, sep) + f"\ntotal degree shift: {page.total_shift}"
-    _emit(args, data, table)
-    return 0
+    return data, table, 0
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args):
     cfg, _, _ = _load_input(args)
     zeta = zeta_factorization(cfg)
-    _emit(args, {"zeta": zeta.to_json_dict(), "rendered": zeta.render()}, zeta.render())
-    return 0
+    return {"zeta": zeta.to_json_dict(), "rendered": zeta.render()}, zeta.render(), 0
 
 
-def _cmd_lefschetz(args) -> int:
+def _cmd_lefschetz(args):
     cfg, _, _ = _load_input(args)
     value = lefschetz_number(cfg, args.m)
-    _emit(args, {"m": args.m, "lefschetz": value}, f"Lambda(phi^{args.m}) = {value}")
-    return 0
+    return {"m": args.m, "lefschetz": value}, f"Lambda(phi^{args.m}) = {value}", 0
 
 
-def _cmd_check_euler(args) -> int:
+def _cmd_check_euler(args):
     cfg, sep, _, w, _ = _prepare_pipeline(args, args.m)
     check = cross_check_euler(sep, w, args.m, lefschetz_cfg=cfg)
     verdict = "PASS" if check.passed else "FAIL"
     table = (
         f"page euler = {check.page_euler}, lefschetz = {check.lefschetz}: {verdict}"
     )
-    _emit(args, check.to_json_dict(), table)
-    return 0 if check.passed else 1
+    return check.to_json_dict(), table, 0 if check.passed else 1
 
 
 def _pool(args) -> list[int]:
@@ -408,7 +386,7 @@ def _oracle_fit(args, poly: SparsePolynomial, level: int, expected_dim: int | No
     return counts, interpolate_chi(counts, expected_dim)
 
 
-def _cmd_oracle_count(args) -> int:
+def _cmd_oracle_count(args):
     poly = _load_poly(args)
     level = args.level or args.m
     if args.strata:
@@ -418,11 +396,10 @@ def _cmd_oracle_count(args) -> int:
     table = f"count = {report.total} (m={args.m}, level={level}, q={args.q})"
     for orders, n in report.strata:
         table += f"\n  ord {tuple(orders)}: {n}"
-    _emit(args, report.to_json_dict(), table)
-    return 0
+    return report.to_json_dict(), table, 0
 
 
-def _cmd_oracle_chi(args) -> int:
+def _cmd_oracle_chi(args):
     counts, fit = _oracle_fit(args, _load_poly(args), args.level or args.m, args.expected_dim)
     if args.csv:
         export_counts_csv(args.csv, counts)
@@ -435,11 +412,10 @@ def _cmd_oracle_chi(args) -> int:
     table = "\n".join([f"q={q}: {n}" for q, n in counts])
     table += f"\nfit: {fit.render()}"
     table += f"\nchi estimate at q=1: {fit.chi}" if passed else f"\n{fit.message}"
-    _emit(args, data, table)
-    return 0 if passed else 1
+    return data, table, 0 if passed else 1
 
 
-def _cmd_verify_fibration(args) -> int:
+def _cmd_verify_fibration(args):
     report = verify_chart_fibration(
         args.m, args.level, args.q, args.d, args.nu, node_cap=args.node_cap
     )
@@ -448,11 +424,10 @@ def _cmd_verify_fibration(args) -> int:
         f"fibers over {report.n_images} images: histogram {dict(report.fiber_histogram)}, "
         f"expected {report.expected_fiber}: {verdict}"
     )
-    _emit(args, report.to_json_dict(), table)
-    return 0 if report.passed else 1
+    return report.to_json_dict(), table, 0 if report.passed else 1
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     m = args.m
     poly = _load_poly(args) if args.config is None else None
     cfg, sep, records, w, desc = _prepare_pipeline(args, m, poly)
@@ -515,8 +490,7 @@ def _cmd_report(args) -> int:
         "oracle": oracle,
         "verdict": verdict,
     }
-    _emit(args, data, "\n".join(table))
-    return 0 if passed else 1
+    return data, "\n".join(table), 0 if passed else 1
 
 
 @functools.cache
@@ -613,7 +587,12 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     try:
-        code = args.func(args)
+        data, table, code = args.func(args)
+        if args.format == "json":
+            out = []
+            _write_json(data, out, "\n")
+            table = "".join(out)
+        print(table)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -43,7 +43,6 @@ an independent check for tiny instances.  Counts are exact integers.
 
 from __future__ import annotations
 
-import collections
 import csv
 import itertools
 import logging
@@ -122,10 +121,11 @@ def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> t
 
 
 class _Budget:
-    """Residues taken against the cap, with a progress line every PROGRESS_EVERY."""
+    """Residues taken against the cap (DEFAULT_NODE_CAP when it is None),
+    with a progress line every PROGRESS_EVERY."""
 
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self, cap: int | None):
+        self.cap = DEFAULT_NODE_CAP if cap is None else cap
         self.nodes = 0
         self._next_report = PROGRESS_EVERY
 
@@ -161,7 +161,7 @@ def _torus_roots(v: int, exps: Sequence[int], n: int, q: int) -> int:
     return g * (q - 1) ** (n - 1) if pow(v, (q - 1) // g, q) == 1 else 0
 
 
-def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _Budget):
+def _points(h0, weights: Sequence[int], e: int, q: int, budget: _Budget):
     """(ones, smooth, singular) over the residues b in F_q^u of h0's u coordinates.
 
     ones counts the b with h0(b) = 1 (only when e = 0); otherwise smooth
@@ -171,9 +171,11 @@ def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _B
     the first nonzero coordinate c runs over coset representatives of the
     w_c-th powers in F_q^*, of index g = gcd(w_c, q - 1), and the later ones
     run free, so the q - 1 multiples of the representatives of c cover each
-    of their points g times.  h0(lambda . p) = lambda^s h0(p), so a table of
-    the lambda^s counts the multiples that hit 1.  With weights 0 (s = 0)
-    every line is one point: the plain loop over all q^u residues.
+    of their points g times.  h0(lambda . p) = lambda^s h0(p), so the
+    multiples of p that hit 1 are the roots of lambda^s v = 1, v = h0(p): r of
+    them when v is an r-th power, r = gcd(s, q - 1), and none otherwise (as
+    in ``_torus_roots``).  With weights 0 (s = 0) every line is one point:
+    the plain loop over all q^u residues.
 
     A one-term h0 = v y^a (every a_c >= 1) is counted without a loop: its
     roots of 1 lie on the torus, and a zero b is smooth when the a_c of its
@@ -191,10 +193,8 @@ def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _B
         singular = {b for zeros in patterns for b in itertools.product(*[(0,) if z else range(1, q) for z in zeros])}
         return 0, (q - 1) ** (u - 1) * a.count(1), singular
     budget.spend(1 + sum(gcd(w, q - 1) * q ** (u - i - 1) for i, w in enumerate(weights)))
-    s = sum(map(operator.mul, weights, h0[0][1]))
-    table = powers.get(s)
-    if table is None:  # lambda^s -> how many lambda in F_q^* give it
-        table = powers[s] = collections.Counter(pow(lam, s, q) for lam in range(1, q))
+    r = gcd(sum(map(operator.mul, weights, h0[0][1])), q - 1)
+    order = (q - 1) // r  # v is an r-th power when v^order = 1
     slopes = _partials(h0, u) if e else ()
     scales = [[pow(lam, w, q) for w in weights] for lam in range(1, q)] if any(weights) else [[1] * u]
     groups = [(q - 1, [(0,) * u])]  # the origin is its own multiple
@@ -208,14 +208,14 @@ def _points(h0, weights: Sequence[int], e: int, q: int, powers: dict, budget: _B
         for p in reps:
             v = _value(h0, p, q)
             if not e:
-                hits += table[pow(v, -1, q)] if v else 0
+                hits += pow(v, order, q) == 1
             elif v:
                 continue
             elif any(_value(dc, p, q) for dc in slopes):
                 smooth += (q - 1) // g
             else:  # its distinct multiples
                 singular.update(tuple(x * y % q for x, y in zip(scale, p)) for scale in scales)
-        ones += hits // g
+        ones += hits * r // g
     return ones, smooth, singular
 
 
@@ -246,7 +246,6 @@ def _at_least(terms, m: int, l: int, q: int, d: int, budget: _Budget):
     """N(k) as a function of the least orders k, through the memoised R
     (see the module docstring)."""
     memo: dict = {}
-    powers: dict[int, collections.Counter] = {}
     zero = (0,) * d
 
     def residual(h: dict, e: int, k: tuple[int, ...]) -> int:
@@ -262,7 +261,7 @@ def _at_least(terms, m: int, l: int, q: int, d: int, budget: _Budget):
         else:
             h0 = [(v, tuple(exps[c] for c in used)) for v, exps in h0]
             u = len(used)
-            ones, smooth, singular = _points(h0, weights, e, q, powers, budget)
+            ones, smooth, singular = _points(h0, weights, e, q, budget)
             total = q ** (d - u) * (ones if not e else smooth * q ** ((d - 1) * e))
             point: list[int | None] = [None] * d
             for b in singular:
@@ -374,7 +373,7 @@ def _prepare(f, m, l, q, cap):
 
 def _count(f, m: int, l: int, q: int, node_cap: int | None, strata: bool) -> CountReport:
     start = time.perf_counter()
-    budget = _Budget(DEFAULT_NODE_CAP if node_cap is None else node_cap)
+    budget = _Budget(node_cap)
     f, terms = _prepare(f, m, l, q, budget.cap)
     total, cells = 0, {}
     if terms is not None:
@@ -648,7 +647,7 @@ def verify_chart_fibration(
         raise DomainError("need 2 <= nu <= d")
     if l < m or m < 0:
         raise DomainError("need l >= m >= 0")
-    cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
+    cap = _Budget(node_cap).cap
     _require_prime(q, cap)
     e = (d - 1) * (l + 1) + l - m
     # q >= 2, so there are at least 2^e source jets: refuse before forming q^e

@@ -91,6 +91,8 @@ class SparsePolynomial:
                     f"{what}: key 'terms' needs [exponent list, coefficient] pairs, not {term!r}"
                 )
             exps, coeff = term
+            if tuple(exps) in terms:
+                raise DomainError(f"{what}: key 'terms' names the exponents {exps} twice")
             try:
                 terms[tuple(exps)] = Fraction(str(coeff))
             except (ValueError, ZeroDivisionError):

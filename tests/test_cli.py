@@ -553,6 +553,7 @@ ERROR_INPUTS = {
     "fifth.json": {"nvars": 2, "terms": [[[2, 0], "1/5"], [[0, 3], "1"]]},
     "three.json": {"nvars": 2, "terms": [[[2, 0, 1], "1"]]},
     "negative.json": {"nvars": 2, "terms": [[[-1, 2], "1"]]},
+    "twice.json": {"nvars": 2, "terms": [[[2, 0], "1"], [[0, 3], "1"], [[2, 0], "5"]]},
     "solid.json": {
         "ambient_dim": 3,
         "divisors": [{"id": 0, "label": "E", "mult": 2, "disc": 2}],
@@ -579,6 +580,10 @@ ERROR_INPUTS = {
         (["resolve", "--poly-json", "negative.json"], "negative exponent in (-1, 2)"),
         (["verify-fibration", "--m", "3", "--level", "2", "--q", "3"], "need l >= m >= 0"),
         (["e1", "--config", "solid.json", "--m", "2"], "divisor 0: supply cover_betti for ambient_dim >= 3"),
+        (
+            ["oracle-count", "--poly-json", "twice.json", "--m", "2", "--q", "5"],
+            "polynomial: key 'terms' names the exponents [2, 0] twice",
+        ),
     ],
 )
 def test_refusals_are_one_line_errors(tmp_path, monkeypatch, capsys, argv, message):
@@ -1159,7 +1164,12 @@ def test_main_parses_as_the_full_parser_does(capsys, argv):
 
     def record(args):
         parsed.append(vars(args))
-        return 0
+        return {}, "{}", 0  # prints as {} in either format
+
+    def parse_and_print():
+        _, table, code = record(build_parser().parse_args(argv))
+        print(table)
+        return code
 
     def outcome(parse):
         try:
@@ -1174,7 +1184,7 @@ def test_main_parses_as_the_full_parser_does(capsys, argv):
     try:
         for p in commands.values():
             p.set_defaults(func=record)
-        direct = outcome(lambda: record(build_parser().parse_args(argv)))
+        direct = outcome(parse_and_print)
         assert outcome(lambda: main(argv)) == direct
     finally:
         for name, p in commands.items():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter, deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from contactloci.curves import (
 from contactloci.errors import DomainError
 from contactloci.model import Divisor, IntersectionCell, SncConfiguration, validate_configuration
 from contactloci.polys import SparsePolynomial, parse_polynomial
+from contactloci.separation import separate
 
 from conftest import PRODUCT_EXAMPLES, random_product_text
 
@@ -355,6 +357,49 @@ def test_univariate_factorizations_match_expression_path(monkeypatch):
     assert min(repeated, units, by_inspection, by_sympy) >= 50, (repeated, units, by_inspection, by_sympy)
     with pytest.raises(DomainError):
         _uni_factorization({})
+
+
+def identity_violations(cfg: SncConfiguration) -> list[tuple[str, int, int]]:
+    """The exceptional E_i whose m_i, nu_i and E_i^2 break one of
+    m_i E_i^2 + sum c m_j = 0 (E_i . div(f o pi) = 0) or
+    nu_i E_i^2 + sum c (nu_j - 1) = -2 (adjunction, K = sum (nu_j - 1) E_j
+    over the exceptional E_j), as (label, m side, nu side); the sums run
+    over the cells at E_i, c the cell's count."""
+    bad = []
+    for d in cfg.divisors:
+        if not d.exceptional:
+            continue
+        partners = [(c.count, cfg.divisor(j)) for c in cfg.cells_containing(d.id) for j in c.ids if j != d.id]
+        m_side = d.mult * d.self_int + sum(c * e.mult for c, e in partners)
+        nu_side = d.disc * d.self_int + sum(c * (e.disc - 1) for c, e in partners if e.exceptional)
+        if (m_side, nu_side) != (0, -2):
+            bad.append((d.label, m_side, nu_side))
+    return bad
+
+
+def test_resolved_and_separated_germs_satisfy_the_resolution_identities():
+    rng = random.Random(20261020)
+    configurations = []
+    blowups = repeated = subdivisions = 0
+    for _ in range(100):
+        cfg, log = resolve_plane_curve(random_germ(rng))
+        blowups += len(log.blowups)
+        repeated += len(log.blowups) > 1
+        configurations.append(cfg)
+        for m in (3, 7):
+            sep, records = separate(cfg, m)
+            subdivisions += len(records)
+            configurations.append(sep)
+    assert blowups >= 150 and repeated >= 40 and subdivisions >= 700, (blowups, repeated, subdivisions)
+    for cfg in configurations:
+        assert not identity_violations(cfg), cfg.to_json_dict()
+    # a unit error in m or nu on any exceptional divisor breaks an identity
+    for cfg in configurations[::10]:
+        for d in cfg.divisors:
+            if d.exceptional:
+                for bump in ({"mult": d.mult + 1}, {"disc": d.disc + 1}):
+                    mutant = [replace(e, **bump) if e is d else e for e in cfg.divisors]
+                    assert identity_violations(replace(cfg, divisors=mutant)), (d.label, bump)
 
 
 def random_power_restriction(rng):

@@ -630,8 +630,8 @@ def test_recursion_branches_match_the_reference(monkeypatch):
     seen = collections.Counter()
     case = {}
 
-    def recording_points(h0, weights, e, q, powers, budget):
-        ones, smooth, singular = points(h0, weights, e, q, powers, budget)
+    def recording_points(h0, weights, e, q, budget):
+        ones, smooth, singular = points(h0, weights, e, q, budget)
         seen["e = 0 leaf"] += not e
         seen["Hensel leaf"] += smooth > 0
         seen["singular recursion"] += bool(singular)
@@ -767,7 +767,7 @@ def test_one_term_points_match_a_loop_over_every_residue(monkeypatch):
         twin, evaluated = [(v, a), (0, a)], []
         weights = rng.choice(([0] * u, [rng.randint(1, 6) for _ in range(u)]))
         budget = jets._Budget(10**9)
-        got = jets._points([(v, a)], weights, e, q, {}, budget)
+        got = jets._points([(v, a)], weights, e, q, budget)
         ones = smooth = 0
         singular = set()
         for b in itertools.product(range(q), repeat=u):
@@ -785,7 +785,7 @@ def test_one_term_points_match_a_loop_over_every_residue(monkeypatch):
         # term, is charged the points it evaluates; the closed form the
         # singular zeros it lists
         scan = jets._Budget(10**9)
-        assert jets._points(twin, weights, e, q, {}, scan) == got
+        assert jets._points(twin, weights, e, q, scan) == got
         assert (budget.nodes, scan.nodes) == (len(singular), len(evaluated))
         if not any(weights):  # every residue is its own line
             assert scan.nodes == q**u

@@ -1,7 +1,6 @@
 """The JSON writer behind ``--format json``: the stdlib's indented text,
 byte for byte, from one direct writer."""
 
-import argparse
 import enum
 import gc
 import json
@@ -156,14 +155,16 @@ def test_the_calls_cover_every_subcommand():
 
 @pytest.mark.parametrize("argv", _JSON_CALLS, ids=[argv[0] for argv in _JSON_CALLS])
 def test_every_subcommand_prints_the_stdlib_encoding(monkeypatch, capsys, argv):
+    # main hands each result to the writer once, at the outermost indent
     emitted = []
-    emit = cli._emit
+    write_json = cli._write_json
 
-    def recording_emit(args, data, table):
-        emitted.append(data)
-        emit(args, data, table)
+    def recording_write_json(value, out, indent):
+        if indent == "\n":
+            emitted.append(value)
+        write_json(value, out, indent)
 
-    monkeypatch.setattr(cli, "_emit", recording_emit)
+    monkeypatch.setattr(cli, "_write_json", recording_write_json)
     code = cli.main([*argv, "--format", "json"])
     out = capsys.readouterr().out
     assert code in (0, 1)
@@ -175,12 +176,15 @@ def test_one_emit_leaves_no_reference_cycle(capsys):
     # a writer that recurses through a closure keeps each call's pieces
     # alive in a cycle until the cyclic collector runs
     data = {"a": [1, {"b": [2, 3], "c": ()}], "d": {"e": "f", "g": [[[]]]}}
-    args = argparse.Namespace(format="json")
+    command = cli.build_parser().commands["zeta"]
+    func = command.get_default("func")
+    command.set_defaults(func=lambda args: (data, "", 0))
     gc.collect()
     gc.disable()
     try:
-        cli._emit(args, data, "")
+        assert cli.main(["zeta", "--poly", "x", "--format", "json"]) == 0
         assert gc.collect() == 0
     finally:
         gc.enable()
+        command.set_defaults(func=func)
     assert capsys.readouterr().out == stdlib(data) + "\n"

@@ -7,12 +7,14 @@ Usage, from anywhere:
 Builds the job lists of every workload in ``bench/jobs.py`` for each seed,
 adds one ``resolve --format json`` call per distinct ``--poly`` germ in
 them (``report`` prints no factor texts, blowup sites or blowup order),
-runs each call through ``contactloci.cli.main`` in this process, and prints
-one JSON object mapping each command line (its argv joined by spaces) to
-the sha256 of its exit code, stdout and stderr.  Seeds 1, 5 and 77 give
-2016 benchmark calls and 709 resolve calls, 2725 digests in all.
-``oracle-count`` reports its own wall time as ``elapsed``; that line is
-dropped before hashing.
+and repeats every call with ``--format table`` in place of ``--format
+json``, since no benchmark call prints the text table.  It runs each call
+through ``contactloci.cli.main`` in this process, and prints one JSON
+object mapping each command line (its argv joined by spaces) to the sha256
+of its exit code, stdout and stderr.  Seeds 1, 5 and 77 give 2016
+benchmark calls and 709 resolve calls, each in both formats: 5450 digests
+in all.  ``oracle-count`` reports its own wall time as ``elapsed`` in
+JSON; that line is dropped before hashing.
 Both ``src`` and ``bench`` are read from ``--root`` (default: the checkout
 holding this script), and nothing is written there.  Two checkouts give
 equal outputs exactly when their digest files compare equal with ``cmp``.
@@ -68,6 +70,7 @@ def main(argv=None) -> int:
     ]
     germs = dict.fromkeys(arg for call in calls for arg in call if arg.startswith("--poly="))
     calls += [["resolve", germ, "--format", "json"] for germ in germs]
+    calls += [[*call[:-1], "table"] for call in calls if call[-2:] == ["--format", "json"]]
     digests = {" ".join(call): digest(cli_main, call) for call in calls}
     print(json.dumps(digests, indent=0, sort_keys=True))
     return 0
