@@ -5,6 +5,11 @@ separate, weights, e1, hc, mclean, zeta, lefschetz, check-euler) and the
 oracles (oracle-count, oracle-chi, verify-fibration); ``report`` runs the
 whole pipeline with cross checks.  Exit codes: 0 success or pass, 1 a
 check failed, 2 usage or input error, 141 stdout closed by its reader.
+
+The last ``--poly`` text's polynomial and resolution are kept, one entry
+each (``_parsed``, ``_resolved``), and repeated ``main`` calls in one process
+share them; ``cache_clear()`` on each empties it.  ``--poly-json`` and
+``--config`` are read on every call.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import os
 import sys
 
 from . import covers as covers_mod
-from .curves import resolve_plane_curve, resolve_univariate
+from .curves import ResolutionLog, resolve_plane_curve, resolve_univariate
 from .errors import ContactLociError
 from .jets import (
     contact_count,
@@ -102,25 +107,46 @@ def _add_oracle_options(parser: argparse.ArgumentParser):
 
 
 def _read_json(text: str, source: str):
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ContactLociError(f"{source}: a JSON object names the key {key!r} twice")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise ContactLociError(f"{source}: JSON nests too deeply") from None
 
 
+# Keyed on the --poly text, not the polynomial, whose equality ignores the
+# multiplicands the resolver reads; a call that raises is not cached.
+@functools.lru_cache(maxsize=1)
+def _parsed(text: str) -> SparsePolynomial:
+    return parse_polynomial(text)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _resolved(text: str) -> tuple[SncConfiguration, ResolutionLog | None]:
+    return _resolve(_parsed(text))
+
+
+def _resolve(poly: SparsePolynomial) -> tuple[SncConfiguration, ResolutionLog | None]:
+    """The configuration and resolution log of a germ; no log for one variable."""
+    return (resolve_univariate(poly), None) if poly.nvars == 1 else resolve_plane_curve(poly)
+
+
 def _load_poly(args) -> SparsePolynomial:
     if args.poly is not None:
-        poly, _ = parse_polynomial(args.poly)
-        return poly
+        return _parsed(args.poly)
     with open(args.poly_json) as handle:
         return SparsePolynomial.from_json_dict(_read_json(handle.read(), args.poly_json))
 
 
-def _load_input(
-    args, poly: SparsePolynomial | None = None
-) -> tuple[SncConfiguration, WeightVector | None, str]:
-    """Configuration, optional file-supplied weights, and a description;
-    ``poly`` is the already loaded polynomial input, if any."""
+def _load_input(args) -> tuple[SncConfiguration, WeightVector | None, str]:
+    """Configuration, optional file-supplied weights, and a description."""
     if args.config is not None:
         with open(args.config) as handle:
             data = _read_json(handle.read(), args.config)
@@ -129,19 +155,16 @@ def _load_input(
         if "weights" in data and data["weights"] is not None:
             w = WeightVector.from_json_dict(data["weights"])
         return cfg, w, f"config:{args.config}"
-    if poly is None:
-        poly = _load_poly(args)
-    if poly.nvars == 1:
-        return resolve_univariate(poly), None, poly.render(("x",))
-    cfg, _ = resolve_plane_curve(poly)
-    return cfg, None, poly.render()
+    poly = _load_poly(args)
+    cfg, _ = _resolve(poly) if args.poly is None else _resolved(args.poly)
+    return cfg, None, poly.render(("x",)) if poly.nvars == 1 else poly.render()
 
 
-def _prepare_pipeline(args, m: int | None, poly: SparsePolynomial | None = None):
+def _prepare_pipeline(args, m: int | None):
     """Resolve, separate at m (not at all when m is None), and choose the
     weights: --weights, else the config file's, else the solver's; scaled
     by --scale and checked.  Shared by weights/e1/hc/report."""
-    cfg, file_weights, desc = _load_input(args, poly)
+    cfg, file_weights, desc = _load_input(args)
     sep, records = (cfg, []) if m is None else separate(cfg, m)
     if args.weights:
         w = WeightVector.from_json_dict(_read_json(args.weights, "--weights"))
@@ -267,11 +290,9 @@ def _cmd_validate(args):
 
 
 def _cmd_resolve(args):
-    poly = _load_poly(args)
-    if poly.nvars == 1:
-        cfg = resolve_univariate(poly)
+    cfg, log = _resolve(_load_poly(args)) if args.poly is None else _resolved(args.poly)
+    if log is None:
         return {"configuration": cfg.to_json_dict(), "blowups": []}, _config_table(cfg), 0
-    cfg, log = resolve_plane_curve(poly)
     data = {
         "configuration": cfg.to_json_dict(),
         "factors": [{"label": f"D{j + 1}", "poly": text, "mult": e} for j, text, e in log.factors],
@@ -429,8 +450,7 @@ def _cmd_verify_fibration(args):
 
 def _cmd_report(args):
     m = args.m
-    poly = _load_poly(args) if args.config is None else None
-    cfg, sep, records, w, desc = _prepare_pipeline(args, m, poly)
+    cfg, sep, records, w, desc = _prepare_pipeline(args, m)
     cset = contributing_set(sep, w, m)
     cover_data = covers_mod.covers_for(sep, cset.ids())
     page = e1_page(sep, w, m, cover_data)
@@ -455,7 +475,7 @@ def _cmd_report(args):
         level = args.level or m
         dims = [stratum_dimension(sep, i, m, jet_level=level) for i in cset.ids()]
         expected_dim = max(dims) if dims else None
-        counts, fit = _oracle_fit(args, poly, level, expected_dim)
+        counts, fit = _oracle_fit(args, _load_poly(args), level, expected_dim)
         chi_match = fit.conclusive and fit.chi == check.lefschetz
         # all-zero counts fit degree None, and expected_dim is None exactly when S_m is empty
         degree_match = fit.conclusive and fit.degree == expected_dim

@@ -2,9 +2,18 @@ import math
 
 import pytest
 
+from contactloci import cli
 from contactloci.curves import point_configuration, resolve_plane_curve
 from contactloci.errors import DomainError
 from contactloci.model import Divisor, IntersectionCell, SncConfiguration
+
+
+@pytest.fixture(autouse=True)
+def empty_germ_memos():
+    """Every test starts with the CLI's germ memos empty, so that what it
+    counts or patches does not depend on the test that ran before it."""
+    cli._parsed.cache_clear()
+    cli._resolved.cache_clear()
 
 
 @pytest.fixture(scope="session")

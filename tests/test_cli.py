@@ -135,6 +135,26 @@ def test_malformed_weights_are_usage_errors(tmp_path, capsys, weights, named):
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("option", ["--weights", "--config", "--poly-json"])
+def test_repeated_json_keys_are_usage_errors(tmp_path, monkeypatch, capsys, option):
+    monkeypatch.chdir(tmp_path)
+    cusp = json.dumps(hand_built_cusp().to_json_dict())
+    text, key = {
+        "--weights": ('{"0": 99, "0": 4, "1": 6, "2": 11, "3": 0}', "0"),
+        # a divisor's object, inside the document
+        "--config": (cusp.replace('"label": "E1"', '"label": "E1", "label": "E9"', 1), "label"),
+        "--poly-json": ('{"nvars": 2, "terms": [[[2, 0], "1"], [[0, 3], "1"]], "nvars": 2}', "nvars"),
+    }[option]
+    if option == "--weights":
+        source, argv = option, ["--poly", "x^2+y^3", option, text]
+    else:
+        (tmp_path / "input.json").write_text(text)
+        source, argv = "input.json", [option, "input.json"]
+    code, out, err = run(capsys, "e1", *argv, "--m", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {source}: a JSON object names the key {key!r} twice\n"
+
+
 def test_weights_cli_with_separation(capsys):
     code, out, _ = run(
         capsys, "weights", "--poly", "x^2+y^3", "--m", "7", "--format", "json"
@@ -965,6 +985,65 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     for argv in calls[1:3] + calls[4:]:
         fresh = cli.build_parser.__wrapped__().parse_args(argv)
         assert vars(cli.build_parser().parse_args(argv)) == vars(fresh)
+
+
+def _counting(calls: dict, name: str, fn):
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_a_germ_reported_at_many_m_is_parsed_and_resolved_once(capsys, monkeypatch):
+    from contactloci import cli
+
+    germ = "(x^2-y^3)*(x^3-y^2)"
+    argvs = [
+        ["report", "--poly", germ, "--m", str(m), "--format", form]
+        for m in range(1, 9)
+        for form in ("json", "table")
+    ]
+    cold = []
+    for argv in argvs:
+        cli._parsed.cache_clear()
+        cli._resolved.cache_clear()
+        cold.append(run(capsys, *argv))
+    cli._parsed.cache_clear()
+    cli._resolved.cache_clear()
+    calls = {}
+    monkeypatch.setattr(cli, "parse_polynomial", _counting(calls, "parse", cli.parse_polynomial))
+    monkeypatch.setattr(cli, "resolve_plane_curve", _counting(calls, "resolve", cli.resolve_plane_curve))
+    warm = [run(capsys, *argv) for argv in argvs]
+    assert warm == cold
+    assert [code for code, _, _ in warm] == [0] * 16
+    assert calls == {"parse": 1, "resolve": 1}
+
+
+def test_a_refused_germ_is_refused_again(capsys, monkeypatch):
+    from contactloci import cli
+
+    calls = {}
+    monkeypatch.setattr(cli, "resolve_plane_curve", _counting(calls, "resolve", cli.resolve_plane_curve))
+    argv = ["report", "--poly", "(x^2+y^2)^2+x^5", "--m", "4"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 2
+    assert "non-rational point cluster" in first[2]
+    assert calls == {"resolve": 2}  # a call that raises leaves nothing cached
+
+
+def test_a_rewritten_poly_json_is_read_again(tmp_path, capsys):
+    from contactloci.polys import parse_polynomial
+
+    germs = ("x^2+y^3", "x^2+y^5")
+    path = tmp_path / "germ.json"
+    from_file = []
+    for germ in germs:
+        path.write_text(json.dumps(parse_polynomial(germ)[0].to_json_dict()))
+        from_file.append(run(capsys, "report", "--poly-json", str(path), "--m", "10", "--format", "json"))
+    from_text = [run(capsys, "report", "--poly", germ, "--m", "10", "--format", "json") for germ in germs]
+    assert from_file == from_text and from_file[0] != from_file[1]
+    assert [code for code, _, _ in from_file] == [0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ of its exit code, stdout and stderr.  Seeds 1, 5 and 77 give 2016
 benchmark calls and 709 resolve calls, each in both formats: 5450 digests
 in all.  ``oracle-count`` reports its own wall time as ``elapsed`` in
 JSON; that line is dropped before hashing.
+All calls share one process, so consecutive calls on one ``--poly`` text
+take the CLI's germ memo (``cli._parsed``, ``cli._resolved``) on its hit
+path; a checkout from before that memo runs every call cold, so equal
+digest files there and here show that a hit prints what a miss prints.
 Both ``src`` and ``bench`` are read from ``--root`` (default: the checkout
 holding this script), and nothing is written there.  Two checkouts give
 equal outputs exactly when their digest files compare equal with ``cmp``.
