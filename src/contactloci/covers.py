@@ -24,7 +24,7 @@ dual graph; their Betti data must be supplied on the divisor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -35,8 +35,7 @@ from .errors import (
 from .model import SncConfiguration, euler_open_stratum
 
 
-@dataclass(frozen=True)
-class CoverHomology:
+class CoverHomology(NamedTuple):
     divisor_id: int
     components: int
     betti: tuple[int, ...]

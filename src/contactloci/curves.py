@@ -63,9 +63,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import newton
 from .errors import DomainError
@@ -374,8 +373,7 @@ def _sort_key(factor: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 # resolution
 
-@dataclass(frozen=True)
-class BlowupRecord:
+class BlowupRecord(NamedTuple):
     new_index: int
     site: str
     axis_indices: tuple[int, ...]
@@ -384,8 +382,7 @@ class BlowupRecord:
     disc: int
 
 
-@dataclass(frozen=True)
-class ResolutionLog:
+class ResolutionLog(NamedTuple):
     factors: tuple[tuple[int, str, int], ...]  # (factor index, text, exponent in f)
     blowups: tuple[BlowupRecord, ...]
 

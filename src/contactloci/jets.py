@@ -43,21 +43,16 @@ an independent check for tiny instances.  Counts are exact integers.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import logging
 import operator
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .polys import SparsePolynomial, parse_polynomial
-
-LOGGER = logging.getLogger(__name__)
 
 DEFAULT_NODE_CAP = 1_000_000_000
 NAIVE_CAP = 2_000_000  # jets that naive_contact_count enumerates at most
@@ -134,7 +129,9 @@ class _Budget:
         if self.nodes > self.cap:
             raise ResourceLimitError(f"enumeration budget exceeded ({self.nodes} > {self.cap} residues)")
         while self.nodes >= self._next_report:
-            LOGGER.info("jet count: %d residues", self.nodes)
+            import logging  # here, not at the top: only a long count logs
+
+            logging.getLogger(__name__).info("jet count: %d residues", self.nodes)
             self._next_report += PROGRESS_EVERY
 
 
@@ -318,8 +315,7 @@ def _strata(terms, m: int, l: int, q: int, at_least) -> dict[tuple[int, ...], in
     return {k: n for k, n in cells.items() if n}
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     poly: SparsePolynomial
     m: int
     level: int
@@ -472,8 +468,7 @@ def sum_strata(
     return total
 
 
-@dataclass(frozen=True)
-class ChiFit:
+class ChiFit(NamedTuple):
     """Least-degree exact polynomial fit of point counts, evaluated at q = 1."""
 
     chi: int | None
@@ -599,8 +594,7 @@ def interpolate_chi(counts: Sequence[tuple[int, int]], expected_dim: int | None 
     )
 
 
-@dataclass(frozen=True)
-class FibrationReport:
+class FibrationReport(NamedTuple):
     passed: bool
     m: int
     level: int
@@ -692,6 +686,8 @@ def verify_chart_fibration(
 
 def export_counts_csv(path, counts: Iterable[tuple[int, int]]) -> None:
     """Write (q, N) sample pairs for external fitting."""
+    import csv  # here, not at the top: only oracle-chi --csv writes one
+
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["q", "count"])

@@ -15,15 +15,14 @@ cross check: this module never touches the covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import SncConfiguration, euler_open_stratum, require_valid
 from .spectral import E1Page, e1_page
 from .weights import WeightVector
 
 
-@dataclass(frozen=True)
-class ZetaFactorization:
+class ZetaFactorization(NamedTuple):
     """Product of (1 - t^m_i)^(-chi(E_i°)) over the divisors over Sigma.
 
     Stored in reduced form: equal cycle lengths combined, zero exponents
@@ -76,8 +75,7 @@ def zeta_factorization(cfg: SncConfiguration) -> ZetaFactorization:
     return ZetaFactorization(factors)
 
 
-@dataclass(frozen=True)
-class EulerCrossCheck:
+class EulerCrossCheck(NamedTuple):
     m: int
     page_euler: int
     lefschetz: int

@@ -14,13 +14,20 @@ together with the intersection cells of the configuration (pairs of
 components in the curve case, with the number of intersection points).
 This is all the data the downstream page assembly needs; no actual
 geometry is stored.
+
+The records here and in the other stage modules are ``typing.NamedTuple``
+classes: read-only, compared and hashed by value, and changed through
+``_replace``.  A NamedTuple body may not define ``__new__``, and its
+instances have no dict to cache in, so a record that normalises its
+fields in ``__new__`` (``IntersectionCell``, ``SncConfiguration``) or
+keeps ``cached_property`` values (``SncConfiguration``,
+``weights.WeightVector``) is a subclass of a NamedTuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError, UnsupportedDimensionError, ValidationFailedError
 
@@ -65,8 +72,7 @@ def _json_field(data, key: str, kind: str, what: str, default=_REQUIRED):
     return value
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(NamedTuple):
     """One irreducible component of the resolved zero locus.
 
     ``cover_betti``/``cover_torsion`` and ``euler_open`` carry user supplied
@@ -126,20 +132,31 @@ class Divisor:
         )
 
 
-@dataclass(frozen=True)
-class IntersectionCell:
+def _read_only(self, name, value):
+    """``__setattr__`` of a record whose class keeps an instance dict."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+
+class _CellFields(NamedTuple):
+    ids: tuple[int, ...]
+    count: int
+    over_sigma: bool
+
+
+class IntersectionCell(_CellFields):
     """A connected component of an intersection of distinct divisors.
 
-    In the curve case ``ids`` is a pair and ``count`` is the number of
-    (transverse) intersection points it stands for.
+    In the curve case ``ids`` is a pair, kept sorted, and ``count`` is the
+    number of (transverse) intersection points it stands for.
     """
 
-    ids: tuple[int, ...]
-    count: int = 1
-    over_sigma: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(sorted(self.ids)))
+    def __new__(cls, ids, count: int = 1, over_sigma: bool = True):
+        return super().__new__(cls, tuple(sorted(ids)), count, over_sigma)
+
+    def _replace(self, **changes):  # the namedtuple _replace skips __new__
+        return IntersectionCell(*super()._replace(**changes))
 
     def to_json_dict(self) -> dict:
         return {"ids": list(self.ids), "count": self.count, "over_sigma": self.over_sigma}
@@ -153,18 +170,25 @@ class IntersectionCell:
         )
 
 
-@dataclass(frozen=True)
-class SncConfiguration:
-    """A resolution configuration over a center Sigma."""
-
+class _SncFields(NamedTuple):
     ambient_dim: int
     divisors: tuple[Divisor, ...]
-    cells: tuple[IntersectionCell, ...] = ()
-    sigma_label: str = "origin"
+    cells: tuple[IntersectionCell, ...]
+    sigma_label: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "divisors", tuple(sorted(self.divisors, key=lambda d: d.id)))
-        object.__setattr__(self, "cells", tuple(self.cells))
+
+class SncConfiguration(_SncFields):
+    """A resolution configuration over a center Sigma, its divisors sorted
+    by id."""
+
+    __setattr__ = _read_only
+
+    def __new__(cls, ambient_dim: int, divisors, cells=(), sigma_label: str = "origin"):
+        divisors = tuple(sorted(divisors, key=lambda d: d.id))
+        return super().__new__(cls, ambient_dim, divisors, tuple(cells), sigma_label)
+
+    def _replace(self, **changes):  # the namedtuple _replace skips __new__
+        return SncConfiguration(*super()._replace(**changes))
 
     @cached_property
     def _by_id(self) -> dict[int, Divisor]:
@@ -235,8 +259,7 @@ class SncConfiguration:
         )
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     subject: str  # "divisor" | "cell" | "configuration"
     subject_id: int | None
     message: str

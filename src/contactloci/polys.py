@@ -19,27 +19,37 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
 from .model import _json_field
 
 
-@dataclass(frozen=True)
-class SparsePolynomial:
+class SparsePolynomial(NamedTuple):
     """A polynomial in ``nvars`` variables with exact rational coefficients.
 
     ``terms`` is sorted by exponent tuple and stores no zero coefficients.
     When the parsed text was one product term, ``multiplicands`` holds its
     (base, exponent) pairs, whose product is the polynomial; it takes no
-    part in equality, hashing or JSON.
+    part in equality, hashing, repr or JSON.
     """
 
     nvars: int
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    multiplicands: tuple[tuple["SparsePolynomial", int], ...] = field(default=(), compare=False, repr=False)
+    multiplicands: tuple[tuple["SparsePolynomial", int], ...] = ()
+
+    def __eq__(self, other):
+        return self[:2] == other[:2] if type(other) is SparsePolynomial else NotImplemented
+
+    def __ne__(self, other):  # tuple's own __ne__ would read multiplicands
+        return self[:2] != other[:2] if type(other) is SparsePolynomial else NotImplemented
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"SparsePolynomial(nvars={self.nvars!r}, terms={self.terms!r})"
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[tuple[int, ...], Fraction | int]) -> "SparsePolynomial":

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import UnsupportedDimensionError
 from .model import Divisor, IntersectionCell, SncConfiguration, pair_multiplicities, require_valid
 
 
-@dataclass(frozen=True)
-class SubdivisionRecord:
+class SubdivisionRecord(NamedTuple):
     """One stellar subdivision: a blowup of one intersection point."""
 
     pair: tuple[int, int]
@@ -106,7 +105,7 @@ def separate(cfg: SncConfiguration, m: int) -> tuple[SncConfiguration, list[Subd
             new_id += 1
 
     divisors = [
-        replace(d, self_int=d.self_int - drops[d.id]) if d.self_int is not None and drops[d.id] else d
+        d._replace(self_int=d.self_int - drops[d.id]) if d.self_int is not None and drops[d.id] else d
         for d in cfg.divisors
     ]
     divisors += [

@@ -20,8 +20,7 @@ gets rank bounds that subtract those caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .covers import CoverHomology, covers_for
 from .errors import DomainError, MissingCoverDataError, NotMSeparatingError
@@ -30,8 +29,7 @@ from .separation import first_offending_pair, is_m_separating
 from .weights import WeightVector
 
 
-@dataclass(frozen=True)
-class ContributingSet:
+class ContributingSet(NamedTuple):
     """S_m with contact orders and filtration columns."""
 
     m: int
@@ -47,15 +45,13 @@ class ContributingSet:
         }
 
 
-@dataclass(frozen=True)
-class PageEntry:
+class PageEntry(NamedTuple):
     rank: int
     torsion: tuple[int, ...] = ()
     contributors: tuple[tuple[int, int], ...] = ()  # (divisor id, homology degree)
 
 
-@dataclass(frozen=True)
-class E1Page:
+class E1Page(NamedTuple):
     m: int
     ambient_dim: int
     entries: tuple[tuple[tuple[int, int], PageEntry], ...]  # ((p, q), entry), sorted
@@ -94,8 +90,7 @@ class E1Page:
         }
 
 
-@dataclass(frozen=True)
-class DegreeStatus:
+class DegreeStatus(NamedTuple):
     """What is known about H_c in one total degree."""
 
     degree: int
@@ -118,8 +113,7 @@ class DegreeStatus:
         }
 
 
-@dataclass(frozen=True)
-class HcReport:
+class HcReport(NamedTuple):
     m: int
     ambient_dim: int
     statuses: tuple[DegreeStatus, ...]
@@ -305,7 +299,7 @@ def mclean_relabel(page: E1Page) -> E1Page:
     """
     shift = 2 * page.ambient_dim * page.m + page.ambient_dim - 1
     entries = tuple(((p, q - shift), e) for (p, q), e in page.entries)
-    return replace(page, entries=tuple(sorted(entries)), total_shift=page.total_shift - shift)
+    return page._replace(entries=tuple(sorted(entries)), total_shift=page.total_shift - shift)
 
 
 def milnor_betti_power(p: int) -> tuple[int, ...]:

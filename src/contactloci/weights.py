@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError, NotNegativeDefiniteError, UnsupportedDimensionError
-from .model import SncConfiguration, json_kind, require_valid
+from .model import SncConfiguration, _read_only, json_kind, require_valid
 
 AMPLE_NOTE = (
     "weights certify relative ampleness (strict positivity against every "
@@ -27,11 +26,15 @@ AMPLE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative integer weights, zero on non-exceptional divisors."""
-
+class _WeightEntries(NamedTuple):
     entries: tuple[tuple[int, int], ...]
+
+
+class WeightVector(_WeightEntries):
+    """Nonnegative integer weights, zero on non-exceptional divisors.  No
+    ``__slots__``: ``_by_id`` lives in the instance dict."""
+
+    __setattr__ = _read_only
 
     @classmethod
     def from_dict(cls, data: Mapping[int, int]) -> "WeightVector":

@@ -718,6 +718,34 @@ def test_sympy_is_imported_only_for_a_decomposable_polygon():
     assert result["factors"] == ["x", "y", "x - y", "x + y"]
 
 
+WARM_UP_PROBE = """
+import contextlib, io, json, sys
+import contactloci.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["report", "--poly", "x^2+y^3", "--m", "2", "--primes", "3,5,7", "--format", "json"]) == 0
+    assert cli.main(["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata", "--format", "json"]) == 0
+print(json.dumps([name for name in ("dataclasses", "inspect", "csv", "logging") if name in sys.modules]))
+"""
+
+
+def test_the_bench_warm_up_loads_no_dataclasses_inspect_csv_or_logging():
+    # the records are NamedTuples, so no class is generated at import; csv and
+    # logging load only to write a CSV or a progress line
+    import os
+    import subprocess
+    import sys
+
+    import contactloci
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(contactloci.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_UP_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_a_closed_stdout_exits_as_sigpipe_would():
     import os
     import subprocess

@@ -14,7 +14,9 @@ from contactloci.model import (
     require_valid,
     validate_configuration,
 )
+from contactloci.polys import SparsePolynomial, parse_polynomial
 from contactloci.separation import pair_multiplicities, separate
+from contactloci.weights import WeightVector
 
 from conftest import hand_built_cusp, hand_built_node
 
@@ -165,7 +167,6 @@ def test_configuration_json_roundtrip():
 def test_lookups_by_id_match_a_linear_scan():
     from contactloci.errors import DomainError
     from contactloci.spectral import E1Page, PageEntry
-    from contactloci.weights import WeightVector
 
     twin = Divisor(1, "E2 twin", 9, 9, True, True, 0, -1)
     cfg = SncConfiguration(2, hand_built_cusp().divisors + (twin,))
@@ -211,3 +212,66 @@ def test_json_kind_names_each_decoded_kind(text, kind):
 
 def test_json_kind_names_other_values_by_type():
     assert json_kind((1, 2)) == "tuple"
+
+
+# The records are NamedTuples; these pin what they kept of the frozen
+# dataclasses they replaced, and that _replace normalises as __new__ does.
+E0 = Divisor(0, "E0", 2, 2, genus=0, self_int=-2)
+E1 = Divisor(1, "E1", 3, 3, genus=0, self_int=-1)
+
+
+def test_a_cell_sorts_its_ids_when_built_and_when_replaced():
+    cell = IntersectionCell((3, 1), 2)
+    assert cell.ids == (1, 3) and cell == IntersectionCell([1, 3], 2, True)
+    moved = cell._replace(ids=(5, 2))
+    assert moved.ids == (2, 5) and type(moved) is IntersectionCell
+    assert cell._replace(count=4) == IntersectionCell((1, 3), 4)
+
+
+def test_a_configuration_sorts_its_divisors_and_stores_tuples_when_built_and_when_replaced():
+    cfg = SncConfiguration(2, [E1, E0], [IntersectionCell((1, 0))])
+    assert cfg.divisors == (E0, E1) and cfg.cells == (IntersectionCell((0, 1)),)
+    assert type(cfg.divisors) is tuple and type(cfg.cells) is tuple
+    assert cfg.divisor(1) is E1 and cfg.min_pair_multiplicity == 5
+    again = cfg._replace(divisors=[E1, E0._replace(mult=4)], cells=[])
+    assert type(again) is SncConfiguration
+    assert again.divisors == (E0._replace(mult=4), E1) and again.cells == ()
+    assert type(again.divisors) is tuple and type(again.cells) is tuple
+    assert again.divisor(0).mult == 4 and again.min_pair_multiplicity is None
+
+
+def test_a_polynomial_compares_hashes_and_prints_without_its_multiplicands():
+    product, _ = parse_polynomial("x*(x+y)")
+    plain = SparsePolynomial.from_terms(2, {(2, 0): 1, (1, 1): 1})
+    assert product.multiplicands and not plain.multiplicands
+    assert product == plain and not product != plain and hash(product) == hash(plain)
+    assert repr(product) == repr(plain) == (
+        "SparsePolynomial(nvars=2, terms=(((1, 1), Fraction(1, 1)), ((2, 0), Fraction(1, 1))))"
+    )
+    assert product != SparsePolynomial.from_terms(2, {(2, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "record,name",
+    [
+        (E0, "mult"),
+        (E0, "extra"),
+        (IntersectionCell((0, 1)), "ids"),
+        (SncConfiguration(2, (E0,)), "divisors"),
+        (SncConfiguration(2, (E0,)), "extra"),
+        (SncConfiguration(2, (E0,)), "_by_id"),
+        (WeightVector(((0, 1),)), "entries"),
+        (WeightVector(((0, 1),)), "_by_id"),
+        (SparsePolynomial(1, ()), "terms"),
+    ],
+)
+def test_a_record_refuses_an_assignment(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+
+
+def test_a_divisor_prints_as_the_dataclass_did():
+    assert repr(E0) == (
+        "Divisor(id=0, label='E0', mult=2, disc=2, exceptional=True, over_sigma=True, genus=0, "
+        "self_int=-2, euler_open=None, cover_betti=None, cover_torsion=None)"
+    )

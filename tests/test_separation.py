@@ -1,7 +1,6 @@
 import functools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -77,7 +76,7 @@ def reference_separate(
                 for endpoint in (i, j):
                     d = divisors[endpoint]
                     if d.self_int is not None:
-                        divisors[endpoint] = replace(d, self_int=d.self_int - 1)
+                        divisors[endpoint] = d._replace(self_int=d.self_int - 1)
                 cells[(i, j, flag)] -= 1
                 for endpoint in (i, j):
                     key = (min(endpoint, next_id), max(endpoint, next_id), flag)
