@@ -145,8 +145,9 @@ def _load_poly(args) -> SparsePolynomial:
         return SparsePolynomial.from_json_dict(_read_json(handle.read(), args.poly_json))
 
 
-def _load_input(args) -> tuple[SncConfiguration, WeightVector | None, str]:
-    """Configuration, optional file-supplied weights, and a description."""
+def _load_input(args) -> tuple[SncConfiguration, WeightVector | None, SparsePolynomial | None]:
+    """Configuration, optional file-supplied weights, and the polynomial
+    it was resolved from (None for --config)."""
     if args.config is not None:
         with open(args.config) as handle:
             data = _read_json(handle.read(), args.config)
@@ -154,17 +155,17 @@ def _load_input(args) -> tuple[SncConfiguration, WeightVector | None, str]:
         w = None
         if "weights" in data and data["weights"] is not None:
             w = WeightVector.from_json_dict(data["weights"])
-        return cfg, w, f"config:{args.config}"
+        return cfg, w, None
     poly = _load_poly(args)
     cfg, _ = _resolve(poly) if args.poly is None else _resolved(args.poly)
-    return cfg, None, poly.render(("x",)) if poly.nvars == 1 else poly.render()
+    return cfg, None, poly
 
 
 def _prepare_pipeline(args, m: int | None):
     """Resolve, separate at m (not at all when m is None), and choose the
     weights: --weights, else the config file's, else the solver's; scaled
-    by --scale and checked.  Shared by weights/e1/hc/report."""
-    cfg, file_weights, desc = _load_input(args)
+    by --scale and checked.  Shared by weights, report and ``_page``."""
+    cfg, file_weights, poly = _load_input(args)
     sep, records = (cfg, []) if m is None else separate(cfg, m)
     if args.weights:
         w = WeightVector.from_json_dict(_read_json(args.weights, "--weights"))
@@ -176,7 +177,7 @@ def _prepare_pipeline(args, m: int | None):
         w = w.scaled(args.scale)
     if not validate_weights(sep, w):
         raise ContactLociError("the weight vector fails the ampleness constraints")
-    return cfg, sep, records, w, desc
+    return cfg, sep, records, w, poly
 
 
 def _json_key(key) -> str:
@@ -330,20 +331,21 @@ def _cmd_weights(args):
 
 
 def _page(args):
-    """The separated configuration and its E1 page at --m (e1/hc/mclean)."""
-    _, sep, _, w, _ = _prepare_pipeline(args, args.m)
-    return sep, e1_page(sep, w, args.m)
+    """The configuration, its separation at --m and the E1 page there
+    (e1/hc/mclean/check-euler)."""
+    cfg, sep, _, w, _ = _prepare_pipeline(args, args.m)
+    return cfg, sep, e1_page(sep, w, args.m)
 
 
 def _cmd_e1(args):
-    sep, page = _page(args)
+    _, sep, page = _page(args)
     data = {"page": page.to_json_dict(), "euler": page.euler_characteristic()}
     table = render_page_table(page, sep) + f"\neuler characteristic: {page.euler_characteristic()}"
     return data, table, 0
 
 
 def _cmd_hc(args):
-    _, page = _page(args)
+    _, _, page = _page(args)
     hc = degeneration_analysis(page)
     data = {"hc": hc.to_json_dict()}
     table = _hc_table(hc)
@@ -358,7 +360,7 @@ def _cmd_hc(args):
 
 
 def _cmd_mclean(args):
-    sep, page = _page(args)
+    _, sep, page = _page(args)
     page = mclean_relabel(page)
     data = {"page": page.to_json_dict(), "total_shift": page.total_shift}
     table = render_page_table(page, sep) + f"\ntotal degree shift: {page.total_shift}"
@@ -378,8 +380,8 @@ def _cmd_lefschetz(args):
 
 
 def _cmd_check_euler(args):
-    cfg, sep, _, w, _ = _prepare_pipeline(args, args.m)
-    check = cross_check_euler(sep, w, args.m, lefschetz_cfg=cfg)
+    cfg, _, page = _page(args)
+    check = cross_check_euler(page, cfg)
     verdict = "PASS" if check.passed else "FAIL"
     table = (
         f"page euler = {check.page_euler}, lefschetz = {check.lefschetz}: {verdict}"
@@ -450,13 +452,14 @@ def _cmd_verify_fibration(args):
 
 def _cmd_report(args):
     m = args.m
-    cfg, sep, records, w, desc = _prepare_pipeline(args, m)
+    cfg, sep, records, w, poly = _prepare_pipeline(args, m)
+    desc = f"config:{args.config}" if poly is None else poly.render()
     cset = contributing_set(sep, w, m)
     cover_data = covers_mod.covers_for(sep, cset.ids())
     page = e1_page(sep, w, m, cover_data)
     hc = degeneration_analysis(page)
     zeta = zeta_factorization(cfg)
-    check = cross_check_euler(sep, w, m, lefschetz_cfg=cfg, page=page)
+    check = cross_check_euler(page, cfg)
     table = [
         f"input: {desc}  m={m}",
         f"weights: {w.to_json_dict()} ({AMPLE_NOTE})",
@@ -470,12 +473,12 @@ def _cmd_report(args):
     oracle = None
     passed = check.passed
     if args.primes or args.congruence:
-        if args.config is not None:
+        if poly is None:
             raise ContactLociError("the jet oracle needs a polynomial input, not a configuration")
         level = args.level or m
         dims = [stratum_dimension(sep, i, m, jet_level=level) for i in cset.ids()]
         expected_dim = max(dims) if dims else None
-        counts, fit = _oracle_fit(args, _load_poly(args), level, expected_dim)
+        counts, fit = _oracle_fit(args, poly, level, expected_dim)
         chi_match = fit.conclusive and fit.chi == check.lefschetz
         # all-zero counts fit degree None, and expected_dim is None exactly when S_m is empty
         degree_match = fit.conclusive and fit.degree == expected_dim

@@ -9,8 +9,9 @@ iterate as
 
 and the Denef-Loeser identity equates this with the Euler characteristic
 of the m-th contact locus.  The page assembly computes the same number
-through cover Betti data, so comparing the two is a genuine two-path
-cross check: this module never touches the covers.
+through cover Betti data, so comparing a page's Euler characteristic with
+this one is a genuine two-path cross check: this module never touches the
+covers, and it takes the page from its caller rather than building one.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import SncConfiguration, euler_open_stratum, require_valid
-from .spectral import E1Page, e1_page
-from .weights import WeightVector
+# e1_page is not called here; bench/tracing.py patches lefschetz.e1_page by name
+from .spectral import E1Page, e1_page  # noqa: F401
 
 
 class ZetaFactorization(NamedTuple):
@@ -93,26 +94,18 @@ class EulerCrossCheck(NamedTuple):
         }
 
 
-def cross_check_euler(
-    cfg: SncConfiguration,
-    w: WeightVector,
-    m: int,
-    *,
-    lefschetz_cfg: SncConfiguration | None = None,
-    page: E1Page | None = None,
-) -> EulerCrossCheck:
-    """Compare the page Euler characteristic with the Lefschetz number.
+def cross_check_euler(page: E1Page, cfg: SncConfiguration) -> EulerCrossCheck:
+    """Compare the Euler characteristic of ``page`` with the Lefschetz
+    number of ``cfg`` at the page's m.
 
-    ``lefschetz_cfg`` lets the caller evaluate the A'Campo side on an
-    unseparated configuration (the number is a blowup invariant), keeping
-    the two code paths on independent inputs as well.  ``page`` is the
-    caller's E1 page of (cfg, w, m), when it has one; otherwise it is built.
+    ``page`` is ``e1_page``'s, not ``mclean_relabel``'s: the relabelling
+    shifts the total degree by 2dm + d - 1, which is odd for d = 2 and
+    flips the sign.  ``cfg`` may be the unseparated configuration (the
+    number is a blowup invariant), which keeps the two sides on
+    independent inputs as well.
     """
-    if page is None:
-        page = e1_page(cfg, w, m)
-    other = lefschetz_cfg if lefschetz_cfg is not None else cfg
     return EulerCrossCheck(
-        m=m,
+        m=page.m,
         page_euler=page.euler_characteristic(),
-        lefschetz=lefschetz_number(other, m),
+        lefschetz=lefschetz_number(cfg, page.m),
     )

@@ -167,13 +167,6 @@ def _tokens(text: str) -> list[str]:
     return tokens
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    """The tokens of ``text`` as (kind, value) pairs, kind "int", "var" or "op"."""
-    return [
-        ("int" if t.isdigit() else "var" if t.isalpha() else "op", t) for t in _tokens(text)[:-1]
-    ]
-
-
 class _Parser:
     """Recursive descent for the grammar:
 

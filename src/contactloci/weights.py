@@ -169,6 +169,8 @@ def validate_weights(cfg: SncConfiguration, w: WeightVector) -> bool:
     non-exceptional divisors, and (curve case) strictly positive against
     every exceptional curve."""
     values = w.as_dict()
+    if len(values) != len(w.entries):  # a divisor named twice
+        return False
     if values.keys() != {d.id for d in cfg.divisors} or any(v < 0 for v in values.values()):
         return False
     if any(values[d.id] != 0 for d in cfg.divisors if not d.exceptional):

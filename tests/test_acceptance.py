@@ -102,9 +102,10 @@ def test_criterion_4_cusp_m6():
     with criterion("4 cusp m=6", 1.0):
         cusp, _ = resolve_plane_curve("x^2 + y^3")
         w = solve_weights(cusp)
-        check = cross_check_euler(cusp, w, 6, lefschetz_cfg=cusp)
+        page = e1_page(cusp, w, 6)
+        check = cross_check_euler(page, cusp)
         assert check.passed and check.page_euler == -1 == check.lefschetz
-        hc = degeneration_analysis(e1_page(cusp, w, 6))
+        hc = degeneration_analysis(page)
         assert exact_rank(hc, 16) == 1
         assert hc.status(14).kind == "bounds" and hc.status(15).kind == "bounds"
         # the euler constraint is satisfiable inside the boxes, and any
@@ -166,7 +167,7 @@ def test_node_m3_honest_values():
     w = solve_weights(sep)
     page = e1_page(sep, w, 3)
     assert page.ranks_by_total_degree() == {7: 2, 8: 2}
-    check = cross_check_euler(sep, w, 3, lefschetz_cfg=node)
+    check = cross_check_euler(page, node)
     assert check.passed and check.lefschetz == 0
     for q in (2, 3):
         total = contact_count("x*y", 3, 3, q).total
@@ -233,7 +234,7 @@ def test_criterion_8_euler_cross_checks():
                 for m in range(1, 13):
                     sep, _ = separate(cfg, m)
                     w = solve_weights(sep)
-                    check = cross_check_euler(sep, w, m, lefschetz_cfg=cfg)
+                    check = cross_check_euler(e1_page(sep, w, m), cfg)
                     assert check.passed, (p, q, m, check)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -227,6 +228,24 @@ def test_report_builds_the_page_once(capsys, monkeypatch):
     monkeypatch.setattr(lefschetz, "e1_page", counting)
     code, _, _ = run(capsys, "report", "--poly", "x^2+y^3", "--m", "6", "--format", "json")
     assert code == 0 and built == [6]
+
+
+def test_report_reads_a_piped_germ_once(tmp_path, capsys):
+    # a pipe gives its contents once, so the oracle must count the germ
+    # the pipeline already read rather than open --poly-json again
+    germ = '{"nvars": 2, "terms": [[[2,0],"1"],[[0,3],"1"]]}'
+    path = tmp_path / "cusp.json"
+    path.write_text(germ)
+    tail = ["--m", "2", "--primes", "3,5,7", "--format", "json"]
+    read, write = os.pipe()
+    os.write(write, germ.encode())
+    os.close(write)
+    try:
+        piped = run(capsys, "report", "--poly-json", f"/dev/fd/{read}", *tail)
+    finally:
+        os.close(read)
+    assert piped[0] == 0 and json.loads(piped[1])["verdict"] == "PASS"
+    assert piped == run(capsys, "report", "--poly-json", str(path), *tail)
 
 
 @pytest.mark.parametrize(

@@ -77,8 +77,8 @@ class TestThreeTangentParabolas:
     def test_cross_checks(self):
         cfg = self.cfg()
         for m in range(1, 7):
-            sep, w, _ = pipeline(cfg, m)
-            assert cross_check_euler(sep, w, m, lefschetz_cfg=cfg).passed
+            _, _, page = pipeline(cfg, m)
+            assert cross_check_euler(page, cfg).passed
 
 
 class TestLineTimesConjugatePair:
@@ -107,7 +107,7 @@ class TestLineTimesConjugatePair:
     def test_euler_two_path_still_passes(self):
         cfg, _ = resolve_plane_curve(self.F)
         sep, w, page = pipeline(cfg, 3)
-        check = cross_check_euler(sep, w, 3, lefschetz_cfg=cfg)
+        check = cross_check_euler(page, cfg)
         assert check.passed and check.lefschetz == -3
         cover = cover_betti(sep, 0)
         assert cover.betti == (1, 4)  # connected, chi = -3: a thrice punctured torus
@@ -158,8 +158,8 @@ class TestTwoCuspidalBranches:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_cross_checks(self, m):
         cfg = self.cfg()
-        sep, w, _ = pipeline(cfg, m)
-        assert cross_check_euler(sep, w, m, lefschetz_cfg=cfg).passed
+        _, _, page = pipeline(cfg, m)
+        assert cross_check_euler(page, cfg).passed
 
 
 MONOMIAL_POOL = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3), (2, 1), (1, 2)]
@@ -184,5 +184,5 @@ def test_random_germs_full_pipeline(coeffs, m):
     assert validate_configuration(cfg) == []
     sep, _ = separate(cfg, m)
     w = solve_weights(sep)
-    check = cross_check_euler(sep, w, m, lefschetz_cfg=cfg)
+    check = cross_check_euler(e1_page(sep, w, m), cfg)
     assert check.passed

@@ -68,23 +68,21 @@ def test_cross_check_cusp(m):
     cusp = hand_built_cusp()
     sep, _ = separate(cusp, m)
     w = solve_weights(sep)
-    check = cross_check_euler(sep, w, m, lefschetz_cfg=cusp)
+    check = cross_check_euler(e1_page(sep, w, m), cusp)
     assert check.passed
     expected = [0, 2, 3, 2, 0, -1][m - 1]
     assert check.page_euler == expected
-    # a page the caller already built gives the same check
-    assert cross_check_euler(sep, w, m, lefschetz_cfg=cusp, page=e1_page(sep, w, m)) == check
 
 
 def test_cross_check_node_m2():
     node = hand_built_node()
     w = solve_weights(node)
-    check = cross_check_euler(node, w, 2)
+    check = cross_check_euler(e1_page(node, w, 2), node)
     assert check.passed and check.lefschetz == 0
 
 
 def test_cross_check_json():
     node = hand_built_node()
     w = solve_weights(node)
-    data = cross_check_euler(node, w, 2).to_json_dict()
+    data = cross_check_euler(e1_page(node, w, 2), node).to_json_dict()
     assert data["passed"] is True and data["m"] == 2

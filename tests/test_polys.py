@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from contactloci.errors import DomainError
-from contactloci.polys import SparsePolynomial, _tokenize, parse_polynomial
+from contactloci.polys import SparsePolynomial, parse_polynomial
 
 from conftest import PRODUCT_EXAMPLES, random_product_text
 
@@ -182,7 +182,37 @@ def test_powers_equal_repeated_products(base, e):
 
 # The parser as it was before it built exponent vectors directly: terms keyed
 # by sorted tuples of variable names, converted once the variable set is known.
-# Kept to pin the current parser to it.
+# Kept to pin the current parser to it.  It reads its tokens from its own
+# character scanner, so that a fault in the parser's tokenizer shows here.
+
+_DIGITS = "0123456789"
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _ref_tokenize(text):
+    """(kind, value) pairs, kind "int", "var" or "op"; ``**`` reads as ``^``."""
+    tokens, i = [], 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in _DIGITS:
+            start = i
+            while i < len(text) and text[i] in _DIGITS:
+                i += 1
+            tokens.append(("int", text[start:i]))
+        elif c in _LETTERS:
+            tokens.append(("var", c))
+            i += 1
+        elif c in "()^+*-":
+            star_star = text.startswith("**", i)
+            tokens.append(("op", "^" if star_star else c))
+            i += 2 if star_star else 1
+        else:  # quoted from where the whitespace before it starts
+            start = len(text[:i].rstrip())
+            raise DomainError(f"cannot parse polynomial near {text.rstrip()[start:start + 10]!r}")
+    return tokens
+
 
 class _ReferenceParser:
     def __init__(self, tokens):
@@ -291,7 +321,7 @@ def _ref_product(factors):
 
 
 def reference_parse(text, variables=None):
-    parser = _ReferenceParser(_tokenize(text))
+    parser = _ReferenceParser(_ref_tokenize(text))
     raw, factors = parser.expr()
     if parser.pos != len(parser.tokens):
         raise DomainError(f"trailing input after position {parser.pos}")
@@ -329,7 +359,7 @@ def _random_expression(rng, names, depth):
                 v = rng.choice(names)
                 atom = f"({v}-{v})"  # zero subexpression
             elif pick < 0.5:
-                atom = str(rng.randint(0, 5))
+                atom = str(rng.choice([0, 1, 2, 3, 4, 5, 10, 105]))  # digit runs too
             else:
                 atom = rng.choice(names)
             if rng.random() < 0.45:

@@ -84,6 +84,17 @@ def test_validate_weights_examples():
     assert not validate_weights(cfg, WeightVector.from_dict({0: -4, 1: 6, 2: 11, 3: 0}))
 
 
+def test_validate_weights_rejects_a_divisor_named_twice():
+    # as_dict keeps the last of equal ids and get the first, so a repeated
+    # id would let the page read a weight the check never saw
+    sep, _ = separate(hand_built_cusp(), 2)
+    w = solve_weights(sep)
+    twice = WeightVector(((0, -50),) + w.entries)
+    assert twice.as_dict() == w.as_dict() and twice.get(0) == -50
+    assert validate_weights(sep, w)
+    assert not validate_weights(sep, twice)
+
+
 @pytest.mark.parametrize("c", [2, 3])
 def test_scaling_preserves_validity(c):
     for cfg in (hand_built_cusp(), hand_built_node()):

@@ -6,15 +6,18 @@ Usage, from anywhere:
 
 Builds the job lists of every workload in ``bench/jobs.py`` for each seed,
 adds one ``resolve --format json`` call per distinct ``--poly`` germ in
-them (``report`` prints no factor texts, blowup sites or blowup order),
-and repeats every call with ``--format table`` in place of ``--format
-json``, since no benchmark call prints the text table.  It runs each call
-through ``contactloci.cli.main`` in this process, and prints one JSON
-object mapping each command line (its argv joined by spaces) to the sha256
-of its exit code, stdout and stderr.  Seeds 1, 5 and 77 give 2016
-benchmark calls and 709 resolve calls, each in both formats: 5450 digests
-in all.  ``oracle-count`` reports its own wall time as ``elapsed`` in
-JSON; that line is dropped before hashing.
+them (``report`` prints no factor texts, blowup sites or blowup order)
+and one ``e1``, ``hc``, ``mclean`` and ``check-euler`` call per distinct
+``--poly`` and ``--m`` of a ``report`` call (no benchmark call runs those
+four), and repeats every call with ``--format table`` in place of
+``--format json``, since no benchmark call prints the text table.  It runs
+each call through ``contactloci.cli.main`` in this process, and prints one
+JSON object mapping each command line (its argv joined by spaces) to the
+sha256 of its exit code, stdout and stderr.  Seeds 1, 5 and 77 give 2016
+benchmark calls, 709 resolve calls and 999 report pairs, so 2016 + 709 +
+4 * 999 = 6721 calls, each in both formats: 13442 digests in all.
+``oracle-count`` reports its own wall time as ``elapsed`` in JSON; that
+line is dropped before hashing.
 All calls share one process, so consecutive calls on one ``--poly`` text
 take the CLI's germ memo (``cli._parsed``, ``cli._resolved``) on its hit
 path; a checkout from before that memo runs every call cold, so equal
@@ -74,6 +77,14 @@ def main(argv=None) -> int:
     ]
     germs = dict.fromkeys(arg for call in calls for arg in call if arg.startswith("--poly="))
     calls += [["resolve", germ, "--format", "json"] for germ in germs]
+    pages = dict.fromkeys(
+        (call[1], call[call.index("--m") + 1]) for call in calls if call[0] == "report"
+    )
+    calls += [
+        [command, germ, "--m", m, "--format", "json"]
+        for germ, m in pages
+        for command in ("e1", "hc", "mclean", "check-euler")
+    ]
     calls += [[*call[:-1], "table"] for call in calls if call[-2:] == ["--format", "json"]]
     digests = {" ".join(call): digest(cli_main, call) for call in calls}
     print(json.dumps(digests, indent=0, sort_keys=True))
