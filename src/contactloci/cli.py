@@ -31,7 +31,7 @@ from .jets import (
     verify_chart_fibration,
 )
 from .lefschetz import cross_check_euler, lefschetz_number, zeta_factorization
-from .model import SncConfiguration, validate_configuration
+from .model import SncConfiguration, to_json_dict, validate_configuration
 from .polys import SparsePolynomial, parse_polynomial
 from .separation import separate
 from .spectral import (
@@ -191,16 +191,58 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+@functools.cache
+def _layout(cls: type, indent: str) -> tuple[tuple[str, int], ...]:
+    """The fields of a record class in key order, each as its key prefix at
+    the depth that ``indent`` starts and its index in the record."""
+    inner = indent + "  "
+    fields = sorted((name, i) for i, name in enumerate(cls._fields))
+    return tuple((f"{inner}{_encode_str(name)}: ", i) for name, i in fields)
+
+
 def _write_json(value, out: list, indent: str) -> None:
     """Append ``value`` to ``out`` as the pieces of ``json.dumps(value,
     indent=2, sort_keys=True)``, byte for byte; ``indent`` is the newline
     and spaces that start a line at the value's depth.
+
+    A record (a tuple subclass with a ``to_json_dict``) is written as its
+    JSON: its fields in sorted order, with None fields left out, unless the
+    class defines its own ``to_json_dict``, whose result is written instead.
+    A record of fields is written straight from them, one piece per field
+    with the key prefixes ``_layout`` keeps for its class and depth; no
+    dict is built and no key sorted.  Other tuple subclasses are lists, as
+    in the stdlib.
 
     Given an indent, the stdlib encoder leaves its C code for a generator
     per container; this makes one call per container, and a leaf of type
     exactly int, str, bool or None is one append with its prefix and comma.
     A module-level function, so that no closure cell keeps ``out`` alive.
     """
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple and isinstance(value, tuple):
+        own = getattr(kind, "to_json_dict", None)
+        if own is to_json_dict:
+            # its own loop: one shared with dicts and lists cost their items
+            # a test each and the writer 4 % on a ladder pass
+            inner = indent + "  "
+            out.append("{")
+            for prefix, index in _layout(kind, indent):
+                item = value[index]
+                kind = type(item)
+                if kind is int:
+                    out.append(f"{prefix}{item},")
+                elif kind is str:
+                    out.append(f"{prefix}{_encode_str(item)},")
+                elif kind is bool:
+                    out.append(prefix + ("true," if item else "false,"))
+                elif item is not None:
+                    out.append(prefix)
+                    _write_json(item, out, inner)
+                    out.append(",")
+            out[-1] = "{}" if out[-1] == "{" else out[-1][:-1] + indent + "}"
+            return
+        if own is not None:
+            value = value.to_json_dict()
     if isinstance(value, (dict, list, tuple)):
         is_dict = isinstance(value, dict)
         if not value:
@@ -263,7 +305,7 @@ def _hc_table(hc) -> str:
 
 
 def _config_table(cfg: SncConfiguration) -> str:
-    lines = [f"ambient_dim {cfg.ambient_dim}, center {cfg.sigma_label}"]
+    lines = [f"ambient_dim {cfg.ambient_dim}, center {cfg.sigma}"]
     for d in cfg.divisors:
         bits = [f"m={d.mult}", f"nu={d.disc}"]
         if d.self_int is not None:
@@ -293,9 +335,9 @@ def _cmd_validate(args):
 def _cmd_resolve(args):
     cfg, log = _resolve(_load_poly(args)) if args.poly is None else _resolved(args.poly)
     if log is None:
-        return {"configuration": cfg.to_json_dict(), "blowups": []}, _config_table(cfg), 0
+        return {"configuration": cfg, "blowups": []}, _config_table(cfg), 0
     data = {
-        "configuration": cfg.to_json_dict(),
+        "configuration": cfg,
         "factors": [{"label": f"D{j + 1}", "poly": text, "mult": e} for j, text, e in log.factors],
         "blowups": [
             {
@@ -315,16 +357,13 @@ def _cmd_resolve(args):
 def _cmd_separate(args):
     cfg, _, _ = _load_input(args)
     sep, records = separate(cfg, args.m)
-    data = {
-        "configuration": sep.to_json_dict(),
-        "subdivisions": [r.to_json_dict() for r in records],
-    }
+    data = {"configuration": sep, "subdivisions": records}
     return data, _config_table(sep) + f"\n{len(records)} subdivision(s)", 0
 
 
 def _cmd_weights(args):
     _, sep, _, w, _ = _prepare_pipeline(args, args.m)
-    data = {"weights": w.to_json_dict(), "note": AMPLE_NOTE}
+    data = {"weights": w, "note": AMPLE_NOTE}
     labels = {d.id: d.label for d in sep.divisors}
     table = "\n".join(f"w[{labels[i]}] = {value}" for i, value in w.entries)
     return data, table + f"\n({AMPLE_NOTE})", 0
@@ -339,7 +378,7 @@ def _page(args):
 
 def _cmd_e1(args):
     _, sep, page = _page(args)
-    data = {"page": page.to_json_dict(), "euler": page.euler_characteristic()}
+    data = {"page": page, "euler": page.euler_characteristic()}
     table = render_page_table(page, sep) + f"\neuler characteristic: {page.euler_characteristic()}"
     return data, table, 0
 
@@ -347,7 +386,7 @@ def _cmd_e1(args):
 def _cmd_hc(args):
     _, _, page = _page(args)
     hc = degeneration_analysis(page)
-    data = {"hc": hc.to_json_dict()}
+    data = {"hc": hc}
     table = _hc_table(hc)
     if args.gap_analysis:
         gap = rational_gap_analysis(page)
@@ -362,7 +401,7 @@ def _cmd_hc(args):
 def _cmd_mclean(args):
     _, sep, page = _page(args)
     page = mclean_relabel(page)
-    data = {"page": page.to_json_dict(), "total_shift": page.total_shift}
+    data = {"page": page, "total_shift": page.total_shift}
     table = render_page_table(page, sep) + f"\ntotal degree shift: {page.total_shift}"
     return data, table, 0
 
@@ -370,7 +409,7 @@ def _cmd_mclean(args):
 def _cmd_zeta(args):
     cfg, _, _ = _load_input(args)
     zeta = zeta_factorization(cfg)
-    return {"zeta": zeta.to_json_dict(), "rendered": zeta.render()}, zeta.render(), 0
+    return {"zeta": zeta, "rendered": zeta.render()}, zeta.render(), 0
 
 
 def _cmd_lefschetz(args):
@@ -386,7 +425,7 @@ def _cmd_check_euler(args):
     table = (
         f"page euler = {check.page_euler}, lefschetz = {check.lefschetz}: {verdict}"
     )
-    return check.to_json_dict(), table, 0 if check.passed else 1
+    return check, table, 0 if check.passed else 1
 
 
 def _pool(args) -> list[int]:
@@ -419,7 +458,7 @@ def _cmd_oracle_count(args):
     table = f"count = {report.total} (m={args.m}, level={level}, q={args.q})"
     for orders, n in report.strata:
         table += f"\n  ord {tuple(orders)}: {n}"
-    return report.to_json_dict(), table, 0
+    return report, table, 0
 
 
 def _cmd_oracle_chi(args):
@@ -429,7 +468,7 @@ def _cmd_oracle_chi(args):
     # all-zero counts fit no degree: an empty locus matches no stated dimension
     degree_match = args.expected_dim is None or fit.degree == args.expected_dim
     passed = fit.conclusive and degree_match
-    data = {"counts": [[q, n] for q, n in counts], "fit": fit.to_json_dict()}
+    data = {"counts": [[q, n] for q, n in counts], "fit": fit}
     if args.expected_dim is not None:
         data.update(expected_dim=args.expected_dim, degree_match=degree_match)
     table = "\n".join([f"q={q}: {n}" for q, n in counts])
@@ -447,10 +486,12 @@ def _cmd_verify_fibration(args):
         f"fibers over {report.n_images} images: histogram {dict(report.fiber_histogram)}, "
         f"expected {report.expected_fiber}: {verdict}"
     )
-    return report.to_json_dict(), table, 0 if report.passed else 1
+    return report, table, 0 if report.passed else 1
 
 
 def _cmd_report(args):
+    if args.config is not None and (args.primes or args.congruence):
+        raise ContactLociError("the jet oracle needs a polynomial input, not a configuration")
     m = args.m
     cfg, sep, records, w, poly = _prepare_pipeline(args, m)
     desc = f"config:{args.config}" if poly is None else poly.render()
@@ -473,8 +514,6 @@ def _cmd_report(args):
     oracle = None
     passed = check.passed
     if args.primes or args.congruence:
-        if poly is None:
-            raise ContactLociError("the jet oracle needs a polynomial input, not a configuration")
         level = args.level or m
         dims = [stratum_dimension(sep, i, m, jet_level=level) for i in cset.ids()]
         expected_dim = max(dims) if dims else None
@@ -486,7 +525,7 @@ def _cmd_report(args):
         oracle = {
             "level": level,
             "counts": [[q, n] for q, n in counts],
-            "fit": fit.to_json_dict(),
+            "fit": fit,
             "expected_dim": expected_dim,
             "chi_match": chi_match,
             "degree_match": degree_match,
@@ -499,17 +538,17 @@ def _cmd_report(args):
     data = {
         "input": desc,
         "m": m,
-        "configuration": sep.to_json_dict(),
-        "subdivisions": [r.to_json_dict() for r in records],
-        "weights": w.to_json_dict(),
+        "configuration": sep,
+        "subdivisions": records,
+        "weights": w,
         "weights_note": AMPLE_NOTE,
-        "contributing": cset.to_json_dict(),
-        "covers": [cover_data[i].to_json_dict() for i in sorted(cover_data)],
-        "page": page.to_json_dict(),
-        "hc": hc.to_json_dict(),
-        "zeta": {"factors": zeta.to_json_dict(), "rendered": zeta.render()},
+        "contributing": cset,
+        "covers": [cover_data[i] for i in sorted(cover_data)],
+        "page": page,
+        "hc": hc,
+        "zeta": {"factors": zeta, "rendered": zeta.render()},
         "lefschetz": check.lefschetz,
-        "euler_cross_check": check.to_json_dict(),
+        "euler_cross_check": check,
         "oracle": oracle,
         "verdict": verdict,
     }

@@ -32,7 +32,7 @@ from .errors import (
     MissingCoverDataError,
     UnsupportedDimensionError,
 )
-from .model import SncConfiguration, euler_open_stratum
+from .model import SncConfiguration, euler_open_stratum, to_json_dict
 
 
 class CoverHomology(NamedTuple):
@@ -50,14 +50,7 @@ class CoverHomology(NamedTuple):
             return self.torsion[n]
         return ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "divisor_id": self.divisor_id,
-            "components": self.components,
-            "betti": list(self.betti),
-            "torsion": [list(t) for t in self.torsion],
-            "source": self.source,
-        }
+    to_json_dict = to_json_dict
 
 
 def _supplied_cover(cfg: SncConfiguration, i: int) -> CoverHomology | None:

@@ -52,6 +52,7 @@ from math import comb, gcd, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
+from .model import to_json_dict
 from .polys import SparsePolynomial, parse_polynomial
 
 DEFAULT_NODE_CAP = 1_000_000_000
@@ -606,19 +607,7 @@ class FibrationReport(NamedTuple):
     n_source: int
     n_images: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "m": self.m,
-            "level": self.level,
-            "q": self.q,
-            "d": self.d,
-            "nu": self.nu,
-            "expected_fiber": self.expected_fiber,
-            "fiber_histogram": [[size, n] for size, n in self.fiber_histogram],
-            "n_source": self.n_source,
-            "n_images": self.n_images,
-        }
+    to_json_dict = to_json_dict
 
 
 def verify_chart_fibration(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import SncConfiguration, euler_open_stratum, require_valid
+from .model import SncConfiguration, euler_open_stratum, require_valid, to_json_dict
 # e1_page is not called here; bench/tracing.py patches lefschetz.e1_page by name
 from .spectral import E1Page, e1_page  # noqa: F401
 
@@ -51,8 +51,7 @@ class ZetaFactorization(NamedTuple):
             return top
         return f"{top} / {block(den, True)}"
 
-    def to_json_dict(self) -> dict:
-        return {"factors": [[length, exp] for length, exp in self.factors]}
+    to_json_dict = to_json_dict
 
 
 def lefschetz_number(cfg: SncConfiguration, m: int) -> int:
@@ -80,18 +79,9 @@ class EulerCrossCheck(NamedTuple):
     m: int
     page_euler: int
     lefschetz: int
+    passed: bool  # page_euler == lefschetz
 
-    @property
-    def passed(self) -> bool:
-        return self.page_euler == self.lefschetz
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "page_euler": self.page_euler,
-            "lefschetz": self.lefschetz,
-            "passed": self.passed,
-        }
+    to_json_dict = to_json_dict
 
 
 def cross_check_euler(page: E1Page, cfg: SncConfiguration) -> EulerCrossCheck:
@@ -104,8 +94,6 @@ def cross_check_euler(page: E1Page, cfg: SncConfiguration) -> EulerCrossCheck:
     number is a blowup invariant), which keeps the two sides on
     independent inputs as well.
     """
-    return EulerCrossCheck(
-        m=page.m,
-        page_euler=page.euler_characteristic(),
-        lefschetz=lefschetz_number(cfg, page.m),
-    )
+    page_euler = page.euler_characteristic()
+    lefschetz = lefschetz_number(cfg, page.m)
+    return EulerCrossCheck(page.m, page_euler, lefschetz, page_euler == lefschetz)

@@ -22,6 +22,11 @@ instances have no dict to cache in, so a record that normalises its
 fields in ``__new__`` (``IntersectionCell``, ``SncConfiguration``) or
 keeps ``cached_property`` values (``SncConfiguration``,
 ``weights.WeightVector``) is a subclass of a NamedTuple of its fields.
+
+A record's JSON is its fields in sorted order, with None fields left out,
+unless the class defines its own ``to_json_dict``: a class whose JSON is
+its fields takes the shared ``to_json_dict`` below, and ``cli._write_json``
+writes such a record from its fields without building that dict.
 """
 
 from __future__ import annotations
@@ -72,6 +77,19 @@ def _json_field(data, key: str, kind: str, what: str, default=_REQUIRED):
     return value
 
 
+def to_json_dict(record) -> dict:
+    """A record's fields by name as plain JSON data: None fields left out,
+    tuples as lists and records as their own ``to_json_dict``."""
+    return {name: _plain(value) for name, value in zip(record._fields, record) if value is not None}
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        own = getattr(value, "to_json_dict", None)
+        return own() if own is not None else [_plain(item) for item in value]
+    return value
+
+
 class Divisor(NamedTuple):
     """One irreducible component of the resolved zero locus.
 
@@ -92,24 +110,7 @@ class Divisor(NamedTuple):
     cover_betti: tuple[int, ...] | None = None
     cover_torsion: tuple[tuple[int, ...], ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        data = {
-            "id": self.id,
-            "label": self.label,
-            "mult": self.mult,
-            "disc": self.disc,
-            "exceptional": self.exceptional,
-            "over_sigma": self.over_sigma,
-        }
-        for key in ("genus", "self_int", "euler_open"):
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        if self.cover_betti is not None:
-            data["cover_betti"] = list(self.cover_betti)
-        if self.cover_torsion is not None:
-            data["cover_torsion"] = [list(t) for t in self.cover_torsion]
-        return data
+    to_json_dict = to_json_dict
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Divisor":
@@ -158,8 +159,7 @@ class IntersectionCell(_CellFields):
     def _replace(self, **changes):  # the namedtuple _replace skips __new__
         return IntersectionCell(*super()._replace(**changes))
 
-    def to_json_dict(self) -> dict:
-        return {"ids": list(self.ids), "count": self.count, "over_sigma": self.over_sigma}
+    to_json_dict = to_json_dict
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "IntersectionCell":
@@ -174,7 +174,7 @@ class _SncFields(NamedTuple):
     ambient_dim: int
     divisors: tuple[Divisor, ...]
     cells: tuple[IntersectionCell, ...]
-    sigma_label: str
+    sigma: str
 
 
 class SncConfiguration(_SncFields):
@@ -183,9 +183,9 @@ class SncConfiguration(_SncFields):
 
     __setattr__ = _read_only
 
-    def __new__(cls, ambient_dim: int, divisors, cells=(), sigma_label: str = "origin"):
+    def __new__(cls, ambient_dim: int, divisors, cells=(), sigma: str = "origin"):
         divisors = tuple(sorted(divisors, key=lambda d: d.id))
-        return super().__new__(cls, ambient_dim, divisors, tuple(cells), sigma_label)
+        return super().__new__(cls, ambient_dim, divisors, tuple(cells), sigma)
 
     def _replace(self, **changes):  # the namedtuple _replace skips __new__
         return SncConfiguration(*super()._replace(**changes))
@@ -238,13 +238,7 @@ class SncConfiguration(_SncFields):
     def exceptional_ids(self) -> tuple[int, ...]:
         return tuple(d.id for d in self.divisors if d.exceptional)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "sigma": self.sigma_label,
-            "divisors": [d.to_json_dict() for d in self.divisors],
-            "cells": [c.to_json_dict() for c in self.cells],
-        }
+    to_json_dict = to_json_dict
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SncConfiguration":
@@ -255,7 +249,7 @@ class SncConfiguration(_SncFields):
             ambient_dim=_json_field(data, "ambient_dim", "an integer", what),
             divisors=tuple(Divisor.from_json_dict(d) for d in divisors),
             cells=tuple(IntersectionCell.from_json_dict(c) for c in cells),
-            sigma_label=_json_field(data, "sigma", "a string", what, "origin"),
+            sigma=_json_field(data, "sigma", "a string", what, "origin"),
         )
 
 

@@ -14,7 +14,14 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import UnsupportedDimensionError
-from .model import Divisor, IntersectionCell, SncConfiguration, pair_multiplicities, require_valid
+from .model import (
+    Divisor,
+    IntersectionCell,
+    SncConfiguration,
+    pair_multiplicities,
+    require_valid,
+    to_json_dict,
+)
 
 
 class SubdivisionRecord(NamedTuple):
@@ -27,15 +34,7 @@ class SubdivisionRecord(NamedTuple):
     disc: int
     over_sigma: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "point_index": self.point_index,
-            "new_id": self.new_id,
-            "mult": self.mult,
-            "disc": self.disc,
-            "over_sigma": self.over_sigma,
-        }
+    to_json_dict = to_json_dict
 
 
 def is_m_separating(cfg: SncConfiguration, m: int) -> bool:
@@ -120,6 +119,6 @@ def separate(cfg: SncConfiguration, m: int) -> tuple[SncConfiguration, list[Subd
         ambient_dim=2,
         divisors=tuple(divisors),
         cells=new_cells,
-        sigma_label=cfg.sigma_label,
+        sigma=cfg.sigma,
     )
     return out, records

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .covers import CoverHomology, covers_for
 from .errors import DomainError, MissingCoverDataError, NotMSeparatingError
-from .model import Divisor, SncConfiguration, require_valid
+from .model import Divisor, SncConfiguration, require_valid, to_json_dict
 from .separation import first_offending_pair, is_m_separating
 from .weights import WeightVector
 
@@ -101,16 +101,7 @@ class DegreeStatus(NamedTuple):
     torsion: tuple[int, ...] = ()
     graded_only: bool = False  # exactness holds only for the associated graded
 
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "kind": self.kind,
-            "rank": self.rank,
-            "lo": self.lo,
-            "hi": self.hi,
-            "torsion": list(self.torsion),
-            "graded_only": self.graded_only,
-        }
+    to_json_dict = to_json_dict
 
 
 class HcReport(NamedTuple):
@@ -127,15 +118,7 @@ class HcReport(NamedTuple):
                 return s
         return DegreeStatus(degree, "zero", 0, 0, 0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "ambient_dim": self.ambient_dim,
-            "euler": self.euler,
-            "integral_forced": self.integral_forced,
-            "rational_window_forced": self.rational_window_forced,
-            "statuses": [s.to_json_dict() for s in self.statuses],
-        }
+    to_json_dict = to_json_dict
 
 
 def _contact_order(div: Divisor, m: int) -> int | None:

@@ -636,6 +636,25 @@ def test_refusals_are_one_line_errors(tmp_path, monkeypatch, capsys, argv, messa
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("config", ["cusp.json", "broken.json", "missing.json"])
+@pytest.mark.parametrize("oracle", [["--primes", "3,5"], ["--congruence", "1,2"]])
+def test_report_refuses_the_oracle_on_a_config_before_reading_it(tmp_path, monkeypatch, capsys, config, oracle):
+    # the refusal reads only the command line, so a malformed or missing
+    # config file given with an oracle option gets this error too
+    from contactloci import cli
+
+    def no_separation(*args):
+        raise AssertionError("the pipeline ran before the refusal")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cusp.json").write_text(json.dumps(hand_built_cusp().to_json_dict()))
+    (tmp_path / "broken.json").write_text('{"ambient_dim": 2}')
+    monkeypatch.setattr(cli, "separate", no_separation)
+    code, out, err = run(capsys, "report", "--config", config, "--m", "400", *oracle)
+    assert code == 2 and not out
+    assert err == "error: the jet oracle needs a polynomial input, not a configuration\n"
+
+
 def _validate_case(edit):
     data = hand_built_cusp().to_json_dict()
     edit(data, data["divisors"][0], data["cells"][0])

@@ -5,14 +5,25 @@ import enum
 import gc
 import json
 import math
+import random
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactloci import cli
+from conftest import random_product_text
+from contactloci import cli, covers, curves, jets, lefschetz, model, polys, separation, spectral, weights
+from contactloci.covers import covers_for
+from contactloci.curves import point_configuration, resolve_plane_curve
+from contactloci.jets import verify_chart_fibration
+from contactloci.lefschetz import cross_check_euler, zeta_factorization
+from contactloci.model import Divisor, SncConfiguration
+from contactloci.separation import separate
+from contactloci.spectral import contributing_set, degeneration_analysis, e1_page
+from contactloci.weights import WeightVector, solve_weights
 
 
 def write(value) -> str:
@@ -148,6 +159,17 @@ _JSON_CALLS = [
 ]
 
 
+def plain(value):
+    """``value`` with every record replaced by its ``to_json_dict()``."""
+    if isinstance(value, tuple) and hasattr(value, "to_json_dict"):
+        return plain(value.to_json_dict())
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
 def test_the_calls_cover_every_subcommand():
     (commands,) = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
     assert sorted(argv[0] for argv in _JSON_CALLS) == sorted(commands)
@@ -155,7 +177,8 @@ def test_the_calls_cover_every_subcommand():
 
 @pytest.mark.parametrize("argv", _JSON_CALLS, ids=[argv[0] for argv in _JSON_CALLS])
 def test_every_subcommand_prints_the_stdlib_encoding(monkeypatch, capsys, argv):
-    # main hands each result to the writer once, at the outermost indent
+    # main hands each result to the writer once, at the outermost indent;
+    # it may hold records, whose JSON is their to_json_dict()
     emitted = []
     write_json = cli._write_json
 
@@ -169,7 +192,7 @@ def test_every_subcommand_prints_the_stdlib_encoding(monkeypatch, capsys, argv):
     out = capsys.readouterr().out
     assert code in (0, 1)
     (data,) = emitted
-    assert out == stdlib(data) + "\n"
+    assert out == stdlib(plain(data)) + "\n"
 
 
 def test_one_emit_leaves_no_reference_cycle(capsys):
@@ -188,3 +211,102 @@ def test_one_emit_leaves_no_reference_cycle(capsys):
         gc.enable()
         command.set_defaults(func=func)
     assert capsys.readouterr().out == stdlib(data) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# records written from their fields
+
+FIELD_RECORDS = {
+    cls
+    for module in (model, covers, jets, lefschetz, separation, spectral, weights, polys, curves)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and getattr(cls, "to_json_dict", None) is model.to_json_dict
+}
+
+
+def _pipeline_records(cfg, m, w=None):
+    """Every record of fields that the pipeline builds for ``cfg`` at
+    ``m``, with the solver's weights unless ``w`` is given."""
+    sep, subdivisions = separate(cfg, m)
+    w = w or solve_weights(sep)
+    cover_data = covers_for(sep, contributing_set(sep, w, m).ids())
+    page = e1_page(sep, w, m, cover_data)
+    hc = degeneration_analysis(page)
+    return [
+        cfg,
+        sep,
+        *sep.divisors,
+        *sep.cells,
+        *subdivisions,
+        *(cover_data[i] for i in sorted(cover_data)),
+        hc,
+        *hc.statuses,
+        zeta_factorization(cfg),
+        cross_check_euler(page, cfg),
+    ]
+
+
+def _field_records_by_depth(value, depth, seen):
+    if type(value) in FIELD_RECORDS:
+        seen.add((type(value), depth))
+    if isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _field_records_by_depth(item, depth + 1, seen)
+
+
+def _is_plain_json(value) -> bool:
+    if isinstance(value, dict):
+        return all(type(k) is str and _is_plain_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_is_plain_json(item) for item in value)
+    return value is None or type(value) in (str, int, bool)
+
+
+def test_records_of_fields_are_written_as_their_json():
+    rng = random.Random(20261021)
+    germs = [random_product_text(rng)[0] for _ in range(12)]
+    for _ in range(12):
+        germs.append(f"x^{rng.randint(2, 6)} {rng.choice('+-')} {rng.randint(1, 3)}*y^{rng.randint(2, 7)}")
+    records = []
+    for germ in germs:
+        cfg, _ = resolve_plane_curve(germ)
+        records += _pipeline_records(cfg, rng.randint(1, 8))
+    records += _pipeline_records(point_configuration(3), 6)  # genus and self_int None
+    records += _pipeline_records(
+        SncConfiguration(
+            ambient_dim=3,
+            divisors=(
+                Divisor(0, "E", 2, 3, True, True, euler_open=2, cover_betti=(2, 0, 2),
+                        cover_torsion=((), (3,))),
+            ),
+        ),
+        2,
+        WeightVector.from_dict({0: 1}),  # the solver is curve-case only
+    )
+    records += [verify_chart_fibration(m, m, 3) for m in (1, 2)]
+    assert {type(r) for r in records} == FIELD_RECORDS
+    assert len(FIELD_RECORDS) == 10
+    cli._layout.cache_clear()
+    for record in records:
+        assert _is_plain_json(record.to_json_dict())
+        assert write(record) == stdlib(record.to_json_dict())
+    nested = {"all": records}
+    assert write(nested) == stdlib(plain(nested))
+    # one layout per record class and depth, whatever the values written
+    seen = set()
+    for value in [*records, nested]:
+        _field_records_by_depth(value, 0, seen)
+    assert cli._layout.cache_info().currsize == len(seen)
+
+
+class _Optional(NamedTuple):
+    first: int | None = None
+    second: tuple | None = None
+
+    to_json_dict = model.to_json_dict
+
+
+@pytest.mark.parametrize("record", [_Optional(), _Optional(second=(1, ())), _Optional(3)], ids=repr)
+def test_a_record_leaves_out_its_none_fields(record):
+    for value in (record, [record], {"a": [record, _Optional(2)]}):
+        assert write(value) == stdlib(plain(value))

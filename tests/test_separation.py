@@ -103,7 +103,7 @@ def reference_separate(
         ambient_dim=2,
         divisors=tuple(divisors.values()),
         cells=new_cells,
-        sigma_label=cfg.sigma_label,
+        sigma=cfg.sigma,
     )
     return out, records
 

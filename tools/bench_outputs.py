@@ -6,16 +6,19 @@ Usage, from anywhere:
 
 Builds the job lists of every workload in ``bench/jobs.py`` for each seed,
 adds one ``resolve --format json`` call per distinct ``--poly`` germ in
-them (``report`` prints no factor texts, blowup sites or blowup order)
-and one ``e1``, ``hc``, ``mclean`` and ``check-euler`` call per distinct
-``--poly`` and ``--m`` of a ``report`` call (no benchmark call runs those
-four), and repeats every call with ``--format table`` in place of
-``--format json``, since no benchmark call prints the text table.  It runs
-each call through ``contactloci.cli.main`` in this process, and prints one
-JSON object mapping each command line (its argv joined by spaces) to the
-sha256 of its exit code, stdout and stderr.  Seeds 1, 5 and 77 give 2016
-benchmark calls, 709 resolve calls and 999 report pairs, so 2016 + 709 +
-4 * 999 = 6721 calls, each in both formats: 13442 digests in all.
+them (``report`` prints no factor texts, blowup sites or blowup order),
+one ``e1``, ``hc``, ``mclean``, ``check-euler``, ``separate`` and
+``weights`` call per distinct ``--poly`` and ``--m`` of a ``report`` call
+(no benchmark call runs those six), one ``zeta`` call per distinct germ
+(``report`` prints the zeta factors of the germ, not the command's JSON)
+and ``verify-fibration`` at m = level = 1 and 2 with q = 3, and repeats
+every call with ``--format table`` in place of ``--format json``, since
+no benchmark call prints the text table.  It runs each call through
+``contactloci.cli.main`` in this process, and prints one JSON object
+mapping each command line (its argv joined by spaces) to the sha256 of
+its exit code, stdout and stderr.  Seeds 1, 5 and 77 give 2016 benchmark
+calls, 709 germs and 999 report pairs, so 2016 + 2 * 709 + 6 * 999 + 2 =
+9430 calls, each in both formats: 18860 digests in all.
 ``oracle-count`` reports its own wall time as ``elapsed`` in JSON; that
 line is dropped before hashing.
 All calls share one process, so consecutive calls on one ``--poly`` text
@@ -83,7 +86,12 @@ def main(argv=None) -> int:
     calls += [
         [command, germ, "--m", m, "--format", "json"]
         for germ, m in pages
-        for command in ("e1", "hc", "mclean", "check-euler")
+        for command in ("e1", "hc", "mclean", "check-euler", "separate", "weights")
+    ]
+    calls += [["zeta", germ, "--format", "json"] for germ in germs]
+    calls += [
+        ["verify-fibration", "--m", m, "--level", m, "--q", "3", "--format", "json"]
+        for m in ("1", "2")
     ]
     calls += [[*call[:-1], "table"] for call in calls if call[-2:] == ["--format", "json"]]
     digests = {" ".join(call): digest(cli_main, call) for call in calls}
