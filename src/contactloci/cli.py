@@ -6,6 +6,15 @@ oracles (oracle-count, oracle-chi, verify-fibration); ``report`` runs the
 whole pipeline with cross checks.  Exit codes: 0 success or pass, 1 a
 check failed, 2 usage or input error, 141 stdout closed by its reader.
 
+A command line that starts with a subcommand's name is parsed from that
+subcommand's argparse parser alone.  ``_quick_args`` reads its options
+straight from the parser's actions when the line holds only exact
+options, each once, as ``--opt value`` or ``--opt=value`` (a flag bare),
+no value after a space starts with ``-``, every value converts, and the
+required options and groups are met without a conflict.  Any other line
+goes to argparse, which parses it or prints every usage error and help
+text.  ``build_parser`` is the one place options are declared.
+
 The last ``--poly`` text's polynomial and resolution are kept, one entry
 each (``_parsed``, ``_resolved``), and repeated ``main`` calls in one process
 share them; ``cache_clear()`` on each empties it.  ``--poly-json`` and
@@ -322,7 +331,8 @@ def _config_table(cfg: SncConfiguration) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (JSON data, text table, exit
-# code) and prints nothing; ``main`` writes the one the --format asks for
+# code) and prints nothing; ``main`` writes the one the --format asks for.
+# ``report`` builds its table only for --format table, None otherwise.
 
 def _cmd_validate(args):
     cfg, _, _ = _load_input(args)
@@ -500,16 +510,8 @@ def _cmd_report(args):
     page = e1_page(sep, w, m, cover_data)
     hc = degeneration_analysis(page)
     zeta = zeta_factorization(cfg)
+    rendered = zeta.render()
     check = cross_check_euler(page, cfg)
-    table = [
-        f"input: {desc}  m={m}",
-        f"weights: {w.to_json_dict()} ({AMPLE_NOTE})",
-        f"zeta: {zeta.render()}",
-        f"lefschetz: Lambda = {check.lefschetz}",
-        _hc_table(hc),
-        f"euler cross check: page {check.page_euler} vs lefschetz {check.lefschetz}: "
-        + ("PASS" if check.passed else "FAIL"),
-    ]
 
     oracle = None
     passed = check.passed
@@ -530,11 +532,8 @@ def _cmd_report(args):
             "chi_match": chi_match,
             "degree_match": degree_match,
         }
-        table.append(f"oracle counts: {oracle['counts']}")
-        table.append(f"oracle fit: {fit.render()} (chi {fit.chi}, match {chi_match})")
 
     verdict = "PASS" if passed else "FAIL"
-    table.append(f"verdict: {verdict}")
     data = {
         "input": desc,
         "m": m,
@@ -546,12 +545,27 @@ def _cmd_report(args):
         "covers": [cover_data[i] for i in sorted(cover_data)],
         "page": page,
         "hc": hc,
-        "zeta": {"factors": zeta, "rendered": zeta.render()},
+        "zeta": {"factors": zeta, "rendered": rendered},
         "lefschetz": check.lefschetz,
         "euler_cross_check": check,
         "oracle": oracle,
         "verdict": verdict,
     }
+    if args.format != "table":
+        return data, None, 0 if passed else 1
+    table = [
+        f"input: {desc}  m={m}",
+        f"weights: {w.to_json_dict()} ({AMPLE_NOTE})",
+        f"zeta: {rendered}",
+        f"lefschetz: Lambda = {check.lefschetz}",
+        _hc_table(hc),
+        f"euler cross check: page {check.page_euler} vs lefschetz {check.lefschetz}: "
+        + ("PASS" if check.passed else "FAIL"),
+    ]
+    if oracle is not None:  # with fit and chi_match from the oracle above
+        table.append(f"oracle counts: {oracle['counts']}")
+        table.append(f"oracle fit: {fit.render()} (chi {fit.chi}, match {chi_match})")
+    table.append(f"verdict: {verdict}")
     return data, "\n".join(table), 0 if passed else 1
 
 
@@ -634,6 +648,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _options(parser: argparse.ArgumentParser) -> dict:
+    """The option strings of ``parser``'s one-value store and store-const
+    actions; ``_quick_args`` leaves any other action to argparse."""
+    store = (argparse._StoreAction, argparse._StoreConstAction)
+    actions = [a for a in parser._actions if isinstance(a, store) and a.nargs in (None, 0)]
+    return {text: action for action in actions for text in action.option_strings}
+
+
+def _quick_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """``parser.parse_known_args(argv)``'s namespace for a line that it
+    takes with no extras and that holds only exact options, each once, as
+    ``--opt value`` or ``--opt=value`` (a flag bare): no value after a
+    space starts with ``-``, every value converts and is among its choices,
+    every required option is there, and one member of each required group
+    but never two of a group.  None for any other line, which argparse then
+    parses, refuses or explains.  The defaults are read on every call, so
+    ``set_defaults`` after the first call is seen."""
+    options = _options(parser)
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        key, eq, text = token.partition("=")
+        action = options.get(key)
+        flag = action is not None and action.nargs == 0
+        if action is None or action in given or eq and flag:
+            return None
+        if not (eq or flag) and (text := next(tokens, "-")).startswith("-"):  # or is missing
+            return None
+        try:
+            given[action] = value = action.const if flag else (action.type or str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+    for group in parser._mutually_exclusive_groups:
+        if not group.required <= sum(action in given for action in group._group_actions) <= 1:
+            return None
+    actions = parser._actions
+    if any(a.required and a not in given or isinstance(a.default, str) and a.type for a in actions):
+        return None  # argparse also converts a text default through its type
+    args = argparse.Namespace()  # filled at once: Namespace(**kwargs) sets them one by one
+    vars(args).update(parser._defaults)
+    vars(args).update((a.dest, a.default) for a in reversed(actions) if a.default is not argparse.SUPPRESS)
+    vars(args).update((action.dest, value) for action, value in given.items())
+    return args
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact counts are printed in full
@@ -644,9 +706,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     else:
         # the top level would hand everything after the name to this parser
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _quick_args(command, argv[1:])
+        if args is None:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     try:
         data, table, code = args.func(args)

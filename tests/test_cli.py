@@ -1219,17 +1219,23 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch):
     import io
     from collections import Counter
 
-    from contactloci.cli import build_parser
+    from contactloci.cli import _quick_args, build_parser
 
     monkeypatch.setattr("contactloci.jets.DEFAULT_NODE_CAP", 20000)
     subparsers = build_parser().commands
     codes = Counter()
+    quick = []  # the command lines _quick_args parses
     for command in sorted(subparsers):  # --csv is left out: it writes a file
 
         @settings(max_examples=12, deadline=None, derandomize=True, database=None)
         @given(data=st.data())
         def fuzz(data):
             argv = _fuzz_argv(data, command, subparsers[command], tmp_path)
+            args = _quick_args(subparsers[command], argv[1:])
+            if args is not None:  # it parses as argparse does, with no extras
+                full, extras = subparsers[command].parse_known_args(argv[1:])
+                assert (vars(args), extras) == (vars(full), []), argv
+                quick.append(argv)
             out, err = io.StringIO(), io.StringIO()
             # any exception but SystemExit propagates and fails the test
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1255,6 +1261,7 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, monkeypatch):
 
         fuzz()
     assert min(codes[0], codes[2]) >= 40  # the pipeline runs, not only the parser
+    assert 40 <= len(quick) < sum(codes.values())  # both parsers are met
 
 
 def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
@@ -1267,7 +1274,7 @@ def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
-DISPATCH_ARGVS = [
+QUICK_ARGVS = [
     # one valid command line per subcommand
     ["validate", "--config", "c.json", "--format", "json"],
     ["resolve", "--poly", "x^2+y^3"],
@@ -1282,7 +1289,25 @@ DISPATCH_ARGVS = [
     ["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata", "--node-cap", "9"],
     ["oracle-chi", "--poly", "x*y", "--m", "2", "--congruence", "1,4", "--expected-dim", "1"],
     ["verify-fibration", "--m", "2", "--level", "3", "--q", "3", "--d", "3"],
+    ["report", "--poly", "x^2+y^3", "--m", "2", "--primes", "3,5,7"],
+    # more forms that cli._quick_args parses
+    ["report", "--poly=-x^2+y^3", "--m", "2", "--format", "json"],
+    ["oracle-chi", "--poly", "x*y", "--m", "2", "--congruence=-1,4", "--expected-dim", "0"],
+    ["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata"],
+    ["verify-fibration", "--m", "2", "--level", "3", "--q", "3", "--d", "3", "--nu", "3"],
+    ["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--node-cap", "9"],
+    ["resolve", "--poly", ""],
+]
+DISPATCH_ARGVS = QUICK_ARGVS + [
+    # left to argparse, which accepts or refuses them
     ["report", "--poly", "x^2+y^3", "--m", "2", "--primes", "3,5,7", "--lev", "2"],
+    ["report", "--poly", "x*y", "--m", "2", "--m", "3"],  # argparse keeps the last
+    ["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata=1"],
+    ["report", "--poly", "-x^2+y^3", "--m", "2"],
+    ["report", "--poly", "x*y", "--m", "2", "--format", "yaml"],
+    ["report", "--poly", "x*y", "--m=0"],
+    ["report", "--poly", "x*y", "--m", "2", "--primes", "3,,5"],
+    ["report", "--poly", "x*y", "--config", "c.json", "--m", "2"],
     # refused after the command
     ["report", "--poly", "x*y", "--m", "2", "--bogus"],
     ["report", "--poly", "x*y", "--m", "2", "stray", "--bogus=1"],
@@ -1301,9 +1326,30 @@ DISPATCH_ARGVS = [
 ]
 
 
+# the shapes of the benchmark's command lines (bench/jobs.py)
+BENCHMARK_ARGVS = [
+    ["report", "--poly=x^2+y^3", "--m", "6", "--format", "json"],
+    ["report", "--poly=x^2+y^3", "--m", "2", "--primes", "3,5,7", "--format", "json"],
+    ["oracle-count", "--poly=x^2+y^3", "--m", "2", "--q", "5", "--strata", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGVS)
+def test_benchmark_command_lines_skip_argparse(capsys, monkeypatch, argv):
+    from contactloci.cli import build_parser
+
+    def refuse(*_):
+        raise AssertionError("parsed by argparse")
+
+    for parser in build_parser().commands.values():
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)
+
+
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS)
 def test_main_parses_as_the_full_parser_does(capsys, argv):
-    from contactloci.cli import build_parser
+    from contactloci.cli import _quick_args, build_parser
 
     parsed = []
 
@@ -1325,6 +1371,8 @@ def test_main_parses_as_the_full_parser_does(capsys, argv):
         return code, out.out, out.err
 
     commands = build_parser().commands
+    command = commands.get(argv[0]) if argv else None
+    assert (command is not None and _quick_args(command, argv[1:]) is not None) == (argv in QUICK_ARGVS)
     funcs = {name: p.get_default("func") for name, p in commands.items()}
     try:
         for p in commands.values():

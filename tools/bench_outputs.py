@@ -13,12 +13,17 @@ one ``e1``, ``hc``, ``mclean``, ``check-euler``, ``separate`` and
 (``report`` prints the zeta factors of the germ, not the command's JSON)
 and ``verify-fibration`` at m = level = 1 and 2 with q = 3, and repeats
 every call with ``--format table`` in place of ``--format json``, since
-no benchmark call prints the text table.  It runs each call through
+no benchmark call prints the text table.  Every one of those command
+lines takes the CLI's quick parse (``cli._quick_args``), so it adds the
+fixed ``ARGPARSE_CALLS``, which argparse parses, refuses or answers with
+help.  It runs each call through
 ``contactloci.cli.main`` in this process, and prints one JSON object
 mapping each command line (its argv joined by spaces) to the sha256 of
 its exit code, stdout and stderr.  Seeds 1, 5 and 77 give 2016 benchmark
 calls, 709 germs and 999 report pairs, so 2016 + 2 * 709 + 6 * 999 + 2 =
-9430 calls, each in both formats: 18860 digests in all.
+9430 calls, each in both formats, and the 12 ``ARGPARSE_CALLS``: 18872
+digests in all.  Help and usage text is wrapped at ``COLUMNS``, which is
+set to 80 here.
 ``oracle-count`` reports its own wall time as ``elapsed`` in JSON; that
 line is dropped before hashing.
 All calls share one process, so consecutive calls on one ``--poly`` text
@@ -39,11 +44,27 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
 
 ELAPSED = re.compile(r'\n *"elapsed": [^\n]*')
+# command lines that the CLI leaves to argparse
+ARGPARSE_CALLS = [
+    ["report", "--poly", "x*y", "--m", "2", "--m", "3", "--format", "json"],  # the last --m
+    ["report", "--poly", "x^2+y^3", "--m", "2", "--primes", "3,5,7", "--lev", "2", "--format", "json"],
+    ["oracle-count", "--poly", "x*y", "--m", "2", "--q", "3", "--strata=1"],
+    ["report", "--poly", "-x^2+y^3", "--m", "2"],
+    ["report", "--poly", "x*y", "--m", "2", "--format", "yaml"],
+    ["report", "--poly", "x*y", "--m=0"],
+    ["report", "--poly", "x*y", "--m", "2", "--primes", "3,,5"],
+    ["report", "--poly", "x*y", "--config", "c.json", "--m", "2"],
+    ["report", "--poly", "x*y"],
+    ["report", "-h"],
+    ["--help"],
+    [],
+]
 
 
 def digest(main, argv: list[str]) -> str:
@@ -56,7 +77,7 @@ def digest(main, argv: list[str]) -> str:
         except Exception as exc:  # a crash is an output too
             code = f"raised {type(exc).__name__}: {exc}"
     stdout = out.getvalue()
-    if argv[0] == "oracle-count":
+    if argv[:1] == ["oracle-count"]:
         stdout = ELAPSED.sub("", stdout)
     return hashlib.sha256(json.dumps([code, stdout, err.getvalue()]).encode()).hexdigest()
 
@@ -94,6 +115,8 @@ def main(argv=None) -> int:
         for m in ("1", "2")
     ]
     calls += [[*call[:-1], "table"] for call in calls if call[-2:] == ["--format", "json"]]
+    calls += ARGPARSE_CALLS
+    os.environ["COLUMNS"] = "80"
     digests = {" ".join(call): digest(cli_main, call) for call in calls}
     print(json.dumps(digests, indent=0, sort_keys=True))
     return 0
