@@ -11,7 +11,6 @@ from contactloci import (
     degeneration_analysis,
     e1_page,
     mclean_relabel,
-    milnor_betti_power,
     multiplicity_case_prediction,
     render_page_table,
     resolve_plane_curve,
@@ -39,8 +38,8 @@ for m in range(1, 7):
     print()
 
 # m = 2 is the multiplicity of the cusp, so the locus fibers over the
-# Milnor fiber of the initial form x^2 (two parallel lines):
-prediction = multiplicity_case_prediction(2, 2, milnor_betti_power(2))
+# Milnor fiber of the initial form x^2, two parallel lines (b_0 = 2):
+prediction = multiplicity_case_prediction(2, 2, (2,))
 page2 = e1_page(cusp, solve_weights(cusp), 2)
 print("multiplicity case check:", prediction, "==", page2.ranks_by_total_degree())
 

@@ -6,13 +6,7 @@ These are checked here by raw enumeration on a blowup chart, together
 with the level at which the contact strata stabilize.
 """
 
-from contactloci import (
-    fiber_dimension,
-    resolve_plane_curve,
-    stabilization_level,
-    stratum_dimension,
-    verify_chart_fibration,
-)
+from contactloci import resolve_plane_curve, stratum_dimension, verify_chart_fibration
 
 # x = y1 * y2, restricted to jets where y2 has order exactly m: every
 # fiber of the induced map on level-l jets is an affine space of
@@ -24,13 +18,16 @@ for m in (0, 1, 2):
 
 cusp, _ = resolve_plane_curve("x^2 + y^3")
 print()
+# A divisor E_i of S_m has contact order k = m / m_i, and jets with that
+# contact order have resolution fibers of dimension k (nu_i - 1).  The
+# contact strata are pulled back from level l_0 on, l_0 the largest
+# max(2 k (nu_i - 1), k (nu_i - 1) + m) over S_m.
 for m in (2, 3, 6):
+    fibers = [(d, m // d.mult * (d.disc - 1))
+              for d in cusp.divisors if d.over_sigma and m % d.mult == 0]
     print(f"m = {m}:")
-    print("  stabilization level:", stabilization_level(cusp, m))
-    for d in cusp.divisors:
-        if d.over_sigma and m % d.mult == 0:
-            k = m // d.mult
-            dim = stratum_dimension(cusp, d.id, m)
-            fiber = fiber_dimension(cusp, {d.id: k})
-            print(f"  {d.label}: contact stratum dimension {dim}, "
-                  f"resolution fiber dimension {fiber}")
+    print("  stabilization level:", max(max(2 * fiber, fiber + m) for _, fiber in fibers))
+    for d, fiber in fibers:
+        dim = stratum_dimension(cusp, d.id, m)
+        print(f"  {d.label}: contact stratum dimension {dim}, "
+              f"resolution fiber dimension {fiber}")

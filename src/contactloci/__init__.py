@@ -4,7 +4,10 @@ The package assembles the first page of the spectral sequence computing
 the compactly supported cohomology of m-th contact loci, starting from
 the combinatorics of an m-separating log resolution, and validates the
 results against two independent oracles: A'Campo Lefschetz numbers and
-brute-force jet counts over small prime fields.
+exact jet counts over small prime fields by Igusa's stationary phase
+recursion.  The tests check those counts on tiny instances against a
+naive enumeration of every jet, which is a test reference, not part of
+the package.
 """
 
 from .covers import CoverHomology, cover_betti, covers_for
@@ -32,9 +35,7 @@ from .jets import (
     FibrationReport,
     contact_count,
     interpolate_chi,
-    naive_contact_count,
     stratified_count,
-    sum_strata,
     verify_chart_fibration,
 )
 from .lefschetz import (
@@ -66,12 +67,9 @@ from .spectral import (
     contributing_set,
     degeneration_analysis,
     e1_page,
-    fiber_dimension,
     mclean_relabel,
-    milnor_betti_power,
     multiplicity_case_prediction,
     render_page_table,
-    stabilization_level,
     stratum_dimension,
 )
 from .weights import (

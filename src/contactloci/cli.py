@@ -126,6 +126,8 @@ def _read_json(text: str, source: str):
 
     try:
         return json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise ContactLociError(f"{source}: {exc}") from None
     except RecursionError:
         raise ContactLociError(f"{source}: JSON nests too deeply") from None
 
@@ -726,7 +728,7 @@ def main(argv=None) -> int:
         # exit does not fail again, and exit as a process killed by SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ContactLociError, OSError, json.JSONDecodeError) as exc:
+    except (ContactLociError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -37,8 +37,9 @@ the singular zeros a one-term h0 lists for their lifts.  A closed-form
 count and a memo hit take none, and as the memo key holds all that sets
 a charge, the total does not depend on the order in which the N(k) are
 read.  The node cap bounds them, and a charge past it is refused before
-its residues are taken.  A naive full enumeration is kept alongside as
-an independent check for tiny instances.  Counts are exact integers.
+its residues are taken.  Counts are exact integers.  The tests check
+them on tiny instances against a naive enumeration of every jet
+(``naive_contact_count`` in ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .model import to_json_dict
 from .polys import SparsePolynomial, parse_polynomial
 
 DEFAULT_NODE_CAP = 1_000_000_000
-NAIVE_CAP = 2_000_000  # jets that naive_contact_count enumerates at most
 PROGRESS_EVERY = 10_000_000
 
 
@@ -72,13 +72,6 @@ def _ser_mul(a: Sequence[int], b: Sequence[int], level: int, q: int) -> tuple[in
     return tuple(out)
 
 
-def _ser_pow(a: Sequence[int], e: int, level: int, q: int) -> tuple[int, ...]:
-    out = (1,) + (0,) * level
-    for _ in range(e):
-        out = _ser_mul(out, a, level, q)
-    return tuple(out)
-
-
 def _poly_mod_q(f: SparsePolynomial, q: int) -> list[tuple[int, tuple[int, ...]]]:
     terms = []
     for exps, coeff in f.terms:
@@ -88,28 +81,6 @@ def _poly_mod_q(f: SparsePolynomial, q: int) -> list[tuple[int, tuple[int, ...]]
         if value:
             terms.append((value, exps))
     return terms
-
-
-def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> tuple[int, ...]:
-    """f(gamma) truncated at t^level; coords are coefficient sequences c_0..c_level."""
-    total = [0] * (level + 1)
-    power_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-    one = (1,) + (0,) * level
-    for value, exps in terms:
-        prod = one
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            key = (i, e)
-            powed = power_cache.get(key)
-            if powed is None:
-                powed = _ser_pow(tuple(coords[i]), e, level, q)
-                power_cache[key] = powed
-            prod = _ser_mul(prod, powed, level, q)
-        for n, c in enumerate(prod):
-            if c:
-                total[n] = (total[n] + value * c) % q
-    return tuple(total)
 
 
 # ---------------------------------------------------------------------------
@@ -404,27 +375,6 @@ def contact_count(
     return _count(f, m, l, q, node_cap, strata=False)
 
 
-def naive_contact_count(f: SparsePolynomial | str, m: int, l: int, q: int) -> int:
-    """Full enumeration over all q^(d l) centered jets; tiny instances only."""
-    f, terms = _prepare(f, m, l, q, NAIVE_CAP)
-    if terms is None:
-        return 0
-    d = f.nvars
-    if d * l >= NAIVE_CAP.bit_length() or q ** (d * l) > NAIVE_CAP:
-        raise ResourceLimitError(f"naive enumeration of q^(d*l) = {q}^{d * l} jets exceeds the cap {NAIVE_CAP}")
-    target = [0] * (m + 1)
-    target[m] = 1
-    target = tuple(target)
-    count = 0
-    for flat in itertools.product(range(q), repeat=d * l):
-        coords = []
-        for i in range(d):
-            coords.append((0,) + flat[i * l : (i + 1) * l])
-        if _eval_terms(terms, [c[: m + 1] for c in coords], m, q) == target:
-            count += 1
-    return count
-
-
 def stratified_count(
     f: SparsePolynomial | str,
     m: int,
@@ -444,29 +394,6 @@ def stratified_count(
     the cusp at m = l = 890, q = 3 visits 528 511 k.
     """
     return _count(f, m, l, q, node_cap, strata=True)
-
-
-def sum_strata(
-    report: CountReport,
-    minimum: Sequence[int],
-    exact: Sequence[bool],
-) -> int:
-    """Aggregate raw order strata against a pattern.
-
-    ``minimum`` gives the componentwise least orders and ``exact`` marks
-    the coordinates that must attain them exactly; the others only need
-    to reach the minimum.
-    """
-    total = 0
-    for orders, count in report.strata:
-        ok = True
-        for o, lo, must in zip(orders, minimum, exact):
-            if o < lo or (must and o != lo):
-                ok = False
-                break
-        if ok:
-            total += count
-    return total
 
 
 class ChiFit(NamedTuple):

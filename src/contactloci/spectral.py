@@ -158,31 +158,6 @@ def stratum_dimension(cfg: SncConfiguration, i: int, m: int, *, jet_level: int |
     return cfg.ambient_dim * (level + 1) - k * div.disc - 1
 
 
-def fiber_dimension(cfg: SncConfiguration, contact_orders: Mapping[int, int]) -> int:
-    """Dimension of the affine fiber of the jet-space resolution map.
-
-    For jets with prescribed contact orders k_i along the divisors, the
-    fiber is an affine space of dimension sum k_i (nu_i - 1).
-    """
-    return sum(k * (cfg.divisor(i).disc - 1) for i, k in contact_orders.items())
-
-
-def stabilization_level(cfg: SncConfiguration, m: int) -> int:
-    """Least jet level at which the contact strata are pulled back.
-
-    l_0 = max over the contributing divisors of
-    max(2 k_i (nu_i - 1), k_i (nu_i - 1) + m).
-    """
-    levels = []
-    for d in cfg.divisors:
-        k = _contact_order(d, m)
-        if k is not None:
-            levels.append(max(2 * k * (d.disc - 1), k * (d.disc - 1) + m))
-    if not levels:
-        raise DomainError(f"no divisor contributes at m = {m}")
-    return max(levels)
-
-
 def e1_page(
     cfg: SncConfiguration,
     w: WeightVector,
@@ -283,13 +258,6 @@ def mclean_relabel(page: E1Page) -> E1Page:
     shift = 2 * page.ambient_dim * page.m + page.ambient_dim - 1
     entries = tuple(((p, q - shift), e) for (p, q), e in page.entries)
     return page._replace(entries=tuple(sorted(entries)), total_shift=page.total_shift - shift)
-
-
-def milnor_betti_power(p: int) -> tuple[int, ...]:
-    """Betti numbers of the fiber {x^p = 1}: p parallel hyperplanes."""
-    if p < 1:
-        raise DomainError("need a positive exponent")
-    return (p,)
 
 
 def multiplicity_case_prediction(d: int, m: int, milnor_betti: Iterable[int]) -> dict[int, int]:

@@ -1,10 +1,13 @@
+import itertools
 import math
+from typing import Sequence
 
 import pytest
 
 from contactloci import cli
 from contactloci.curves import point_configuration, resolve_plane_curve
-from contactloci.errors import DomainError
+from contactloci.errors import DomainError, ResourceLimitError
+from contactloci.jets import _prepare, _ser_mul
 from contactloci.model import Divisor, IntersectionCell, SncConfiguration
 
 
@@ -145,3 +148,59 @@ def milnor_betti_homogeneous_isolated(m: int, d: int) -> tuple[int, ...]:
     betti[0] = 1
     betti[d - 1] += (m - 1) ** d
     return tuple(betti)
+
+
+# ---------------------------------------------------------------------------
+# the naive jet count, the reference the oracle tests compare against
+
+NAIVE_CAP = 2_000_000  # jets that naive_contact_count enumerates at most
+
+
+def _ser_pow(a: Sequence[int], e: int, level: int, q: int) -> tuple[int, ...]:
+    out = (1,) + (0,) * level
+    for _ in range(e):
+        out = _ser_mul(out, a, level, q)
+    return tuple(out)
+
+
+def _eval_terms(terms, coords: Sequence[Sequence[int]], level: int, q: int) -> tuple[int, ...]:
+    """f(gamma) truncated at t^level; coords are coefficient sequences c_0..c_level."""
+    total = [0] * (level + 1)
+    power_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+    one = (1,) + (0,) * level
+    for value, exps in terms:
+        prod = one
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            key = (i, e)
+            powed = power_cache.get(key)
+            if powed is None:
+                powed = _ser_pow(tuple(coords[i]), e, level, q)
+                power_cache[key] = powed
+            prod = _ser_mul(prod, powed, level, q)
+        for n, c in enumerate(prod):
+            if c:
+                total[n] = (total[n] + value * c) % q
+    return tuple(total)
+
+
+def naive_contact_count(f, m: int, l: int, q: int) -> int:
+    """Full enumeration over all q^(d l) centered jets; tiny instances only."""
+    f, terms = _prepare(f, m, l, q, NAIVE_CAP)
+    if terms is None:
+        return 0
+    d = f.nvars
+    if d * l >= NAIVE_CAP.bit_length() or q ** (d * l) > NAIVE_CAP:
+        raise ResourceLimitError(f"naive enumeration of q^(d*l) = {q}^{d * l} jets exceeds the cap {NAIVE_CAP}")
+    target = [0] * (m + 1)
+    target[m] = 1
+    target = tuple(target)
+    count = 0
+    for flat in itertools.product(range(q), repeat=d * l):
+        coords = []
+        for i in range(d):
+            coords.append((0,) + flat[i * l : (i + 1) * l])
+        if _eval_terms(terms, [c[: m + 1] for c in coords], m, q) == target:
+            count += 1
+    return count

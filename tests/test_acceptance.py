@@ -27,13 +27,12 @@ from contactloci.separation import is_m_separating, separate
 from contactloci.spectral import (
     degeneration_analysis,
     e1_page,
-    milnor_betti_power,
     multiplicity_case_prediction,
     stratum_dimension,
 )
 from contactloci.weights import WeightVector, solve_weights, validate_weights
 
-from conftest import closed_form_power_count, page_content
+from conftest import closed_form_power_count, naive_contact_count, page_content
 
 
 @contextmanager
@@ -82,7 +81,7 @@ def test_criterion_2_cusp_multiplicity_case():
         assert len({p for p, _, _ in page.nonzero()}) == 1  # single column
         hc = degeneration_analysis(page)
         assert exact_rank(hc, 6) == 2
-        prediction = multiplicity_case_prediction(2, 2, milnor_betti_power(2))
+        prediction = multiplicity_case_prediction(2, 2, (2,))  # {x^2 = 1}: 2 parallel lines
         assert page.ranks_by_total_degree() == prediction
         for q in (3, 5, 7, 11):
             assert contact_count("x^2+y^3", 2, 2, q).total == 2 * q ** 3
@@ -160,8 +159,6 @@ def test_node_m3_honest_values():
     """Companion to the failing spec-literal test: pins the values the
     implementation actually produces for the m = 3 node locus, verified by
     naive enumeration and by the Euler cross check."""
-    from contactloci.jets import naive_contact_count
-
     node, _ = resolve_plane_curve("x*y")
     sep, _ = separate(node, 3)
     w = solve_weights(sep)

@@ -156,6 +156,25 @@ def test_repeated_json_keys_are_usage_errors(tmp_path, monkeypatch, capsys, opti
     assert err == f"error: {source}: a JSON object names the key {key!r} twice\n"
 
 
+@pytest.mark.parametrize("option", ["--weights", "--config", "--poly-json"])
+def test_unparsable_json_names_its_source(tmp_path, monkeypatch, capsys, option):
+    monkeypatch.chdir(tmp_path)
+    name = "Expecting property name enclosed in double quotes"
+    text, reason = {
+        "--weights": ("{bad", f"{name}: line 1 column 2 (char 1)"),
+        "--config": ('{"ambient_dim": 2,', f"{name}: line 1 column 19 (char 18)"),
+        "--poly-json": ("", "Expecting value: line 1 column 1 (char 0)"),
+    }[option]
+    if option == "--weights":
+        source, argv = option, ["--poly", "x^2+y^3", option, text]
+    else:
+        (tmp_path / "input.json").write_text(text)
+        source, argv = "input.json", [option, "input.json"]
+    code, out, err = run(capsys, "e1", *argv, "--m", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {source}: {reason}\n"
+
+
 def test_weights_cli_with_separation(capsys):
     code, out, _ = run(
         capsys, "weights", "--poly", "x^2+y^3", "--m", "7", "--format", "json"

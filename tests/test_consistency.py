@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from contactloci.covers import cover_betti
 from contactloci.curves import resolve_plane_curve
 from contactloci.errors import DomainError
-from contactloci.jets import contact_count, interpolate_chi, naive_contact_count
+from contactloci.jets import contact_count, interpolate_chi
 from contactloci.lefschetz import cross_check_euler, lefschetz_number
 from contactloci.model import validate_configuration
 from contactloci.polys import SparsePolynomial
@@ -22,10 +22,11 @@ from contactloci.separation import separate
 from contactloci.spectral import (
     degeneration_analysis,
     e1_page,
-    milnor_betti_power,
     multiplicity_case_prediction,
 )
 from contactloci.weights import solve_weights
+
+from conftest import naive_contact_count
 
 
 def pipeline(cfg, m):
@@ -61,7 +62,7 @@ class TestThreeTangentParabolas:
         cfg = self.cfg()
         _, _, page3 = pipeline(cfg, 3)
         assert page3.ranks_by_total_degree() == {10: 3}
-        prediction = multiplicity_case_prediction(2, 3, milnor_betti_power(3))
+        prediction = multiplicity_case_prediction(2, 3, (3,))  # {y^3 = 1}: 3 parallel lines
         assert page3.ranks_by_total_degree() == prediction
         _, _, page6 = pipeline(cfg, 6)
         assert page6.ranks_by_total_degree() == {18: 3, 19: 13, 20: 1}
@@ -137,7 +138,7 @@ class TestTwoCuspidalBranches:
         cfg = self.cfg()
         _, _, page4 = pipeline(cfg, 4)
         assert page4.ranks_by_total_degree() == {14: 4}
-        prediction = multiplicity_case_prediction(2, 4, milnor_betti_power(4))
+        prediction = multiplicity_case_prediction(2, 4, (4,))  # {y^4 = 1}: 4 parallel lines
         assert page4.ranks_by_total_degree() == prediction
         _, _, page6 = pipeline(cfg, 6)
         assert page6.ranks_by_total_degree() == {20: 6}
